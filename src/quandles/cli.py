@@ -178,6 +178,16 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quandles",
@@ -200,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="enumerate all quandles of one order")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_positive_int)
     p.add_argument("--iso", action="store_true", help="one canonical table per isomorphism class")
     p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; >1 sorts after merging")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes; >1 sorts after merging")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
     p.add_argument("--guard", type=int, default=enumeration.DEFAULT_ORDER_GUARD,
                    help="largest order the search will accept")
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every checker on every quandle up to an order")
-    p.add_argument("max_order", type=int)
+    p.add_argument("max_order", type=_positive_int)
     p.add_argument("--guard", type=int, default=enumeration.DEFAULT_ORDER_GUARD)
     add_format(p)
     p.set_defaults(fn=cmd_verify)

@@ -2,17 +2,34 @@
 
 The search fills the table column by column. Candidate columns are the
 permutations fixing the column index (idempotency pins the diagonal,
-right-invertibility makes columns permutations), and right
-self-distributivity is enforced incrementally through its equivalent
+right-invertibility makes columns permutations), tried in lex order, and
+right self-distributivity is enforced incrementally through its equivalent
 translation form R_k R_j R_k^-1 = R_{j*k}: whenever two columns are known,
 the column of their product is forced, so each guess propagates. Every
 table of the requested order is emitted exactly once; with ``up_to_iso``
 the stream is reduced to one canonical representative per isomorphism
-class.
+class, the canonical form of the first table of the class in the stream.
 
-Worker partitions split the search by a prefix of the first table row and
-share nothing, so they can run in separate processes; a deterministic
-result then requires sorting the merged output, which
+Columns are held 0-based as ``bytes`` together with their inverses and
+256-byte translate tables, so each conjugation is two ``bytes.translate``
+calls: R_k R_m R_k^-1 is ``inv_k.translate(tab_m).translate(tab_k)``.
+
+Symmetry breaking under ``up_to_iso``: relabeling by sigma with
+sigma(x) = 1 turns R_x into a conjugate of it fixing 1, and every
+permutation fixing 1 with the cycle type of R_x on the other points is
+reached that way. So every class has a labeling whose R_1 is the lex-least
+permutation fixing 1 of its cycle type, e.g. (1)(2)(3 4)(5 6 7) for the
+type 1+2+3 at n = 7, and column 1 only tries these p(n-1)
+representatives. The order of the reduced stream is kept: column 1 is the
+outermost choice, so the first table of a class in the full search has
+the lex-least R_1 over all labelings of the class, which is one of the
+representatives, and the search below column 1 is unchanged. The break
+holds only for the lex-least representative of each type, and is off
+under a first-row prefix, which constrains the labeling.
+
+Worker partitions split the labeled search by a prefix of the first table
+row and share nothing, so they can run in separate processes; a
+deterministic result then requires sorting the merged output, which
 ``enumerate_parallel`` does.
 """
 
@@ -26,7 +43,7 @@ from typing import Callable, Iterator, Optional
 
 from .checks import has_repeat_free_profile
 from .orbits import is_connected
-from .perm import Permutation
+from .perm import CycleStructure, Permutation
 from .quandle import Quandle
 
 DEFAULT_ORDER_GUARD = 8
@@ -71,24 +88,56 @@ class EnumerationTask:
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_columns(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each column index j (1-based), the permutations with image j at j, in lex order."""
-    all_perms = list(permutations(range(1, n + 1)))
-    return tuple(
-        tuple(p for p in all_perms if p[j - 1] == j) for j in range(1, n + 1)
-    )
+def _candidate_columns(n: int) -> tuple[tuple[bytes, ...], ...]:
+    """For each column index j (0-based), the permutations fixing j as 0-based bytes, in lex order."""
+    all_perms = [bytes(p) for p in permutations(range(n))]
+    return tuple(tuple(p for p in all_perms if p[j] == j) for j in range(n))
 
 
-def _raw_tables(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All valid tables of order n whose first row starts with the prefix, in search order."""
+def _column1_representatives(n: int) -> list[bytes]:
+    """The lex-least permutation fixing 0 of each cycle type, as 0-based bytes, in lex order.
+
+    It fixes the smallest points and then closes cycles of increasing length
+    on consecutive points, e.g. (0)(1)(2 3)(4 5 6) for the type 1+2+3 at n=7.
+    """
+    reps: dict[CycleStructure, bytes] = {}
+    for p in _candidate_columns(n)[0]:
+        reps.setdefault(Permutation([v + 1 for v in p]).cycle_structure(), p)
+    return list(reps.values())
+
+
+# x -> x + 1 on bytes, to turn 0-based columns into 1-based table entries.
+_ONE_BASED = bytes(range(1, 256)) + b"\0"
+
+
+def _raw_tables(
+    n: int, prefix: tuple[int, ...], column1_representatives_only: bool = False,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All valid tables of order n whose first row starts with the prefix, in search order.
+
+    With column1_representatives_only, column 1 tries only
+    ``_column1_representatives(n)``: the output is then the subsequence of
+    the full search whose R_1 is one of them.
+    """
     if len(prefix) > n:
         return
-    candidates = _candidate_columns(n)
-    cols: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
-    invs: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
+    # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
+    # bytes.translate table and invs[k] its inverse; both are read only
+    # while cols[k] is set.
+    options = list(_candidate_columns(n))
+    if column1_representatives_only:
+        options[0] = _column1_representatives(n)
+    first_row = [v - 1 for v in prefix]
+    for j, v in enumerate(first_row):
+        options[j] = [p for p in options[j] if p[0] == v]
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    cols: list[Optional[bytes]] = [None] * n
+    invs: list[Optional[bytes]] = [None] * n
+    tabs: list[Optional[bytes]] = [None] * n
     klimit = len(prefix)
 
-    def assign(j: int, p: tuple[int, ...], trail: list[int]) -> bool:
+    def assign(j: int, p: bytes, trail: list[int]) -> bool:
         queue = [(j, p)]
         while queue:
             k, pk = queue.pop()
@@ -97,51 +146,47 @@ def _raw_tables(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[tuple[int, ..
                 if existing != pk:
                     return False
                 continue
-            if pk[k - 1] != k:
+            if pk[k] != k:
                 return False
-            if k <= klimit and pk[0] != prefix[k - 1]:
+            if k < klimit and pk[0] != first_row[k]:
                 return False
-            inv = [0] * n
-            for idx, v in enumerate(pk, 1):
-                inv[v - 1] = idx
+            invk = bytes.maketrans(pk, identity)[:n]
+            tabk = pk + tail
             cols[k] = pk
-            invs[k] = tuple(inv)
+            invs[k] = invk
+            tabs[k] = tabk
             trail.append(k)
-            for m in range(1, n + 1):
+            for m in range(n):
                 pm = cols[m]
                 if pm is None or m == k:
                     continue
-                invk = invs[k]
-                invm = invs[m]
-                # R_k R_m R_k^-1 = R_{m*k} and R_m R_k R_m^-1 = R_{k*m}
-                queue.append((
-                    pk[m - 1],
-                    tuple(pk[pm[invk[x] - 1] - 1] for x in range(n)),
-                ))
-                queue.append((
-                    pm[k - 1],
-                    tuple(pm[pk[invm[x] - 1] - 1] for x in range(n)),
-                ))
+                tabm = tabs[m]
+                # R_k R_m R_k^-1 = R_{m*k} and R_m R_k R_m^-1 = R_{k*m}.
+                # A forced column that is already set is compared at once,
+                # so a conflict ends the propagation before the queue grows.
+                for t, pt in (
+                    (pk[m], invk.translate(tabm).translate(tabk)),
+                    (pm[k], invs[m].translate(tabk).translate(tabm)),
+                ):
+                    known = cols[t]
+                    if known is None:
+                        queue.append((t, pt))
+                    elif known != pt:
+                        return False
         return True
 
     def search() -> Iterator[tuple[tuple[int, ...], ...]]:
-        j = next((i for i in range(1, n + 1) if cols[i] is None), 0)
-        if j == 0:
-            yield tuple(
-                tuple(cols[c][r] for c in range(1, n + 1)) for r in range(n)
-            )
+        try:
+            j = cols.index(None)
+        except ValueError:
+            yield tuple(zip(*(c.translate(_ONE_BASED) for c in cols)))
             return
-        if j <= klimit:
-            options = [p for p in candidates[j - 1] if p[0] == prefix[j - 1]]
-        else:
-            options = candidates[j - 1]
-        for p in options:
+        for p in options[j]:
             trail: list[int] = []
             if assign(j, p, trail):
                 yield from search()
             for t in trail:
                 cols[t] = None
-                invs[t] = None
 
     yield from search()
 
@@ -151,7 +196,11 @@ def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     if task.order > task.order_guard:
         raise OrderTooLargeError(task.order, task.order_guard)
     predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
-    stream = (Quandle(rows) for rows in _raw_tables(task.order, task.partition_prefix))
+    # A prefix fixes part of the labeling, so only a free search may pick R_1's.
+    raw = _raw_tables(
+        task.order, task.partition_prefix, task.up_to_iso and not task.partition_prefix
+    )
+    stream = (Quandle(rows) for rows in raw)
     if predicate is not None:
         stream = (q for q in stream if predicate(q))
     if task.up_to_iso:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quandles.catalog import serialize_table
 from quandles.cli import main
 
@@ -159,6 +161,18 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv, argument", [
+        (["enumerate", "0"], "order"),
+        (["verify", "0"], "max_order"),
+        (["enumerate", "3", "--jobs", "0"], "--jobs"),
+        (["enumerate", "3", "--jobs", "-2"], "--jobs"),
+    ])
+    def test_nonpositive_integer_is_usage_error(self, argv, argument):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argument}: must be a positive integer" in err
 
     def test_main_callable_in_process(self, capsys):
         assert main(["analyze", "example:nonlatin3"]) == 0

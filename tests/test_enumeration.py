@@ -1,9 +1,17 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 
+from quandles.cli import main
 from quandles.constructions import dihedral
 from quandles.enumeration import (
+    PREDICATES,
     EnumerationTask,
     OrderTooLargeError,
+    _column1_representatives,
+    _iso_reduce,
+    _raw_tables,
     are_isomorphic,
     canonical_form,
     enumerate_parallel,
@@ -22,6 +30,21 @@ from _oracles import column_search_quandles, naive_all_quandles, naive_isomorphi
 # every order up to 6 (and against the 3^9 filter at order 3).
 RAW_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404, 6: 6658}
 ISO_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 73}
+# Partitions of n-1 (OEIS A000041): cycle types of R_1 on {2..n}.
+PARTITION_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11, 8: 15}
+# sha256 of the standard output of `quandles enumerate 6 [--iso] --tables`,
+# recorded before column 1 was restricted to cycle-type representatives.
+ORDER6_TABLES_SHA256 = {
+    True: "aae41c3de12ed7569fb3ab6ec43a3b0e84f6516f80546c129b0ba909dd86ad20",
+    False: "2ce27af4b1b20e23566acbc33359641a6882baec45a685bea17c0608ef83dd61",
+}
+# sha256 of repr([q.rows ...]) for EnumerationTask(5, up_to_iso=True,
+# partition_prefix=(1, 3)), recorded with the same search.
+PREFIX_ISO_SHA256 = "4052e0e0e9aa4d3e2644134764c6d158fcab5a6aa6e3bcf300231fdb4a932858"
+
+
+def _cycle_type(p: bytes):
+    return Permutation([v + 1 for v in p]).cycle_structure()
 
 
 class TestRawEnumeration:
@@ -72,6 +95,69 @@ class TestIsoReduction:
         reps = enumerated(4, True)
         for q in enumerated(4, False):
             assert any(are_isomorphic(q, rep) is not None for rep in reps)
+
+
+class TestColumn1Representatives:
+    @pytest.mark.parametrize("n", sorted(PARTITION_COUNTS))
+    def test_one_per_cycle_type(self, n):
+        reps = _column1_representatives(n)
+        assert len(reps) == PARTITION_COUNTS[n]
+        assert all(sorted(p) == list(range(n)) and p[0] == 0 for p in reps)
+        assert len({_cycle_type(p) for p in reps}) == len(reps)
+        assert reps == sorted(reps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_lex_least_of_its_type(self, n):
+        least = {}
+        for images in permutations(range(n)):
+            if images[0] == 0:
+                least.setdefault(_cycle_type(bytes(images)), bytes(images))
+        assert _column1_representatives(n) == sorted(least.values())
+
+    def test_example_from_the_docstring(self):
+        expected = Permutation.from_cycles(7, [(3, 4), (5, 6, 7)])
+        reps = [Permutation([v + 1 for v in p]) for p in _column1_representatives(7)]
+        assert [p for p in reps if p.cycle_structure() == expected.cycle_structure()] == [expected]
+
+
+class TestSymmetryBreaking:
+    """Restricting R_1 to representatives keeps the --iso stream, element for element."""
+
+    @pytest.mark.parametrize("predicate", [None, *sorted(PREDICATES)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stream_equals_reduction_of_full_search(self, n, predicate, enumerated):
+        keep = PREDICATES[predicate] if predicate else (lambda q: True)
+        full = _iso_reduce(q for q in enumerated(n, False) if keep(q))
+        broken = enumerate_quandles(EnumerationTask(n, up_to_iso=True, predicate_filter=predicate))
+        assert [q.rows for q in broken] == [q.rows for q in full]
+
+    def test_searches_a_subsequence(self):
+        full = list(_raw_tables(5, ()))
+        broken = list(_raw_tables(5, (), column1_representatives_only=True))
+        reps = {tuple(v + 1 for v in p) for p in _column1_representatives(5)}
+        assert broken == [t for t in full if tuple(row[0] for row in t) in reps]
+        assert len(broken) < len(full)
+
+    @pytest.mark.parametrize("iso", [True, False])
+    def test_order6_tables_output_is_unchanged(self, iso, capsys):
+        argv = ["enumerate", "6", "--tables"] + (["--iso"] if iso else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
+
+    def test_prefix_turns_the_break_off(self):
+        task = EnumerationTask(5, up_to_iso=True, partition_prefix=(1, 3))
+        rows = [q.rows for q in enumerate_quandles(task)]
+        assert len(rows) == 21
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == PREFIX_ISO_SHA256
+        labeled = (q for q in enumerate_quandles(EnumerationTask(5, partition_prefix=(1, 3))))
+        assert rows == [q.rows for q in _iso_reduce(labeled)]
+
+    def test_parallel_order6_iso_matches_serial(self):
+        task = EnumerationTask(6, up_to_iso=True)
+        serial = enumerate_parallel(task, 1)
+        assert len(serial) == ISO_COUNTS[6]
+        assert [q.rows for q in enumerate_parallel(task, 2)] == [q.rows for q in serial]
 
 
 class TestAreIsomorphic:
@@ -186,3 +272,11 @@ class TestFalsify:
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):
             falsify(("latin", "nope"), 3)
+
+    @pytest.mark.parametrize("hypothesis", ["latin", "connected", "unique-fixed-point"])
+    def test_witness_table_is_unchanged(self, hypothesis):
+        # the table falsify returned before column 1 was restricted
+        witness = falsify((hypothesis, "distinct-lengths"), 5)
+        assert witness.rows == (
+            (1, 3, 4, 5, 2), (4, 2, 5, 3, 1), (5, 1, 3, 2, 4), (2, 5, 1, 4, 3), (3, 4, 2, 1, 5),
+        )
