@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 
 from .orbits import is_connected, orbits
 from .perm import Permutation
-from .quandle import Quandle
+from .quandle import Quandle, distributivity_failures
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -96,24 +96,13 @@ def _capped(failures: list[tuple[int, ...]], cap: int) -> tuple[tuple, int]:
 
 def check_conjugation_identity(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
     """R_k R_j R_k^-1 = R_{j*k} for all j, k, checked pointwise as R_k R_j = R_{j*k} R_k."""
-    n = q.n
-    cols = q.columns()
-    failures = []
-    for j in range(1, n + 1):
-        colj = cols[j - 1]
-        for k in range(1, n + 1):
-            colk = cols[k - 1]
-            colm = cols[colk[j - 1] - 1]
-            for x in range(n):
-                if colk[colj[x] - 1] != colm[colk[x] - 1]:
-                    failures.append((j, k))
-                    break
+    failures = distributivity_failures(q.columns())
     witnesses, count = _capped(failures, witness_cap)
     return CheckReport(
         name="conjugation-identity",
         hypothesis_holds=True,
         conclusion_holds=count == 0,
-        counted_instances=n * n,
+        counted_instances=q.n * q.n,
         witnesses=witnesses,
         failure_count=count,
     )
@@ -141,15 +130,25 @@ def consecutive_cycle_form(p: Permutation) -> tuple[Permutation, tuple[int, ...]
 
 
 def check_cycle_shift(p: Permutation, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f."""
+    """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
+
+    The power f^d depends only on the distance d = j - i, so each one is
+    built once per call: at most 2m - 1 powers for a longest cycle of
+    length m, instead of one per pair of points.
+    """
     f, relabeling = consecutive_cycle_form(p)
     failures = []
     counted = 0
+    powers: dict[int, Permutation] = {}
     for cycle in f.cycles():
         for i in cycle:
             for j in cycle:
                 counted += 1
-                if (f ** (j - i))(i) != j:
+                d = j - i
+                power = powers.get(d)
+                if power is None:
+                    power = powers[d] = f ** d
+                if power.images[i - 1] != j:
                     failures.append((i, j))
     witnesses, count = _capped(failures, witness_cap)
     return CheckReport(

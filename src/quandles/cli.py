@@ -215,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes; >1 sorts after merging")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
-    p.add_argument("--guard", type=int, default=enumeration.DEFAULT_ORDER_GUARD,
+    p.add_argument("--guard", type=_positive_int, default=enumeration.DEFAULT_ORDER_GUARD,
                    help="largest order the search will accept")
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every checker on every quandle up to an order")
     p.add_argument("max_order", type=_positive_int)
-    p.add_argument("--guard", type=int, default=enumeration.DEFAULT_ORDER_GUARD)
+    p.add_argument("--guard", type=_positive_int, default=enumeration.DEFAULT_ORDER_GUARD)
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

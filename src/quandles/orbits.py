@@ -18,19 +18,14 @@ class NotConnectedError(ValueError):
 
 
 def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
-    """Orbit partition of {1..n} under all right translations and their inverses.
+    """Orbit partition of {1..n} under the group generated by the right translations.
 
-    Closure under the generators alone would suffice on a finite set, but the
-    inverses are walked explicitly so correctness does not lean on that.
+    Only the translations themselves are walked. On a finite set each one
+    has finite order, so its inverse is one of its powers, and a set closed
+    under the translations is closed under the whole group.
     """
     n = q.n
     cols = q.columns()
-    inverse_cols = []
-    for col in cols:
-        inv = [0] * n
-        for x, v in enumerate(col, 1):
-            inv[v - 1] = x
-        inverse_cols.append(inv)
     seen = [False] * (n + 1)
     blocks = []
     for start in range(1, n + 1):
@@ -44,11 +39,6 @@ def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
             block.append(x)
             for col in cols:
                 y = col[x - 1]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-            for inv in inverse_cols:
-                y = inv[x - 1]
                 if not seen[y]:
                     seen[y] = True
                     stack.append(y)

@@ -9,6 +9,11 @@ A quandle is a set with a binary operation * satisfying three axioms:
 Tables are n x n with 1-based entries; ``rows[i-1][j-1]`` is i*j, so column
 j is the right translation by j. Validation is eager: a Quandle object
 cannot exist with a broken axiom.
+
+Axiom (iii) says R_k R_j = R_{j*k} R_k for every pair of columns j, k, so
+validation composes columns n^2 times instead of looping over n^3 triples.
+For n <= 256 the columns are 0-based ``bytes`` and each composition is one
+``bytes.translate`` call; larger tables compose 0-based lists.
 """
 
 from __future__ import annotations
@@ -63,6 +68,47 @@ class ElementOutOfRangeError(ValueError):
         super().__init__(f"element {x!r} out of range 1..{n}")
 
 
+# Byte b -> b; its tail pads an n-byte column to a 256-byte translate table.
+_IDENTITY_BYTES = bytes(range(256))
+
+
+def _then_list(a: list[int], b: list[int]) -> list[int]:
+    """The 0-based map x -> b[a[x]], like ``a.translate(b)`` on bytes."""
+    return [b[v] for v in a]
+
+
+def distributivity_failures(columns: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Every (j, k) with R_k R_j != R_{j*k} R_k, j-major; columns are 1-based.
+
+    The pair (j, k) fails exactly when (i*j)*k != (i*k)*(j*k) for some i.
+    """
+    n = len(columns)
+    if n <= 256:
+        cols = [bytes([v - 1 for v in col]) for col in columns]
+        pad = _IDENTITY_BYTES[n:]
+        maps = [col + pad for col in cols]
+        then = bytes.translate
+    else:
+        cols = maps = [[v - 1 for v in col] for col in columns]
+        then = _then_list
+    failures = []
+    for j in range(n):
+        colj = cols[j]
+        for k in range(n):
+            colk = cols[k]
+            if then(colj, maps[k]) != then(colk, maps[colk[j]]):
+                failures.append((j + 1, k + 1))
+    return failures
+
+
+def _first_difference(columns: Sequence[Sequence[int]], j: int, k: int) -> int:
+    """The least i with (i*j)*k != (i*k)*(j*k), for a failing pair (j, k)."""
+    colj, colk = columns[j - 1], columns[k - 1]
+    colm = columns[colk[j - 1] - 1]
+    return next(i for i in range(1, len(colk) + 1)
+                if colk[colj[i - 1] - 1] != colm[colk[i - 1] - 1])
+
+
 class LeftTranslation(NamedTuple):
     """Row i viewed as the map j -> i*j, with its bijectivity verdict."""
 
@@ -100,15 +146,11 @@ class Quandle:
                     raise ColumnNotPermutationError(j + 1, v)
                 seen[v] = True
             cols.append(tuple(row[j] for row in rows))
-        # 0-based copy keeps the triple loop free of index arithmetic
-        t = [[v - 1 for v in row] for row in rows]
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = t[t[i][j]]
-                for k in range(n):
-                    if tij[k] != t[ti[k]][t[j][k]]:
-                        raise NotRightDistributiveError(i + 1, j + 1, k + 1)
+        failures = distributivity_failures(cols)
+        if failures:
+            raise NotRightDistributiveError(*min(
+                (_first_difference(cols, j, k), j, k) for j, k in failures
+            ))
         self.rows = rows
         self.n = n
         self._cols = tuple(cols)

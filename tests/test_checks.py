@@ -1,6 +1,10 @@
 import math
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from quandles.checks import (
+    DEFAULT_WITNESS_CAP,
     check_conjugation_identity,
     check_cycle_length_division,
     check_cycle_shift,
@@ -71,6 +75,59 @@ class TestCycleShift:
         for cycle in sorted(f.cycles(), key=len):
             assert cycle == tuple(range(base + 1, base + len(cycle) + 1))
             base += len(cycle)
+
+
+def per_pair_cycle_shift(p):
+    """(counted, witnesses, consistent) with one power built per pair of points."""
+    f, _ = consecutive_cycle_form(p)
+    counted = 0
+    failures = []
+    for cycle in f.cycles():
+        for i in cycle:
+            for j in cycle:
+                counted += 1
+                if (f ** (j - i))(i) != j:
+                    failures.append((i, j))
+    return counted, tuple(failures[:DEFAULT_WITNESS_CAP]), not failures
+
+
+def shift_summary(report):
+    return report.counted_instances, report.witnesses, report.consistent
+
+
+class TestCycleShiftAgainstPerPairFormula:
+    def test_every_labeled_column_up_to_order_5(self, enumerated):
+        columns = {
+            q.right_translation(j)
+            for n in range(1, 6)
+            for q in enumerated(n, False)
+            for j in range(1, n + 1)
+        }
+        for p in columns:
+            assert shift_summary(check_cycle_shift(p)) == per_pair_cycle_shift(p)
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_random_permutations(self, images):
+        p = Permutation(images)
+        assert shift_summary(check_cycle_shift(p)) == per_pair_cycle_shift(p)
+
+    def test_same_witnesses_under_a_wrong_power(self, monkeypatch):
+        # with a deliberately wrong power both must report the same failures
+        power = Permutation.__pow__
+        monkeypatch.setattr(Permutation, "__pow__", lambda self, k: power(self, 2 * k))
+        p = Permutation.from_cycles(9, [(1, 2), (3, 4, 5, 6, 7, 8, 9)])
+        summary = shift_summary(check_cycle_shift(p))
+        assert summary == per_pair_cycle_shift(p)
+        assert not summary[2] and summary[1]
+
+    def test_one_power_per_distance(self, monkeypatch):
+        calls = []
+        power = Permutation.__pow__
+        monkeypatch.setattr(Permutation, "__pow__", lambda self, k: calls.append(k) or power(self, k))
+        p = Permutation.from_cycles(47, [tuple(range(2, 48))])
+        report = check_cycle_shift(p)
+        assert report.consistent and report.counted_instances == 1 + 46 * 46
+        assert len(calls) <= 91
 
 
 class TestCycleLengthDivision:

@@ -1,17 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quandles
 from quandles.catalog import serialize_table
 from quandles.cli import main
+
+# The child process imports the same package as this one, installed or not.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(Path(quandles.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+))
 
 
 def run_cli(*args, stdin=""):
     proc = subprocess.run(
         [sys.executable, "-m", "quandles", *args],
-        input=stdin, capture_output=True, text=True,
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -167,6 +175,8 @@ class TestUsage:
         (["verify", "0"], "max_order"),
         (["enumerate", "3", "--jobs", "0"], "--jobs"),
         (["enumerate", "3", "--jobs", "-2"], "--jobs"),
+        (["enumerate", "3", "--guard", "0"], "--guard"),
+        (["verify", "2", "--guard", "-1"], "--guard"),
     ])
     def test_nonpositive_integer_is_usage_error(self, argv, argument):
         code, out, err = run_cli(*argv)

@@ -14,6 +14,7 @@ from quandles.quandle import (
     Profile,
     Quandle,
     TableError,
+    distributivity_failures,
 )
 
 from _oracles import axioms_hold
@@ -89,6 +90,61 @@ class TestValidation:
         except TableError:
             accepted = False
         assert accepted == expected
+
+
+def column_swaps(rows):
+    """Every table made by swapping two off-diagonal entries of one column."""
+    n = len(rows)
+    for j in range(n):
+        for a in range(n):
+            for b in range(a + 1, n):
+                if j in (a, b):
+                    continue
+                out = [list(r) for r in rows]
+                out[a][j], out[b][j] = out[b][j], out[a][j]
+                yield out
+
+
+def failing_triples(rows):
+    """Every (i, j, k) with (i*j)*k != (i*k)*(j*k), in lex order, by a plain triple loop."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[rows[i][j] - 1][k] != rows[rows[i][k] - 1][rows[j][k] - 1]:
+                    yield (i + 1, j + 1, k + 1)
+
+
+SWAP_SOURCES = dict(EXAMPLE_TABLES)
+SWAP_SOURCES["affine(11,3)"] = affine(11, 3).rows
+SWAP_SOURCES["dihedral(8)"] = dihedral(8).rows
+
+
+class TestDistributivityKernel:
+    """The column-composition kernel against the brute-force triple loop."""
+
+    @pytest.mark.parametrize("name", sorted(SWAP_SOURCES))
+    def test_column_swaps_agree_with_oracle(self, name):
+        for rows in column_swaps(SWAP_SOURCES[name]):
+            triples = list(failing_triples(rows))
+            pairs = sorted({(j, k) for _, j, k in triples})
+            columns = list(zip(*rows))
+            assert distributivity_failures(columns) == pairs
+            try:
+                Quandle(rows)
+                accepted = True
+            except NotRightDistributiveError as err:
+                accepted = False
+                assert (err.i, err.j, err.k) == triples[0]
+            assert accepted == axioms_hold(rows)
+
+    def test_list_path_above_256(self):
+        # the dihedral(257) table, built directly to skip validating it twice
+        rows = [[(2 * j - i) % 257 + 1 for j in range(257)] for i in range(257)]
+        rows[2][1], rows[4][1] = rows[4][1], rows[2][1]
+        with pytest.raises(NotRightDistributiveError) as err:
+            Quandle(rows)
+        assert (err.value.i, err.value.j, err.value.k) == next(failing_triples(rows))
 
 
 class TestTranslations:
