@@ -23,16 +23,23 @@ The statements covered:
   right translations have a unique fixed point.
 * regular cycle -- Hayashi's conjecture: every right translation of a
   finite connected quandle has a cycle as long as the permutation's order.
+
+Work that depends only on a permutation is cached on it, and work that
+depends only on a table on the table (orbits, latinity), so the checkers
+share it. Cycle shift on the relabeled f depends only on the cycle
+structure: ``all_checks`` checks its pairs once per structure in the table,
+while each column's report keeps its own relabeling. A direct call of
+``check_cycle_shift`` still checks every pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .orbits import is_connected, orbits
-from .perm import Permutation
+from .perm import CycleStructure, Permutation
 from .quandle import Quandle, distributivity_failures
 
 DEFAULT_WITNESS_CAP = 16
@@ -115,28 +122,37 @@ def consecutive_cycle_form(p: Permutation) -> tuple[Permutation, tuple[int, ...]
     (old element x maps to new element relabeling[x-1]). Cycles of equal
     length keep their order by minimal element.
     """
-    cycles = sorted(p.cycles(), key=lambda c: (len(c), c[0]))
-    relabeling = [0] * p.n
-    images = [0] * p.n
+    return _consecutive_form(p.cycle_structure()), _consecutive_relabeling(p)
+
+
+def _consecutive_form(structure: CycleStructure) -> Permutation:
+    """The relabeled permutation of ``consecutive_cycle_form``; only the cycle structure fixes it."""
+    images = []
     base = 0
-    for cycle in cycles:
-        m = len(cycle)
-        for pos, x in enumerate(cycle):
-            relabeling[x - 1] = base + pos + 1
-        for pos in range(m):
-            images[base + pos] = base + (pos + 1) % m + 1
+    for m in structure.lengths():
+        images.extend(base + (pos + 1) % m + 1 for pos in range(m))
         base += m
-    return Permutation(images), tuple(relabeling)
+    return Permutation(images)
 
 
-def check_cycle_shift(p: Permutation, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
+def _consecutive_relabeling(p: Permutation) -> tuple[int, ...]:
+    """The relabeling map of ``consecutive_cycle_form``."""
+    relabeling = [0] * p.n
+    label = 0
+    for cycle in sorted(p.cycles(), key=lambda c: (len(c), c[0])):
+        for x in cycle:
+            label += 1
+            relabeling[x - 1] = label
+    return tuple(relabeling)
+
+
+def _cycle_shift_failures(f: Permutation) -> tuple[int, list[tuple[int, int]]]:
+    """(pairs counted, failing pairs (i, j)) of the cycle-shift check on a consecutive form f.
 
     The power f^d depends only on the distance d = j - i, so each one is
-    built once per call: at most 2m - 1 powers for a longest cycle of
-    length m, instead of one per pair of points.
+    built once: at most 2m - 1 powers for a longest cycle of length m,
+    instead of one per pair of points.
     """
-    f, relabeling = consecutive_cycle_form(p)
     failures = []
     counted = 0
     powers: dict[int, Permutation] = {}
@@ -150,6 +166,27 @@ def check_cycle_shift(p: Permutation, witness_cap: int = DEFAULT_WITNESS_CAP) ->
                     power = powers[d] = f ** d
                 if power.images[i - 1] != j:
                     failures.append((i, j))
+    return counted, failures
+
+
+def check_cycle_shift(
+    p: Permutation,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
+    *,
+    _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
+) -> CheckReport:
+    """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
+
+    f depends only on the cycle structure of p. ``all_checks`` passes one
+    ``_verdicts`` dict per table, so the pairs are checked once per cycle
+    structure there; a call without it checks them all.
+    """
+    verdicts = {} if _verdicts is None else _verdicts
+    structure = p.cycle_structure()
+    verdict = verdicts.get(structure)
+    if verdict is None:
+        verdict = verdicts[structure] = _cycle_shift_failures(_consecutive_form(structure))
+    counted, failures = verdict
     witnesses, count = _capped(failures, witness_cap)
     return CheckReport(
         name="cycle-shift",
@@ -158,7 +195,7 @@ def check_cycle_shift(p: Permutation, witness_cap: int = DEFAULT_WITNESS_CAP) ->
         counted_instances=counted,
         witnesses=witnesses,
         failure_count=count,
-        details={"relabeling": relabeling},
+        details={"relabeling": _consecutive_relabeling(p)},
     )
 
 
@@ -316,9 +353,10 @@ def all_checks(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> list[Check
         check_latin_necessary_conditions(q, witness_cap),
         check_regular_cycle(q, witness_cap),
     ]
+    verdicts: dict[CycleStructure, tuple[int, list[tuple[int, int]]]] = {}
     for i in range(1, q.n + 1):
         reports.append(check_left_refinement(q, i, witness_cap))
-        reports.append(check_cycle_shift(q.right_translation(i), witness_cap))
+        reports.append(check_cycle_shift(q.right_translation(i), witness_cap, _verdicts=verdicts))
     return reports
 
 

@@ -4,7 +4,8 @@ Subcommands: check, analyze, enumerate, verify, report, construct. Tables
 come from files (plain or GAP-matrix text, sniffed), from "-" for standard
 input, or from construction specs like "dihedral:5", "affine:9,4",
 "example:Q9_4". Results go to standard output; diagnostics to standard
-error. Exit codes: 0 success, 1 validation or check failure, 2 usage.
+error. Exit codes: 0 success, 1 validation or check failure, 2 usage,
+including a malformed or unknown construction spec.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ _SPEC_KINDS = ("dihedral", "affine", "example", "conjugation")
 
 
 def _load_input(arg: str) -> Quandle:
-    head = arg.split(":", 1)[0]
-    if head in _SPEC_KINDS:
-        return build_from_spec(arg)
+    """The table named by a construction spec, "-" (standard input) or a file.
+
+    KIND:ARGS naming no existing file is a spec even for an unknown KIND, so
+    that a mistyped spec is a usage error rather than a missing file.
+    """
     if arg == "-":
         return catalog.parse_table(sys.stdin.read(), "auto")
-    return catalog.parse_table(Path(arg).read_text(), "auto")
+    path = Path(arg)
+    if arg.split(":", 1)[0] in _SPEC_KINDS or (":" in arg and not path.exists()):
+        return build_from_spec(arg)
+    return catalog.parse_table(path.read_text(), "auto")
 
 
 def _yn(flag: bool) -> str:
@@ -43,6 +49,8 @@ def _emit(line: str) -> None:
 def cmd_check(args) -> int:
     try:
         q = _load_input(args.input)
+    except ConstructionSpecError:
+        raise
     except (ValueError, OSError) as e:
         if args.format == "records":
             _emit(json.dumps({"command": "check", "valid": False, "error": str(e)}))

@@ -182,6 +182,14 @@ class ConstructionSpec:
     seed: Permutation | None = None
     generators: tuple[Permutation, ...] = ()
 
+    def __post_init__(self):
+        if self.kind in ("dihedral", "affine") and self.order < 1:
+            raise ConstructionSpecError(f"order must be positive, got {self.order}")
+        if self.kind == "conjugation" and self.degree < 1:
+            raise ConstructionSpecError(f"degree must be positive, got {self.degree}")
+        if self.kind == "example" and self.name not in EXAMPLE_TABLES:
+            raise ConstructionSpecError(str(UnknownExampleError(self.name)))
+
     @classmethod
     def parse(cls, text: str) -> "ConstructionSpec":
         head, sep, rest = text.partition(":")

@@ -27,6 +27,13 @@ representatives, and the search below column 1 is unchanged. The break
 holds only for the lex-least representative of each type, and is off
 under a first-row prefix, which constrains the labeling.
 
+The tables of one ``enumerate_quandles`` call, and of one
+``enumerate_parallel`` merge, take their right translations from one dict
+owned by that call: equal columns in different tables share one
+``Permutation``, so its cycles, cycle structure and order are computed once
+(order 6 has 6658 tables with 39,948 columns but 455 distinct ones). Every
+table is still validated in full. Nothing is shared between calls.
+
 Worker partitions split the labeled search by a prefix of the first table
 row and share nothing, so they can run in separate processes; a
 deterministic result then requires sorting the merged output, which
@@ -200,7 +207,8 @@ def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     raw = _raw_tables(
         task.order, task.partition_prefix, task.up_to_iso and not task.partition_prefix
     )
-    stream = (Quandle(rows) for rows in raw)
+    translations: dict[tuple[int, ...], Permutation] = {}
+    stream = (Quandle(rows, _pool=translations) for rows in raw)
     if predicate is not None:
         stream = (q for q in stream if predicate(q))
     if task.up_to_iso:
@@ -352,7 +360,8 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     subtasks = split_task(replace(task, up_to_iso=False), jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         row_lists = list(pool.map(_collect_rows, subtasks))
-    merged = (Quandle(rows) for row_list in row_lists for rows in row_list)
+    translations: dict[tuple[int, ...], Permutation] = {}
+    merged = (Quandle(rows, _pool=translations) for row_list in row_lists for rows in row_list)
     if task.up_to_iso:
         result = list(_iso_reduce(merged))
     else:

@@ -22,8 +22,11 @@ def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
 
     Only the translations themselves are walked. On a finite set each one
     has finite order, so its inverse is one of its powers, and a set closed
-    under the translations is closed under the whole group.
+    under the translations is closed under the whole group. The partition is
+    computed once per table and kept on it.
     """
+    if q._orbits is not None:
+        return q._orbits
     n = q.n
     cols = q.columns()
     seen = [False] * (n + 1)
@@ -43,7 +46,8 @@ def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
                     seen[y] = True
                     stack.append(y)
         blocks.append(frozenset(block))
-    return tuple(blocks)
+    q._orbits = tuple(blocks)
+    return q._orbits
 
 
 def is_connected(q: Quandle) -> bool:

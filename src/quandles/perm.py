@@ -79,9 +79,9 @@ class CycleStructure:
 
 
 class Permutation:
-    """A bijection on {1..n} with a cached cycle decomposition."""
+    """A bijection on {1..n} with a cached cycle decomposition, cycle structure and order."""
 
-    __slots__ = ("images", "_cycles")
+    __slots__ = ("images", "_cycles", "_structure", "_order")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -93,6 +93,8 @@ class Permutation:
             seen[v] = True
         self.images = images
         self._cycles: tuple[tuple[int, ...], ...] | None = None
+        self._structure: CycleStructure | None = None
+        self._order: int | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -172,7 +174,9 @@ class Permutation:
         return self._cycles
 
     def cycle_structure(self) -> CycleStructure:
-        return CycleStructure.from_lengths(len(c) for c in self.cycles())
+        if self._structure is None:
+            self._structure = CycleStructure.from_lengths(len(c) for c in self.cycles())
+        return self._structure
 
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.images, 1) if v == i)
@@ -180,11 +184,13 @@ class Permutation:
     @property
     def order(self) -> int:
         """Least k >= 1 with self**k equal to the identity: lcm of cycle lengths."""
-        return math.lcm(*(len(c) for c in self.cycles()))
+        if self._order is None:
+            self._order = math.lcm(*(len(c) for c in self.cycles()))
+        return self._order
 
     @property
     def longest_cycle_length(self) -> int:
-        return max(len(c) for c in self.cycles())
+        return self.cycle_structure().entries[-1][0]
 
     @property
     def has_regular_cycle(self) -> bool:

@@ -120,10 +120,11 @@ class LeftTranslation(NamedTuple):
 class Quandle:
     """An immutable, fully validated quandle table."""
 
-    __slots__ = ("n", "rows", "_cols", "_translations", "_structures", "_profile",
-                 "_latin", "_unique_fp", "_iso_sig")
+    __slots__ = ("n", "rows", "_cols", "_pool", "_translations", "_structures", "_profile",
+                 "_latin", "_unique_fp", "_orbits", "_invariants", "_iso_sig")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __init__(self, rows: Sequence[Sequence[int]], *,
+                 _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
         rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if n == 0:
@@ -154,11 +155,15 @@ class Quandle:
         self.rows = rows
         self.n = n
         self._cols = tuple(cols)
+        # Right translations by column, from ``_pool`` when one is given.
+        self._pool = {} if _pool is None else _pool
         self._translations: list[Optional[Permutation]] = [None] * n
         self._structures: Optional[tuple[CycleStructure, ...]] = None
         self._profile: Optional[Profile] = None
         self._latin: Optional[bool] = None
         self._unique_fp: Optional[bool] = None
+        self._orbits: Optional[tuple[frozenset[int], ...]] = None
+        self._invariants: Optional[tuple[tuple, ...]] = None
         self._iso_sig = None
 
     def _check_element(self, x: int) -> None:
@@ -187,7 +192,10 @@ class Quandle:
         self._check_element(j)
         p = self._translations[j - 1]
         if p is None:
-            p = Permutation(self._cols[j - 1])
+            col = self._cols[j - 1]
+            p = self._pool.get(col)
+            if p is None:
+                p = self._pool[col] = Permutation(col)
             self._translations[j - 1] = p
         return p
 
@@ -251,6 +259,8 @@ class Quandle:
 
     def element_invariants(self) -> tuple[tuple, ...]:
         """Per-element invariant preserved by isomorphism, indexed by element."""
+        if self._invariants is not None:
+            return self._invariants
         invs = []
         for x in range(1, self.n + 1):
             col_cs = self.column_structures()[x - 1].entries
@@ -262,7 +272,8 @@ class Quandle:
                 if v == x:
                     fixes += 1
             invs.append((col_cs, tuple(sorted(counts.values())), fixes))
-        return tuple(invs)
+        self._invariants = tuple(invs)
+        return self._invariants
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Quandle) and self.rows == other.rows

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quandles.checks import (
     DEFAULT_WITNESS_CAP,
+    all_checks,
     check_conjugation_identity,
     check_cycle_length_division,
     check_cycle_shift,
@@ -128,6 +129,31 @@ class TestCycleShiftAgainstPerPairFormula:
         report = check_cycle_shift(p)
         assert report.consistent and report.counted_instances == 1 + 46 * 46
         assert len(calls) <= 91
+
+
+def report_fields(report):
+    return (report.name, report.hypothesis_holds, report.conclusion_holds, report.counted_instances,
+            report.witnesses, report.failure_count, dict(report.details))
+
+
+class TestSharedWork:
+    def test_reports_equal_those_of_fresh_tables_up_to_order_5(self, enumerated):
+        # Enumerated tables share translations; a fresh table builds its own.
+        for n in range(1, 6):
+            for q in enumerated(n, False):
+                ours = [report_fields(r) for r in all_checks(q)]
+                assert ours == [report_fields(r) for r in all_checks(Quandle(q.rows))]
+
+    def test_per_structure_verdicts_equal_direct_calls_under_a_wrong_power(self, enumerated, q62, q94, monkeypatch):
+        power = Permutation.__pow__
+        monkeypatch.setattr(Permutation, "__pow__", lambda self, k: power(self, 2 * k))
+        tables = [q for n in range(1, 5) for q in enumerated(n, False)] + [q62, q94]
+        for q in tables:
+            shifts = [r for r in all_checks(q) if r.name == "cycle-shift"]
+            direct = [check_cycle_shift(q.right_translation(j)) for j in range(1, q.n + 1)]
+            assert [report_fields(r) for r in shifts] == [report_fields(r) for r in direct]
+            if q is q94:
+                assert not any(r.consistent for r in shifts)
 
 
 class TestCycleLengthDivision:

@@ -184,6 +184,20 @@ class TestUsage:
         assert out == ""
         assert f"argument {argument}: must be a positive integer" in err
 
+    @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
+    @pytest.mark.parametrize("spec", ["dihedral:0", "affine:0,1", "example:", "example:nope", "banana:3", "affine:x",
+                                      "conjugation:-2;;"])
+    def test_bad_spec_is_usage_error(self, command, spec, capsys):
+        assert main([command, spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
+    def test_non_unit_is_validation_error(self, command, capsys):
+        assert main([command, "affine:4,2"]) == 1
+        assert "not a unit" in capsys.readouterr().err
+
     def test_main_callable_in_process(self, capsys):
         assert main(["analyze", "example:nonlatin3"]) == 0
         out = capsys.readouterr().out

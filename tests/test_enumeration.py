@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from quandles.catalog import parse_table, serialize_table
 from quandles.cli import main
 from quandles.constructions import dihedral
 from quandles.enumeration import (
@@ -252,6 +253,56 @@ class TestPartitioning:
         serial = enumerate_parallel(task, 1)
         parallel = enumerate_parallel(task, 4)
         assert [q.rows for q in serial] == [q.rows for q in parallel]
+
+
+def assert_equal_columns_share_translations(tables):
+    shared = {}
+    for q in tables:
+        for j, col in enumerate(q.columns(), 1):
+            assert q.right_translation(j) is shared.setdefault(col, q.right_translation(j))
+
+
+class TestSharedTranslations:
+    def test_one_enumeration_shares_equal_columns(self, enumerated):
+        tables = enumerated(5, False)
+        assert_equal_columns_share_translations(tables)
+        assert len({col for q in tables for col in q.columns()}) < 5 * len(tables)
+
+    def test_the_parallel_merge_shares_equal_columns(self):
+        assert_equal_columns_share_translations(enumerate_parallel(EnumerationTask(4), 2))
+
+    def test_other_tables_share_nothing(self, enumerated):
+        labeled = enumerated(4, False)[0]
+        text = serialize_table(labeled, "plain")
+        others = [parse_table(text, "plain"), parse_table(text, "plain"), canonical_form(labeled)[0]]
+        for a in [labeled] + others:
+            for b in others:
+                if a is not b:
+                    assert a.right_translation(1) is not b.right_translation(1)
+
+    def test_verify_builds_one_translation_per_distinct_column(self, enumerated, monkeypatch, capsys):
+        distinct = {col for n in range(1, 6) for q in enumerated(n, False) for col in q.columns()}
+        depth = [0]
+        built = [0]
+        right_translation = Quandle.right_translation
+        init = Permutation.__init__
+
+        def counting_right_translation(self, j):
+            depth[0] += 1
+            try:
+                return right_translation(self, j)
+            finally:
+                depth[0] -= 1
+
+        def counting_init(self, images):
+            built[0] += depth[0] > 0
+            init(self, images)
+
+        monkeypatch.setattr(Quandle, "right_translation", counting_right_translation)
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        assert main(["verify", "5"]) == 0
+        assert "order 5: 404 quandles" in capsys.readouterr().out
+        assert 0 < built[0] <= len(distinct)
 
 
 class TestFalsify:

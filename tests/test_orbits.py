@@ -34,6 +34,13 @@ class TestOrbits:
                     assert {p.inverse()(x) for x in block} == set(block)
 
 
+    def test_computed_once_per_table(self, q62):
+        q = Quandle(q62.rows)
+        assert orbits(q) is orbits(q)
+        assert is_connected(q)
+        assert orbits(Quandle(q62.rows)) is not orbits(q)
+
+
 class TestConnected:
     def test_examples(self, q62, q94, nonlatin3):
         assert is_connected(q62)

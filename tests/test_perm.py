@@ -1,3 +1,6 @@
+import math
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -174,6 +177,17 @@ class TestOrderAndRegularCycle:
     @given(perm_images())
     def test_order_matches_brute_force(self, images):
         assert Permutation(images).order == brute_force_order(images)
+
+
+def test_cached_facts_equal_a_recomputation_up_to_degree_6():
+    for n in range(1, 7):
+        for images in permutations(range(1, n + 1)):
+            p = Permutation(images)
+            lengths = [len(c) for c in p.cycles()]
+            for _ in range(2):
+                assert p.cycle_structure() == CycleStructure.from_lengths(lengths)
+                assert p.order == math.lcm(*lengths)
+            assert p.cycle_structure() is p.cycle_structure()
 
 
 def test_str_shows_all_cycles():

@@ -232,6 +232,15 @@ class TestProfile:
         assert a == b
 
 
+class TestElementInvariants:
+    def test_computed_once_per_table(self, q94):
+        q = Quandle(q94.rows)
+        invariants = q.element_invariants()
+        assert q.element_invariants() is invariants
+        assert q.iso_signature() == tuple(sorted(invariants))
+        assert Quandle(q94.rows).element_invariants() == invariants
+
+
 class TestRelabel:
     def test_relabel_identity(self, q62):
         assert q62.relabel(Permutation.identity(6)) == q62
