@@ -35,6 +35,7 @@ from .checks import (
     search_nonconnected_refinement,
 )
 from .constructions import (
+    ClosureTooLargeError,
     ConstructionSpec,
     ConstructionSpecError,
     NotAUnitError,

@@ -81,13 +81,17 @@ def _parse_plain(text: str) -> Quandle:
         raise TableParseError(lineno, 1, f"expected {n} table rows, found {len(data_lines) - 1}")
     rows = []
     for lineno, line in data_lines[1:]:
-        row = []
-        for match in re.finditer(r"\S+", line):
-            token = match.group(0)
-            try:
-                row.append(int(token))
-            except ValueError:
-                raise TableParseError(lineno, match.start() + 1, f"not an integer: {token!r}") from None
+        try:
+            row = [int(token) for token in line.split()]
+        except ValueError:
+            # Locate the first bad token only now, for its column.
+            for match in re.finditer(r"\S+", line):
+                token = match.group(0)
+                try:
+                    int(token)
+                except ValueError:
+                    raise TableParseError(lineno, match.start() + 1, f"not an integer: {token!r}") from None
+            raise
         if len(row) != n:
             raise TableParseError(lineno, 1, f"expected {n} entries, found {len(row)}")
         rows.append(row)

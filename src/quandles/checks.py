@@ -28,19 +28,31 @@ Work that depends only on a permutation is cached on it, and work that
 depends only on a table on the table (orbits, latinity), so the checkers
 share it. Cycle shift on the relabeled f depends only on the cycle
 structure: ``all_checks`` checks its pairs once per structure in the table,
-while each column's report keeps its own relabeling. A direct call of
-``check_cycle_shift`` still checks every pair.
+or once per run when the caller passes its own verdict dict (``verify``
+does), while each column's report keeps its own relabeling. A direct call
+of ``check_cycle_shift`` still checks every pair.
+
+Cycle length division screens whole rows instead of looping over the n^3
+triples (k, x, y). Under f = R_k, a product z = x*y passes iff z lies in
+Fix(f^lcm(l_x, l_y)). With the points sorted by f-cycle length, the
+products of row x form one ``bytes.translate`` of that order by the row,
+and each class of equal l_y is one slice whose fixed points a second
+``translate`` deletes; anything left over is a failure. That is about
+n^2 (1 + d) C-level calls per table, d being the number of distinct cycle
+lengths, and the screen data is cached on each permutation. A row that
+fails is rescanned point by point, so failures keep their (k, x, y) order.
+Tables above order 256 (entries no longer fit in bytes) use the plain loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .orbits import is_connected, orbits
 from .perm import CycleStructure, Permutation
-from .quandle import Quandle, distributivity_failures
+from .quandle import _IDENTITY_BYTES, Quandle, distributivity_failures
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -122,7 +134,7 @@ def consecutive_cycle_form(p: Permutation) -> tuple[Permutation, tuple[int, ...]
     (old element x maps to new element relabeling[x-1]). Cycles of equal
     length keep their order by minimal element.
     """
-    return _consecutive_form(p.cycle_structure()), _consecutive_relabeling(p)
+    return _consecutive_form(p.cycle_structure()), p._consecutive_relabeling()
 
 
 def _consecutive_form(structure: CycleStructure) -> Permutation:
@@ -133,17 +145,6 @@ def _consecutive_form(structure: CycleStructure) -> Permutation:
         images.extend(base + (pos + 1) % m + 1 for pos in range(m))
         base += m
     return Permutation(images)
-
-
-def _consecutive_relabeling(p: Permutation) -> tuple[int, ...]:
-    """The relabeling map of ``consecutive_cycle_form``."""
-    relabeling = [0] * p.n
-    label = 0
-    for cycle in sorted(p.cycles(), key=lambda c: (len(c), c[0])):
-        for x in cycle:
-            label += 1
-            relabeling[x - 1] = label
-    return tuple(relabeling)
 
 
 def _cycle_shift_failures(f: Permutation) -> tuple[int, list[tuple[int, int]]]:
@@ -177,9 +178,9 @@ def check_cycle_shift(
 ) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
-    f depends only on the cycle structure of p. ``all_checks`` passes one
-    ``_verdicts`` dict per table, so the pairs are checked once per cycle
-    structure there; a call without it checks them all.
+    f depends only on the cycle structure of p. ``all_checks`` passes a
+    ``_verdicts`` dict, so the pairs are checked once per cycle structure
+    that dict sees; a call without it checks them all.
     """
     verdicts = {} if _verdicts is None else _verdicts
     structure = p.cycle_structure()
@@ -195,28 +196,53 @@ def check_cycle_shift(
         counted_instances=counted,
         witnesses=witnesses,
         failure_count=count,
-        details={"relabeling": _consecutive_relabeling(p)},
+        details={"relabeling": p._consecutive_relabeling()},
     )
+
+
+def _row_division_failures(k: int, x: int, row: Sequence[int],
+                           lengths: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The failing (k, x+1, y) of the 0-based row x, y ascending; lengths are 0-based."""
+    lx = lengths[x]
+    return [(k, x + 1, y) for y, z in enumerate(row, 1)
+            if math.lcm(lx, lengths[y - 1]) % lengths[z - 1]]
+
+
+def cycle_length_division_failures(rows: Sequence[Sequence[int]],
+                                   translations: Sequence[Permutation]) -> list[tuple[int, int, int]]:
+    """Every (k, x, y), k-major, where the f-cycle of x*y has a length not dividing lcm(l_x, l_y).
+
+    f = translations[k-1] is any permutation of the points 1..n of the
+    1-based n x n table ``rows``; for a quandle they are its R_k.
+    """
+    n = len(rows)
+    failures = []
+    if n > 256:
+        for k, f in enumerate(translations, 1):
+            lengths = f._division_screen()[0]
+            for x in range(n):
+                failures.extend(_row_division_failures(k, x, rows[x], lengths))
+        return failures
+    pad = _IDENTITY_BYTES[n:]
+    maps = [bytes([v - 1 for v in row]) + pad for row in rows]
+    for k, f in enumerate(translations, 1):
+        lengths, order, runs = f._division_screen()
+        for x, row_runs in enumerate(runs):
+            if row_runs:
+                products = order.translate(maps[x])
+                for start, stop, fixed in row_runs:
+                    if products[start:stop].translate(None, fixed):
+                        failures.extend(_row_division_failures(k, x, rows[x], lengths))
+                        break
+    return failures
 
 
 def check_cycle_length_division(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
-    rows = q.rows
-    failures = []
-    for k in range(1, n + 1):
-        f = q.right_translation(k)
-        length_of = [0] * n
-        for cycle in f.cycles():
-            for x in cycle:
-                length_of[x - 1] = len(cycle)
-        for x in range(1, n + 1):
-            lx = length_of[x - 1]
-            row = rows[x - 1]
-            for y in range(1, n + 1):
-                lz = length_of[row[y - 1] - 1]
-                if math.lcm(lx, length_of[y - 1]) % lz != 0:
-                    failures.append((k, x, y))
+    failures = cycle_length_division_failures(
+        q.rows, [q.right_translation(k) for k in range(1, n + 1)]
+    )
     witnesses, count = _capped(failures, witness_cap)
     return CheckReport(
         name="cycle-length-division",
@@ -344,8 +370,18 @@ def check_regular_cycle(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> C
     )
 
 
-def all_checks(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
-    """Every checker on one quandle: table-level ones plus per-element ones."""
+def all_checks(
+    q: Quandle,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
+    *,
+    _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
+) -> list[CheckReport]:
+    """Every checker on one quandle: table-level ones plus per-element ones.
+
+    Cycle-shift verdicts go to ``_verdicts`` when given, so a caller checking
+    many tables computes one per cycle structure; otherwise to a dict of
+    this call's own.
+    """
     reports = [
         check_conjugation_identity(q, witness_cap),
         check_cycle_length_division(q, witness_cap),
@@ -353,7 +389,7 @@ def all_checks(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> list[Check
         check_latin_necessary_conditions(q, witness_cap),
         check_regular_cycle(q, witness_cap),
     ]
-    verdicts: dict[CycleStructure, tuple[int, list[tuple[int, int]]]] = {}
+    verdicts = {} if _verdicts is None else _verdicts
     for i in range(1, q.n + 1):
         reports.append(check_left_refinement(q, i, witness_cap))
         reports.append(check_cycle_shift(q.right_translation(i), witness_cap, _verdicts=verdicts))

@@ -123,6 +123,8 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     inconsistencies = 0
     findings = []
+    # Cycle-shift verdicts depend only on the cycle structure: one per run.
+    verdicts: dict = {}
     for n in range(1, args.max_order + 1):
         task = enumeration.EnumerationTask(order=n, order_guard=args.guard)
         tables = 0
@@ -131,7 +133,7 @@ def cmd_verify(args) -> int:
         stream = list(enumeration.enumerate_quandles(task))
         for q in stream:
             tables += 1
-            for report in checks.all_checks(q):
+            for report in checks.all_checks(q, _verdicts=verdicts):
                 reports += 1
                 if not report.consistent:
                     bad += 1

@@ -32,6 +32,18 @@ class ConstructionSpecError(ValueError):
     """Raised for malformed one-line construction specs."""
 
 
+# Largest conjugation closure built, the largest order the checkers' byte
+# kernels take. The table of the 253 transpositions of S_23 (n^2 products
+# of degree-23 permutations) takes about 0.25 s on a 2-vCPU machine with
+# Python 3.11, and the table's cost grows as n^2.
+MAX_CLOSURE_MEMBERS = 256
+
+
+class ClosureTooLargeError(ValueError):
+    def __init__(self, cap: int):
+        super().__init__(f"the conjugation closure exceeds {cap} members (MAX_CLOSURE_MEMBERS)")
+
+
 def dihedral(n: int) -> Quandle:
     """The Takasaki kei on Z_n: i*j = 2j - i mod n. Latin iff n is odd."""
     if n < 1:
@@ -60,37 +72,44 @@ def affine(n: int, t: int) -> Quandle:
     return Quandle(rows)
 
 
+def _conjugate(x: tuple[int, ...], g: tuple[int, ...], g_inv: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of g^-1 x g, from the images of x, g and g^-1."""
+    return tuple([g_inv[x[v - 1] - 1] for v in g])
+
+
 def conjugation(generators: Sequence[Permutation], seed: Permutation) -> Quandle:
     """The conjugation quandle x*y = y^-1 x y on the closure of the seed.
 
     The closure starts from the seed and is taken under conjugation by the
     generators, their inverses, and the closure members themselves; the
     last part makes the operation total on the closure set. Elements are
-    the closure members indexed 1..n in sorted image order.
+    the closure members indexed 1..n in sorted image order. A closure that
+    grows past ``MAX_CLOSURE_MEMBERS`` raises ``ClosureTooLargeError`` at once.
+
+    Every member lies in the group G generated by the generators and the
+    seed, and the G-orbit of the seed under conjugation is closed under
+    conjugation by its own members, so the closure is that orbit: each
+    member need only be conjugated by the generators and the seed.
     """
     degree = seed.n
     for g in generators:
         if g.n != degree:
             raise DegreeMismatchError(f"degree {g.n} != {degree}")
-    members = {seed}
-    while True:
-        conjugators = list(generators) + [g.inverse() for g in generators] + list(members)
-        new = {
-            g.inverse() * x * g
-            for x in members
-            for g in conjugators
-        } - members
-        if not new:
-            break
-        members |= new
-    ordered = sorted(members, key=lambda p: p.images)
-    index = {p.images: i for i, p in enumerate(ordered, 1)}
-    rows = []
-    for x in ordered:
-        row = []
-        for y in ordered:
-            row.append(index[(y.inverse() * x * y).images])
-        rows.append(row)
+    conjugators = [(g.images, g.inverse().images) for g in (*generators, seed)]
+    members = [seed.images]
+    known = {seed.images}
+    for x in members:  # grows while it is walked
+        for g, g_inv in conjugators:
+            y = _conjugate(x, g, g_inv)
+            if y not in known:
+                known.add(y)
+                if len(known) > MAX_CLOSURE_MEMBERS:
+                    raise ClosureTooLargeError(MAX_CLOSURE_MEMBERS)
+                members.append(y)
+    members.sort()
+    index = {x: i for i, x in enumerate(members, 1)}
+    inverses = [Permutation(y).inverse().images for y in members]
+    rows = [[index[_conjugate(x, y, y_inv)] for y, y_inv in zip(members, inverses)] for x in members]
     return Quandle(rows)
 
 

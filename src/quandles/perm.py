@@ -79,9 +79,13 @@ class CycleStructure:
 
 
 class Permutation:
-    """A bijection on {1..n} with a cached cycle decomposition, cycle structure and order."""
+    """A bijection on {1..n} with a cached cycle decomposition, cycle structure and order.
 
-    __slots__ = ("images", "_cycles", "_structure", "_order")
+    The checkers' per-permutation data (the consecutive relabeling and the
+    cycle-length division screen) is cached on it too.
+    """
+
+    __slots__ = ("images", "_cycles", "_structure", "_order", "_relabeling", "_screen")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -95,6 +99,8 @@ class Permutation:
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None
         self._order: int | None = None
+        self._relabeling: tuple[int, ...] | None = None
+        self._screen: tuple | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -177,6 +183,70 @@ class Permutation:
         if self._structure is None:
             self._structure = CycleStructure.from_lengths(len(c) for c in self.cycles())
         return self._structure
+
+    def _consecutive_relabeling(self) -> tuple[int, ...]:
+        """Old element x becomes relabeling[x-1]: cycles in consecutive blocks, shorter first.
+
+        Cycles of equal length keep their order by minimal element.
+        """
+        if self._relabeling is None:
+            relabeling = [0] * len(self.images)
+            label = 0
+            for cycle in sorted(self.cycles(), key=lambda c: (len(c), c[0])):
+                for x in cycle:
+                    label += 1
+                    relabeling[x - 1] = label
+            self._relabeling = tuple(relabeling)
+        return self._relabeling
+
+    def _division_screen(self) -> tuple[tuple[int, ...], bytes | None, tuple | None]:
+        """(lengths, order, runs): the cycle-length division screen, cached.
+
+        ``lengths[x]`` is the cycle length of the 0-based point x. For degree
+        at most 256 (the points fit in bytes), ``order`` holds the 0-based
+        points as bytes sorted by cycle length, and ``runs[x]`` lists triples
+        (start, stop, fixed): order[start:stop] is one class of points of
+        cycle length b, or adjacent classes sharing the set, and ``fixed``
+        holds the points of Fix(f^lcm(l_x, b)). Classes whose set is every
+        point are left out. Above degree 256 ``order`` and ``runs`` are None.
+        """
+        if self._screen is None:
+            n = len(self.images)
+            cycles = self.cycles()
+            lengths = [0] * n
+            for cycle in cycles:
+                m = len(cycle)
+                for x in cycle:
+                    lengths[x - 1] = m
+            order = runs = None
+            if n <= 256:
+                order = bytes([x - 1 for cycle in sorted(cycles, key=len) for x in cycle])
+                classes = []
+                start = 0
+                for b, mult in self.cycle_structure().entries:
+                    classes.append((b, start, start + b * mult))
+                    start += b * mult
+                # Fix(f^m): the points whose cycle length divides m.
+                fixed_of: dict[int, bytes] = {}
+                runs_of = {}
+                for a, _ in self.cycle_structure().entries:
+                    a_runs: list[tuple[int, int, bytes]] = []
+                    for b, start, stop in classes:
+                        m = math.lcm(a, b)
+                        if m % self.order == 0:
+                            continue
+                        fixed = fixed_of.get(m)
+                        if fixed is None:
+                            fixed = fixed_of[m] = bytes(
+                                [x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
+                        if a_runs and a_runs[-1][1] == start and a_runs[-1][2] == fixed:
+                            a_runs[-1] = (a_runs[-1][0], stop, fixed)
+                        else:
+                            a_runs.append((start, stop, fixed))
+                    runs_of[a] = tuple(a_runs)
+                runs = tuple([runs_of[a] for a in lengths])
+            self._screen = (tuple(lengths), order, runs)
+        return self._screen
 
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.images, 1) if v == i)

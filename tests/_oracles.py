@@ -6,6 +6,7 @@ hand-rolled closure for orbits, and a generate-and-test column search with
 no constraint propagation. Slow and simple on purpose.
 """
 
+import math
 from itertools import permutations, product
 
 
@@ -132,3 +133,26 @@ def naive_isomorphic(rows_a, rows_b):
         ):
             return sigma
     return None
+
+
+def cycle_length_division_failures(rows, translations):
+    """Every (k, x, y) whose z = x*y has an f-cycle length not dividing lcm(l_x, l_y).
+
+    f is translations[k-1], any image tuple on 1..n; plain triple loop, with
+    each cycle length found by walking the cycle.
+    """
+    n = len(rows)
+    failures = []
+    for k, f in enumerate(translations, 1):
+        length = [0] * (n + 1)
+        for start in range(1, n + 1):
+            steps, x = 1, f[start - 1]
+            while x != start:
+                steps, x = steps + 1, f[x - 1]
+            length[start] = steps
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                z = rows[x - 1][y - 1]
+                if math.lcm(length[x], length[y]) % length[z] != 0:
+                    failures.append((k, x, y))
+    return failures

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +36,34 @@ PLAIN_Q62 = """\
 """
 
 
+def per_token_parse(text):
+    """Plain rows read by a regex scan of each token: the reference for errors and values."""
+    lines = [(i, line.split("#", 1)[0]) for i, line in enumerate(text.splitlines(), 1)]
+    (_, header), *body = [(i, line) for i, line in lines if line.strip()]
+    n = int(header)
+    if len(body) != n:
+        raise TableParseError(1, 1, f"expected {n} table rows, found {len(body)}")
+    rows = []
+    for lineno, line in body:
+        row = []
+        for match in re.finditer(r"\S+", line):
+            try:
+                row.append(int(match.group(0)))
+            except ValueError:
+                raise TableParseError(lineno, match.start() + 1, f"not an integer: {match.group(0)!r}") from None
+        if len(row) != n:
+            raise TableParseError(lineno, 1, f"expected {n} entries, found {len(row)}")
+        rows.append(row)
+    return Quandle(rows)
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
 class TestParseTable:
     def test_plain_q62(self, q62):
         assert parse_table(PLAIN_Q62, "plain") == q62
@@ -57,6 +87,19 @@ class TestParseTable:
         with pytest.raises(TableParseError) as err:
             parse_table("2\n1 x\n2 2\n", "plain")
         assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_first_bad_token_of_the_row_is_reported(self):
+        with pytest.raises(TableParseError) as err:
+            parse_table("3\n1 2 3\n\t2  y z\n3 1 2\n", "plain")
+        assert (err.value.line, err.value.column) == (3, 5)
+        assert str(err.value) == "line 3, column 5: not an integer: 'y'"
+
+    @given(st.lists(st.lists(st.tuples(st.sampled_from([" ", "\t", "  ", "\u00a0", "\u3000"]),
+                                       st.sampled_from(["1", "2", "3", "x", "1.5", "+2", "-1", "1_0", "\u0663"])),
+                             min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_rows_parse_like_a_per_token_scan(self, lines):
+        text = "3\n" + "\n".join("".join(sep + tok for sep, tok in line) for line in lines) + "\n"
+        assert outcome(lambda: parse_table(text, "plain")) == outcome(lambda: per_token_parse(text))
 
     def test_wrong_row_count(self):
         with pytest.raises(TableParseError):

@@ -1,8 +1,12 @@
 import math
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import cycle_length_division_failures as oracle_division_failures
+from quandles import checks
 from quandles.checks import (
     DEFAULT_WITNESS_CAP,
     all_checks,
@@ -14,12 +18,13 @@ from quandles.checks import (
     check_left_refinement,
     check_regular_cycle,
     consecutive_cycle_form,
+    cycle_length_division_failures,
     has_repeat_free_profile,
     render_report,
     report_record,
     search_nonconnected_refinement,
 )
-from quandles.constructions import dihedral
+from quandles.constructions import affine, conjugation, dihedral
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
@@ -179,6 +184,141 @@ class TestCycleLengthDivision:
             for y in range(1, 7):
                 z = q62.op(x, y)
                 assert math.lcm(length[x], length[y]) % length[z] == 0
+
+
+def translations_of(q):
+    return [q.right_translation(k) for k in range(1, q.n + 1)]
+
+
+def one_unit_per_order(n):
+    """One t per multiplicative order of t mod n, i.e. one per cycle type of R_k in Aff(Z_n, t)."""
+    units = {}
+    for t in range(1, n):
+        if math.gcd(t, n) == 1:
+            order = next(e for e in range(1, n + 1) if pow(t, e, n) == 1)
+            units.setdefault(order, t)
+    return sorted(units.values())
+
+
+def transposition_quandle(k):
+    return conjugation([Permutation.from_cycles(k, [(1, 2)]),
+                        Permutation.from_cycles(k, [tuple(range(1, k + 1))])],
+                       Permutation.from_cycles(k, [(1, 2)]))
+
+
+class TestCycleLengthDivisionKernel:
+    """The row screen against a plain triple loop, on quandles and on non-automorphisms."""
+
+    @pytest.fixture
+    def no_rescan(self, monkeypatch):
+        # On a valid table no row fails, so the screen alone must decide.
+        def rescan(*args):
+            raise AssertionError(f"row rescanned: {args[:2]}")
+        monkeypatch.setattr(checks, "_row_division_failures", rescan)
+
+    def assert_matches_oracle(self, q):
+        expected = oracle_division_failures(q.rows, [p.images for p in translations_of(q)])
+        assert cycle_length_division_failures(q.rows, translations_of(q)) == expected
+        report = check_cycle_length_division(q)
+        assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
+        assert report.failure_count == len(expected)
+        assert report.counted_instances == q.n ** 3
+
+    def test_every_labeled_table_up_to_order_6(self, enumerated, no_rescan):
+        tables = [q for n in range(1, 7) for q in enumerated(n, False)]
+        assert len(tables) == 7105
+        for q in tables:
+            self.assert_matches_oracle(q)
+
+    def test_affine_odd_orders_up_to_47(self, no_rescan):
+        for n in range(1, 48, 2):
+            for t in one_unit_per_order(n):
+                self.assert_matches_oracle(affine(n, t))
+
+    def test_dihedral(self, no_rescan):
+        for n in range(1, 41):
+            self.assert_matches_oracle(dihedral(n))
+
+    def test_transposition_quandles_of_s4_to_s10(self, no_rescan):
+        for k in range(4, 11):
+            q = transposition_quandle(k)
+            assert q.n == k * (k - 1) // 2
+            self.assert_matches_oracle(q)
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.permutations(range(1, n + 1)), min_size=0, max_size=n),
+        st.integers(0, 20),
+    )))
+    def test_arbitrary_tables_and_permutations(self, drawn):
+        # Arbitrary permutations stand in for the R_k, so failures occur.
+        rows, images, cap = drawn
+        perms = [Permutation(p) for p in images]
+        expected = oracle_division_failures(rows, images)
+        assert cycle_length_division_failures(rows, perms) == expected
+        if len(perms) == len(rows):
+            stand_in = SimpleNamespace(n=len(rows), rows=rows, right_translation=lambda k: perms[k - 1])
+            report = check_cycle_length_division(stand_in, cap)
+            assert report.witnesses == tuple(expected[:cap])
+            assert report.failure_count == len(expected)
+            assert report.conclusion_holds == (not expected)
+
+    def test_many_failures_keep_their_order_under_the_cap(self):
+        n = 9
+        rows = [[(2 * x + 5 * y) % n + 1 for y in range(n)] for x in range(n)]
+        images = [Permutation.from_cycles(n, [(1, 2), (3, 4, 5), (6, 7, 8, 9)]).images,
+                  Permutation.from_cycles(n, [(2, 9, 4), (5, 6)]).images] * 4
+        images.append(Permutation.identity(n).images)
+        expected = oracle_division_failures(rows, images)
+        assert len(expected) > DEFAULT_WITNESS_CAP
+        perms = [Permutation(p) for p in images]
+        assert cycle_length_division_failures(rows, perms) == expected
+        stand_in = SimpleNamespace(n=n, rows=rows, right_translation=lambda k: perms[k - 1])
+        report = check_cycle_length_division(stand_in)
+        assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
+        assert report.failure_count == len(expected)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_largest_byte_order_and_the_list_path(self, n):
+        # Order 256 still screens bytes; order 257 takes the plain loop.
+        rows = [[(2 * x + 3 * y) % n + 1 for y in range(n)] for x in range(n)]
+        cycles = [(1,), (2, 3), tuple(range(4, 8)), tuple(range(8, n + 1))]
+        f = Permutation.from_cycles(n, cycles)
+        g = Permutation([(x + 1) % n + 1 for x in range(n)])
+        expected = oracle_division_failures(rows, [f.images, g.images])
+        assert expected
+        assert cycle_length_division_failures(rows, [f, g]) == expected
+        assert (f._division_screen()[1] is None) == (n > 256)
+
+    def test_screen_is_cached_on_the_permutation(self, q94):
+        p = q94.right_translation(1)
+        assert p._division_screen() is p._division_screen()
+
+
+class TestVerdictsAcrossTables:
+    def test_one_cycle_shift_verdict_per_structure(self, enumerated, monkeypatch):
+        calls = []
+        compute = checks._cycle_shift_failures
+        monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
+        tables = [q for n in range(1, 6) for q in enumerated(n, False)]
+        verdicts = {}
+        for q in tables:
+            shared = [report_fields(r) for r in all_checks(q, _verdicts=verdicts)]
+            assert shared == [report_fields(r) for r in all_checks(Quandle(q.rows))]
+        structures = {cs for q in tables for cs in q.column_structures()}
+        assert set(verdicts) == structures
+        assert len(calls) == len(structures) + sum(len(set(q.column_structures())) for q in tables)
+
+    def test_relabeling_is_cached_and_equals_a_recomputation(self, enumerated):
+        for q in enumerated(5, False):
+            for p in translations_of(q):
+                order = sorted(p.cycles(), key=lambda c: (len(c), c[0]))
+                expected = [0] * p.n
+                for label, x in enumerate((x for c in order for x in c), 1):
+                    expected[x - 1] = label
+                assert p._consecutive_relabeling() == tuple(expected)
+                assert p._consecutive_relabeling() is p._consecutive_relabeling()
+                assert consecutive_cycle_form(p)[1] == tuple(expected)
 
 
 class TestLeftRefinement:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import quandles
+from quandles import checks
 from quandles.catalog import serialize_table
 from quandles.cli import main
 
@@ -123,6 +125,15 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[-1]["ok"] is True
 
+    def test_one_cycle_shift_verdict_per_structure_per_run(self, enumerated, monkeypatch, capsys):
+        calls = []
+        compute = checks._cycle_shift_failures
+        monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
+        assert main(["verify", "5"]) == 0
+        assert "all checks consistent" in capsys.readouterr().out
+        structures = {cs for n in range(1, 6) for q in enumerated(n, False) for cs in q.column_structures()}
+        assert len(calls) == len(structures)
+
 
 class TestReport:
     def test_directory_report(self, tmp_path, q62, q94):
@@ -161,6 +172,27 @@ class TestConstruct:
         code, _, err = run_cli("construct", "affine:4,2")
         assert code == 1
         assert "unit" in err
+
+
+# The transpositions of S_50: a closure of 1225 members, past the cap.
+OVERSIZED_SPEC = "conjugation:50;(1 2);(" + " ".join(map(str, range(1, 51))) + "),(1 2)"
+
+
+class TestConjugationCap:
+    @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
+    def test_oversized_closure_stops_at_once(self, command, capsys):
+        start = time.perf_counter()
+        assert main([command, OVERSIZED_SPEC]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "conjugation closure exceeds 256 members" in err
+
+    def test_transpositions_of_s10_still_build(self, capsys):
+        spec = "conjugation:10;(1 2);(1 2),(" + " ".join(map(str, range(1, 11))) + ")"
+        assert main(["construct", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "45" and len(lines) == 46
 
 
 class TestUsage:

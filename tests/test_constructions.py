@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quandles import constructions
 from quandles.constructions import (
+    MAX_CLOSURE_MEMBERS,
+    ClosureTooLargeError,
     ConstructionSpec,
     ConstructionSpecError,
     EXAMPLE_TABLES,
@@ -126,6 +129,41 @@ class TestConjugation:
             for y in range(1, 4):
                 expected = members[y - 1].inverse() * members[x - 1] * members[y - 1]
                 assert members[q.op(x, y) - 1] == expected
+
+    def test_closure_cap(self, monkeypatch):
+        gens = [Permutation.from_cycles(10, [(1, 2)]), Permutation.from_cycles(10, [tuple(range(1, 11))])]
+        seed = Permutation.from_cycles(10, [(1, 2)])
+        monkeypatch.setattr(constructions, "MAX_CLOSURE_MEMBERS", 45)
+        assert conjugation(gens, seed).n == 45
+        monkeypatch.setattr(constructions, "MAX_CLOSURE_MEMBERS", 44)
+        with pytest.raises(ClosureTooLargeError, match="exceeds 44 members"):
+            conjugation(gens, seed)
+
+    def test_cap_admits_the_transpositions_of_s23(self):
+        # 253 members: the largest transposition quandle under the cap of 256.
+        assert MAX_CLOSURE_MEMBERS == 256
+        gens = [Permutation.from_cycles(23, [(1, 2)]), Permutation.from_cycles(23, [tuple(range(1, 24))])]
+        assert conjugation(gens, Permutation.from_cycles(23, [(1, 2)])).n == 253
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.permutations(range(1, n + 1)), max_size=3), st.permutations(range(1, n + 1)))))
+    def test_matches_a_round_by_round_closure(self, drawn):
+        # The closure taken round by round with full Permutation products.
+        gens, seed = [Permutation(g) for g in drawn[0]], Permutation(drawn[1])
+        members = {seed}
+        while True:
+            conjugators = gens + [g.inverse() for g in gens] + list(members)
+            new = {g.inverse() * x * g for x in members for g in conjugators} - members
+            if not new:
+                break
+            members |= new
+        ordered = sorted(members, key=lambda p: p.images)
+        q = conjugation(gens, seed)
+        assert q.n == len(ordered)
+        for x in range(1, q.n + 1):
+            for y in range(1, q.n + 1):
+                a, b = ordered[x - 1], ordered[y - 1]
+                assert ordered[q.op(x, y) - 1] == b.inverse() * a * b
 
 
 class TestBuiltinExamples:
