@@ -1,0 +1,115 @@
+"""Time the ``--iso`` enumeration stage by stage at orders 6 and 7.
+
+    python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
+
+Runs in process, stdlib only, and takes about 15 s. For each order it runs
+the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
+after the other: the search (``_raw_tables`` with the isomorph-free
+pruning on), validation of every searched table, and the isomorphism
+reduction, of which it also reports the ``canonical_form`` share. The
+reduced stream must hash to the sha256 recorded for it before the orderly
+search; a mismatch exits 1.
+
+Results are merged into FILE (default ``BENCH_iso.json`` at the repository
+root) under NAME (default ``current``), so runs of two checkouts, chosen
+with ``--src``, sit side by side. The committed file holds
+``first-column-rule``, the checkout before the orderly search, and
+``orderly``, both on 2 vCPUs with Python 3.11.7.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of repr([q.rows ...]) of the --iso stream, recorded with the
+# first-column restriction alone, before the orderly search.
+STREAM_SHA256 = {
+    6: "cc3abb372f1098dbc653d8601e2ddf23c269d1652464a8cc16d081c9087d8658",
+    7: "0353b08b7bd450ccf096340e0c11467491d0a6e4addcbc09b794c138e38a9c4e",
+}
+CLASS_COUNTS = {6: 73, 7: 298}
+
+
+def measure(n: int) -> dict:
+    from quandles import enumeration
+    from quandles.quandle import Quandle
+
+    start = perf_counter()
+    raw = list(enumeration._raw_tables(n, (), True))
+    searched = perf_counter()
+    pool: dict = {}
+    tables = [Quandle(rows, _pool=pool) for rows in raw]
+    validated = perf_counter()
+
+    canonical_form = enumeration.canonical_form
+    spent = [0.0]
+
+    def timed_canonical_form(q):
+        t = perf_counter()
+        try:
+            return canonical_form(q)
+        finally:
+            spent[0] += perf_counter() - t
+
+    enumeration.canonical_form = timed_canonical_form
+    try:
+        reps = list(enumeration._iso_reduce(iter(tables)))
+    finally:
+        enumeration.canonical_form = canonical_form
+    reduced = perf_counter()
+
+    digest = hashlib.sha256(repr([q.rows for q in reps]).encode()).hexdigest()
+    return {
+        "searched_tables": len(raw),
+        "classes": len(reps),
+        "search_s": round(searched - start, 3),
+        "validation_s": round(validated - searched, 3),
+        "iso_s": round(reduced - validated, 3),
+        "canonical_form_s": round(spent[0], 3),
+        "total_s": round(reduced - start, 3),
+        "stream_sha256": digest,
+        "stream_unchanged": digest == STREAM_SHA256.get(n) and len(reps) == CLASS_COUNTS.get(n),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--orders", type=int, nargs="+", default=[6, 7], choices=sorted(STREAM_SHA256))
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package source to measure")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_iso.json")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    run = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "orders": {},
+    }
+    ok = True
+    for n in args.orders:
+        result = measure(n)
+        run["orders"][str(n)] = result
+        ok = ok and result["stream_unchanged"]
+        print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items() if k != "stream_sha256"),
+              flush=True)
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = run
+    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    if not ok:
+        print("the --iso stream differs from the recorded one", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

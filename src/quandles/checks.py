@@ -241,7 +241,7 @@ def check_cycle_length_division(q: Quandle, witness_cap: int = DEFAULT_WITNESS_C
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
     failures = cycle_length_division_failures(
-        q.rows, [q.right_translation(k) for k in range(1, n + 1)]
+        q.rows, [q._right_translation(k) for k in range(1, n + 1)]
     )
     witnesses, count = _capped(failures, witness_cap)
     return CheckReport(
@@ -260,9 +260,9 @@ def check_left_refinement(q: Quandle, i: int, witness_cap: int = DEFAULT_WITNESS
     The conclusion is evaluated unconditionally so the report can show
     whether it holds even when the hypothesis fails.
     """
-    right = q.right_translation(i)
+    right = q.right_translation(i)  # checks i once for both translations
     hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
-    left = q.left_translation_map(i)
+    left = q._left_translation_map(i)
     failures = []
     if left.is_permutation:
         right_sets = [frozenset(c) for c in right.cycles()]
@@ -325,7 +325,7 @@ def check_latin_necessary_conditions(q: Quandle, witness_cap: int = DEFAULT_WITN
     if latin:
         if not unique_fp:
             for j in range(1, q.n + 1):
-                for x in q.right_translation(j).fixed_points():
+                for x in q._right_translation(j).fixed_points():
                     if x != j:
                         failures.append((j, x))
         if not connected:
@@ -349,7 +349,7 @@ def check_regular_cycle(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> C
     column_longest = []
     failures = []
     for j in range(1, q.n + 1):
-        p = q.right_translation(j)
+        p = q._right_translation(j)
         column_orders.append(p.order)
         column_longest.append(p.longest_cycle_length)
         if not p.has_regular_cycle:
@@ -392,7 +392,7 @@ def all_checks(
     verdicts = {} if _verdicts is None else _verdicts
     for i in range(1, q.n + 1):
         reports.append(check_left_refinement(q, i, witness_cap))
-        reports.append(check_cycle_shift(q.right_translation(i), witness_cap, _verdicts=verdicts))
+        reports.append(check_cycle_shift(q._right_translation(i), witness_cap, _verdicts=verdicts))
     return reports
 
 
@@ -408,8 +408,7 @@ def search_nonconnected_refinement(source: Iterable[Quandle]) -> list[Quandle]:
         if not q.has_unique_fixed_points:
             continue
         if not any(
-            q.right_translation(i).cycle_structure().has_distinct_lengths
-            for i in range(1, q.n + 1)
+            cs.has_distinct_lengths for cs in q.column_structures()
         ):
             continue
         if not is_connected(q):

@@ -55,9 +55,9 @@ class CycleStructure:
     def cycle_count(self) -> int:
         return sum(mult for _, mult in self.entries)
 
-    @property
+    @functools.cached_property
     def has_distinct_lengths(self) -> bool:
-        """True iff no two cycles have the same length."""
+        """True iff no two cycles have the same length; computed once per structure."""
         return all(mult == 1 for _, mult in self.entries)
 
     @property

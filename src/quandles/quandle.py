@@ -121,7 +121,7 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_pool", "_translations", "_structures", "_profile",
-                 "_latin", "_unique_fp", "_orbits", "_invariants", "_iso_sig")
+                 "_row_mask", "_unique_fp", "_orbits", "_invariants", "_iso_sig")
 
     def __init__(self, rows: Sequence[Sequence[int]], *,
                  _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
@@ -160,7 +160,7 @@ class Quandle:
         self._translations: list[Optional[Permutation]] = [None] * n
         self._structures: Optional[tuple[CycleStructure, ...]] = None
         self._profile: Optional[Profile] = None
-        self._latin: Optional[bool] = None
+        self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
         self._invariants: Optional[tuple[tuple, ...]] = None
@@ -190,6 +190,10 @@ class Quandle:
     def right_translation(self, j: int) -> Permutation:
         """The permutation x -> x*j (column j)."""
         self._check_element(j)
+        return self._right_translation(j)
+
+    def _right_translation(self, j: int) -> Permutation:
+        """``right_translation`` without the range check, for loops over 1..n."""
         p = self._translations[j - 1]
         if p is None:
             col = self._cols[j - 1]
@@ -202,8 +206,12 @@ class Quandle:
     def left_translation_map(self, i: int) -> LeftTranslation:
         """Row i as a map, flagged by whether it is a bijection."""
         self._check_element(i)
+        return self._left_translation_map(i)
+
+    def _left_translation_map(self, i: int) -> LeftTranslation:
+        """``left_translation_map`` without the range check."""
         row = self.rows[i - 1]
-        if len(set(row)) == self.n:
+        if self._bijective_rows() >> (i - 1) & 1:
             return LeftTranslation(row, True, Permutation(row))
         return LeftTranslation(row, False, None)
 
@@ -213,9 +221,17 @@ class Quandle:
     @property
     def is_latin(self) -> bool:
         """True iff every row is a bijection, i.e. the table is a latin square."""
-        if self._latin is None:
-            self._latin = all(len(set(row)) == self.n for row in self.rows)
-        return self._latin
+        return self._bijective_rows() == (1 << self.n) - 1
+
+    def _bijective_rows(self) -> int:
+        """Bit i-1 is set iff row i is a bijection; computed once per table.
+
+        An int, so a table of order up to 8 holds no object of its own for it.
+        """
+        if self._row_mask is None:
+            n = self.n
+            self._row_mask = sum(1 << i for i, row in enumerate(self.rows) if len(set(row)) == n)
+        return self._row_mask
 
     @property
     def has_unique_fixed_points(self) -> bool:
@@ -230,7 +246,7 @@ class Quandle:
         """Cycle structure of each right translation, in column order."""
         if self._structures is None:
             self._structures = tuple(
-                self.right_translation(j).cycle_structure() for j in range(1, self.n + 1)
+                self._right_translation(j).cycle_structure() for j in range(1, self.n + 1)
             )
         return self._structures
 

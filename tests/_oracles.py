@@ -156,3 +156,59 @@ def cycle_length_division_failures(rows, translations):
                 if math.lcm(length[x], length[y]) % length[z] != 0:
                     failures.append((k, x, y))
     return failures
+
+
+def relabeled(rows, sigma):
+    """The table with every element x renamed to sigma[x-1]."""
+    n = len(rows)
+    inv = [0] * n
+    for x, v in enumerate(sigma, 1):
+        inv[v - 1] = x
+    return tuple(
+        tuple(sigma[rows[inv[i] - 1][inv[j] - 1] - 1] for j in range(n)) for i in range(n)
+    )
+
+
+def column_major_least_labeling(rows):
+    """The relabeling of the table whose columns, read in order, are lex-least."""
+    n = len(rows)
+    best = min(
+        tuple(zip(*relabeled(rows, sigma))) for sigma in permutations(range(1, n + 1))
+    )
+    return tuple(zip(*best))
+
+
+def meets_orderly_rule(rows):
+    """True iff every column R_j is lex-least among sigma R_j sigma^-1 over G_j.
+
+    G_j is every permutation that fixes 1..j (1-based here) and commutes
+    with R_1..R_{j-1}; each sigma is followed column by column while it
+    stays in G_j.
+    """
+    n = len(rows)
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    for sigma in permutations(range(1, n + 1)):
+        inv = [0] * n
+        for x, v in enumerate(sigma, 1):
+            inv[v - 1] = x
+        for j in range(n):
+            if sigma[j] != j + 1:
+                break
+            col = cols[j]
+            conjugate = tuple(sigma[col[inv[x] - 1] - 1] for x in range(n))
+            if conjugate < col:
+                return False
+            if conjugate != col:
+                break
+    return True
+
+
+def canonical_labeling(rows):
+    """(row-major lex-least relabeling, the first sigma in lex order that gives it)."""
+    n = len(rows)
+    best = None
+    for sigma in permutations(range(1, n + 1)):
+        table = relabeled(rows, sigma)
+        if best is None or table < best[0]:
+            best = (table, sigma)
+    return best

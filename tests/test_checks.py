@@ -257,7 +257,7 @@ class TestCycleLengthDivisionKernel:
         expected = oracle_division_failures(rows, images)
         assert cycle_length_division_failures(rows, perms) == expected
         if len(perms) == len(rows):
-            stand_in = SimpleNamespace(n=len(rows), rows=rows, right_translation=lambda k: perms[k - 1])
+            stand_in = SimpleNamespace(n=len(rows), rows=rows, _right_translation=lambda k: perms[k - 1])
             report = check_cycle_length_division(stand_in, cap)
             assert report.witnesses == tuple(expected[:cap])
             assert report.failure_count == len(expected)
@@ -273,7 +273,7 @@ class TestCycleLengthDivisionKernel:
         assert len(expected) > DEFAULT_WITNESS_CAP
         perms = [Permutation(p) for p in images]
         assert cycle_length_division_failures(rows, perms) == expected
-        stand_in = SimpleNamespace(n=n, rows=rows, right_translation=lambda k: perms[k - 1])
+        stand_in = SimpleNamespace(n=n, rows=rows, _right_translation=lambda k: perms[k - 1])
         report = check_cycle_length_division(stand_in)
         assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
         assert report.failure_count == len(expected)

@@ -24,7 +24,14 @@ from quandles.orbits import is_connected
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
-from _oracles import column_search_quandles, naive_all_quandles, naive_isomorphic
+from _oracles import (
+    canonical_labeling,
+    column_major_least_labeling,
+    column_search_quandles,
+    meets_orderly_rule,
+    naive_all_quandles,
+    naive_isomorphic,
+)
 
 # Raw (labeled) and isomorphism-class counts, frozen after cross-checking the
 # propagation search against the plain generate-and-test column search at
@@ -39,6 +46,8 @@ ORDER6_TABLES_SHA256 = {
     True: "aae41c3de12ed7569fb3ab6ec43a3b0e84f6516f80546c129b0ba909dd86ad20",
     False: "2ce27af4b1b20e23566acbc33359641a6882baec45a685bea17c0608ef83dd61",
 }
+# Tables the orderly --iso search visits; RAW_COUNTS are the labeled ones.
+ORDERLY_COUNTS = {1: 1, 2: 1, 3: 5, 4: 23, 5: 146, 6: 1175}
 # sha256 of repr([q.rows ...]) for EnumerationTask(5, up_to_iso=True,
 # partition_prefix=(1, 3)), recorded with the same search.
 PREFIX_ISO_SHA256 = "4052e0e0e9aa4d3e2644134764c6d158fcab5a6aa6e3bcf300231fdb4a932858"
@@ -122,7 +131,7 @@ class TestColumn1Representatives:
 
 
 class TestSymmetryBreaking:
-    """Restricting R_1 to representatives keeps the --iso stream, element for element."""
+    """The orderly search keeps the --iso stream, element for element."""
 
     @pytest.mark.parametrize("predicate", [None, *sorted(PREDICATES)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -132,12 +141,32 @@ class TestSymmetryBreaking:
         broken = enumerate_quandles(EnumerationTask(n, up_to_iso=True, predicate_filter=predicate))
         assert [q.rows for q in broken] == [q.rows for q in full]
 
+    def test_order6_stream_equals_reduction_of_full_search(self, enumerated):
+        full = _iso_reduce(iter(enumerated(6, False)))
+        assert [q.rows for q in enumerated(6, True)] == [q.rows for q in full]
+
     def test_searches_a_subsequence(self):
-        full = list(_raw_tables(5, ()))
-        broken = list(_raw_tables(5, (), column1_representatives_only=True))
-        reps = {tuple(v + 1 for v in p) for p in _column1_representatives(5)}
-        assert broken == [t for t in full if tuple(row[0] for row in t) in reps]
-        assert len(broken) < len(full)
+        for n in range(1, 7):
+            full = iter(_raw_tables(n, ()))
+            pruned = list(_raw_tables(n, (), orderly=True))
+            # in order: each pruned table is found in what is left of the full search
+            assert all(any(t == u for u in full) for t in pruned)
+            reps = {tuple(v + 1 for v in p) for p in _column1_representatives(n)}
+            assert all(tuple(row[0] for row in t) in reps for t in pruned)
+            assert len(pruned) == ORDERLY_COUNTS[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_keeps_exactly_the_tables_meeting_the_rule(self, n):
+        pruned = list(_raw_tables(n, (), orderly=True))
+        assert pruned == [t for t in _raw_tables(n, ()) if meets_orderly_rule(t)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_first_table_of_each_class_is_its_least_labeling(self, n):
+        first: dict = {}
+        for t in _raw_tables(n, (), orderly=True):
+            first.setdefault(column_major_least_labeling(t), t)
+        assert len(first) == ISO_COUNTS[n]
+        assert all(least == t for least, t in first.items())
 
     @pytest.mark.parametrize("iso", [True, False])
     def test_order6_tables_output_is_unchanged(self, iso, capsys):
@@ -213,6 +242,13 @@ class TestCanonicalForm:
         canon, _ = canonical_form(q62)
         assert canonical_form(canon)[0] == canon
 
+    @pytest.mark.parametrize("n, up_to_iso", [(1, False), (2, False), (3, False), (4, False),
+                                              (5, False), (6, True)])
+    def test_table_and_witness_match_the_plain_scan(self, n, up_to_iso, enumerated):
+        for q in enumerated(n, up_to_iso):
+            canon, sigma = canonical_form(q)
+            assert (canon.rows, sigma.images) == canonical_labeling(q.rows)
+
 
 class TestPredicatesAndFilters:
     def test_filtered_enumeration(self):
@@ -284,7 +320,8 @@ class TestSharedTranslations:
         distinct = {col for n in range(1, 6) for q in enumerated(n, False) for col in q.columns()}
         depth = [0]
         built = [0]
-        right_translation = Quandle.right_translation
+        # Every read of a right translation, range-checked or not, goes through here.
+        right_translation = Quandle._right_translation
         init = Permutation.__init__
 
         def counting_right_translation(self, j):
@@ -298,7 +335,7 @@ class TestSharedTranslations:
             built[0] += depth[0] > 0
             init(self, images)
 
-        monkeypatch.setattr(Quandle, "right_translation", counting_right_translation)
+        monkeypatch.setattr(Quandle, "_right_translation", counting_right_translation)
         monkeypatch.setattr(Permutation, "__init__", counting_init)
         assert main(["verify", "5"]) == 0
         assert "order 5: 404 quandles" in capsys.readouterr().out

@@ -127,6 +127,17 @@ class TestCycleStructure:
         assert not CycleStructure(((1, 2), (4, 1))).has_distinct_lengths
         assert CycleStructure(((1, 1),)).has_distinct_lengths
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_distinct_lengths_once_per_structure(self, n):
+        for images in permutations(range(1, n + 1)):
+            cs = Permutation(images).cycle_structure()
+            fresh = CycleStructure(cs.entries)
+            lengths = cs.lengths()
+            assert cs.has_distinct_lengths == (len(set(lengths)) == len(lengths))
+            # cached on the object, and invisible to equality and hashing
+            assert "has_distinct_lengths" in vars(cs)
+            assert cs == fresh and hash(cs) == hash(fresh)
+
     def test_sort_order_uses_expanded_lengths(self):
         # (1^3) < (1,2) because the length sequences (1,1,1) < (1,2)
         assert CycleStructure(((1, 3),)) < CycleStructure(((1, 1), (2, 1)))

@@ -164,6 +164,29 @@ class TestTranslations:
         with pytest.raises(ElementOutOfRangeError):
             q62.op(0, 1)
 
+    def test_range_checks_survive_the_checkers_reads(self, q62):
+        from quandles.checks import all_checks, check_left_refinement
+
+        q = Quandle(q62.rows)
+        all_checks(q)  # reads every translation without the range check
+        for bad in (0, -1, 7, 1.0, "1"):
+            with pytest.raises(ElementOutOfRangeError):
+                q.right_translation(bad)
+            with pytest.raises(ElementOutOfRangeError):
+                q.left_translation_map(bad)
+            with pytest.raises(ElementOutOfRangeError):
+                check_left_refinement(q, bad)
+
+    def test_left_translation_maps_match_the_rows(self, enumerated):
+        for n in range(1, 6):
+            for q in enumerated(n, False):
+                verdicts = [len(set(row)) == n for row in q.rows]
+                assert q.is_latin == all(verdicts)
+                for i, row in enumerate(q.rows, 1):
+                    lt = q.left_translation_map(i)
+                    assert (lt.mapping, lt.is_permutation) == (row, verdicts[i - 1])
+                    assert lt.perm == (Permutation(row) if verdicts[i - 1] else None)
+
     def test_left_translation_q94(self, q94):
         lt = q94.left_translation_map(1)
         assert lt.is_permutation
