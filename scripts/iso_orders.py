@@ -2,7 +2,7 @@
 
     python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
-Runs in process, stdlib only, and takes about 15 s. For each order it runs
+Runs in process, stdlib only, and takes about 4 s. For each order it runs
 the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
 after the other: the search (``_raw_tables`` with the isomorph-free
 pruning on), validation of every searched table, and the isomorphism
@@ -12,9 +12,11 @@ search; a mismatch exits 1.
 
 Results are merged into FILE (default ``BENCH_iso.json`` at the repository
 root) under NAME (default ``current``), so runs of two checkouts, chosen
-with ``--src``, sit side by side. The committed file holds
-``first-column-rule``, the checkout before the orderly search, and
-``orderly``, both on 2 vCPUs with Python 3.11.7.
+with ``--src``, sit side by side. The committed file holds, all on
+2 vCPUs with Python 3.11.7: ``first-column-rule``, the checkout before the
+orderly search; ``orderly``, which prunes by the relabelings that fix the
+branching column; and ``orderly-moves``, which also prunes by those that
+move a set column onto it.
 """
 
 from __future__ import annotations

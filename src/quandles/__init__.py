@@ -17,6 +17,7 @@ from .quandle import (
     Profile,
     Quandle,
     TableError,
+    TableTooLargeError,
 )
 from .orbits import NotConnectedError, connected_profile, is_connected, orbits
 from .checks import (

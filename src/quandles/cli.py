@@ -130,8 +130,8 @@ def cmd_verify(args) -> int:
         tables = 0
         reports = 0
         bad = 0
-        stream = list(enumeration.enumerate_quandles(task))
-        for q in stream:
+        # One table at a time: each is checked and screened, then dropped.
+        for q in enumeration.enumerate_quandles(task):
             tables += 1
             for report in checks.all_checks(q, _verdicts=verdicts):
                 reports += 1
@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
                         f"INCONSISTENT {report.name} on order-{n} table {q.rows}",
                         file=sys.stderr,
                     )
-        findings.extend(checks.search_nonconnected_refinement(stream))
+            findings.extend(checks.search_nonconnected_refinement((q,)))
         inconsistencies += bad
         if args.format == "records":
             _emit(json.dumps({

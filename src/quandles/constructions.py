@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perm import DegreeMismatchError, Permutation
-from .quandle import Quandle
+from .quandle import MAX_TABLE_ORDER, Quandle, TableTooLargeError
 
 
 class NotAUnitError(ValueError):
@@ -48,6 +48,8 @@ def dihedral(n: int) -> Quandle:
     """The Takasaki kei on Z_n: i*j = 2j - i mod n. Latin iff n is odd."""
     if n < 1:
         raise ValueError("order must be positive")
+    if n > MAX_TABLE_ORDER:
+        raise TableTooLargeError(n)
     rows = [
         [((2 * j - i) % n) + 1 for j in range(n)]
         for i in range(n)
@@ -62,6 +64,8 @@ def affine(n: int, t: int) -> Quandle:
     """
     if n < 1:
         raise ValueError("order must be positive")
+    if n > MAX_TABLE_ORDER:
+        raise TableTooLargeError(n)
     if math.gcd(t, n) != 1:
         raise NotAUnitError(t, n)
     t %= n

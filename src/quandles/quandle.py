@@ -33,6 +33,17 @@ class EmptyTableError(TableError):
         super().__init__("quandle tables must be nonempty")
 
 
+# Largest table order accepted. Validation grows as n^3 once the columns no
+# longer fit in bytes (n > 256): dihedral(300) takes about 2 s on a 2-vCPU
+# machine with Python 3.11, against 1.4 s at 257 and 10 s at 512.
+MAX_TABLE_ORDER = 300
+
+
+class TableTooLargeError(TableError):
+    def __init__(self, n: int):
+        super().__init__(f"table order {n} exceeds {MAX_TABLE_ORDER} (MAX_TABLE_ORDER)")
+
+
 class TableShapeError(TableError):
     def __init__(self, row: int, width: int, n: int):
         super().__init__(f"row {row} has {width} entries, expected {n}")
@@ -121,14 +132,17 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_pool", "_translations", "_structures", "_profile",
-                 "_row_mask", "_unique_fp", "_orbits", "_invariants", "_iso_sig")
+                 "_row_mask", "_unique_fp", "_orbits", "_invariants", "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]], *,
                  _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(rows)
         n = len(rows)
         if n == 0:
             raise EmptyTableError()
+        if n > MAX_TABLE_ORDER:
+            raise TableTooLargeError(n)
+        rows = tuple(tuple(row) for row in rows)
         for i, row in enumerate(rows, 1):
             if len(row) != n:
                 raise TableShapeError(i, len(row), n)

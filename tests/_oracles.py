@@ -179,11 +179,13 @@ def column_major_least_labeling(rows):
 
 
 def meets_orderly_rule(rows):
-    """True iff every column R_j is lex-least among sigma R_j sigma^-1 over G_j.
+    """True iff no relabeling in some H_j puts a smaller column at j, for every j.
 
-    G_j is every permutation that fixes 1..j (1-based here) and commutes
-    with R_1..R_{j-1}; each sigma is followed column by column while it
-    stays in G_j.
+    H_j (1-based here) is every permutation that fixes 1..j-1 and commutes
+    with R_1..R_{j-1}. Such a sigma keeps those columns and puts
+    sigma R_x sigma^-1 at column j, for x = sigma^-1(j); the rule asks that
+    to be at least R_j. Each sigma is followed column by column while it
+    stays in H_j.
     """
     n = len(rows)
     cols = [tuple(row[j] for row in rows) for j in range(n)]
@@ -192,13 +194,11 @@ def meets_orderly_rule(rows):
         for x, v in enumerate(sigma, 1):
             inv[v - 1] = x
         for j in range(n):
-            if sigma[j] != j + 1:
-                break
-            col = cols[j]
-            conjugate = tuple(sigma[col[inv[x] - 1] - 1] for x in range(n))
-            if conjugate < col:
+            moved = cols[inv[j] - 1]
+            conjugate = tuple(sigma[moved[inv[y] - 1] - 1] for y in range(n))
+            if conjugate < cols[j]:
                 return False
-            if conjugate != col:
+            if sigma[j] != j + 1 or conjugate != cols[j]:
                 break
     return True
 

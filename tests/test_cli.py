@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 import quandles
-from quandles import checks
+from quandles import checks, enumeration
 from quandles.catalog import serialize_table
 from quandles.cli import main
+from quandles.quandle import MAX_TABLE_ORDER
 
 # The child process imports the same package as this one, installed or not.
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -134,6 +136,25 @@ class TestVerify:
         structures = {cs for n in range(1, 6) for q in enumerated(n, False) for cs in q.column_structures()}
         assert len(calls) == len(structures)
 
+    def test_one_table_alive_at_a_time(self, monkeypatch, capsys):
+        refs = []
+        most_alive = 0
+        enumerate_quandles = enumeration.enumerate_quandles
+
+        def watched(task):
+            nonlocal most_alive
+            for q in enumerate_quandles(task):
+                refs.append(weakref.ref(q))
+                most_alive = max(most_alive, sum(r() is not None for r in refs))
+                yield q
+
+        monkeypatch.setattr(enumeration, "enumerate_quandles", watched)
+        assert main(["verify", "5"]) == 0
+        assert "all checks consistent" in capsys.readouterr().out
+        assert len(refs) == 1 + 1 + 5 + 36 + 404
+        # the table being yielded and the one the caller still names
+        assert most_alive <= 3
+
 
 class TestReport:
     def test_directory_report(self, tmp_path, q62, q94):
@@ -193,6 +214,18 @@ class TestConjugationCap:
         assert main(["construct", spec]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "45" and len(lines) == 46
+
+
+class TestTableOrderCap:
+    @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
+    @pytest.mark.parametrize("spec", ["dihedral:3000", "affine:301,2", f"dihedral:{MAX_TABLE_ORDER + 1}"])
+    def test_oversized_table_stops_at_once(self, command, spec, capsys):
+        start = time.perf_counter()
+        assert main([command, spec]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"exceeds {MAX_TABLE_ORDER} (MAX_TABLE_ORDER)" in err
 
 
 class TestUsage:

@@ -47,10 +47,13 @@ ORDER6_TABLES_SHA256 = {
     False: "2ce27af4b1b20e23566acbc33359641a6882baec45a685bea17c0608ef83dd61",
 }
 # Tables the orderly --iso search visits; RAW_COUNTS are the labeled ones.
-ORDERLY_COUNTS = {1: 1, 2: 1, 3: 5, 4: 23, 5: 146, 6: 1175}
+ORDERLY_COUNTS = {1: 1, 2: 1, 3: 3, 4: 10, 5: 48, 6: 277}
 # sha256 of repr([q.rows ...]) for EnumerationTask(5, up_to_iso=True,
 # partition_prefix=(1, 3)), recorded with the same search.
 PREFIX_ISO_SHA256 = "4052e0e0e9aa4d3e2644134764c6d158fcab5a6aa6e3bcf300231fdb4a932858"
+# sha256 of repr([q.rows ...]) for EnumerationTask(7, up_to_iso=True), recorded
+# with the first-column restriction alone, before the orderly search.
+ORDER7_ISO_SHA256 = "0353b08b7bd450ccf096340e0c11467491d0a6e4addcbc09b794c138e38a9c4e"
 
 
 def _cycle_type(p: bytes):
@@ -182,6 +185,11 @@ class TestSymmetryBreaking:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == PREFIX_ISO_SHA256
         labeled = (q for q in enumerate_quandles(EnumerationTask(5, partition_prefix=(1, 3))))
         assert rows == [q.rows for q in _iso_reduce(labeled)]
+
+    def test_order7_stream_is_unchanged(self):
+        rows = [q.rows for q in enumerate_quandles(EnumerationTask(7, up_to_iso=True))]
+        assert len(rows) == 298
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER7_ISO_SHA256
 
     def test_parallel_order6_iso_matches_serial(self):
         task = EnumerationTask(6, up_to_iso=True)

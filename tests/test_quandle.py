@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from quandles.constructions import EXAMPLE_TABLES, affine, builtin_example, dihedral
 from quandles.perm import Permutation
 from quandles.quandle import (
+    MAX_TABLE_ORDER,
     ColumnNotPermutationError,
     ElementOutOfRangeError,
     EmptyTableError,
@@ -14,6 +15,7 @@ from quandles.quandle import (
     Profile,
     Quandle,
     TableError,
+    TableTooLargeError,
     distributivity_failures,
 )
 
@@ -35,6 +37,18 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTableError):
             Quandle([])
+
+    def test_order_above_the_cap_is_refused_before_validation(self):
+        n = MAX_TABLE_ORDER + 1
+        # not even idempotent, so only the cap can be reported
+        with pytest.raises(TableTooLargeError, match=f"{n} exceeds {MAX_TABLE_ORDER}"):
+            Quandle([[1] * n] * n)
+        assert issubclass(TableTooLargeError, ValueError)
+
+    @pytest.mark.parametrize("build", [dihedral, lambda n: affine(n, 1)])
+    def test_constructions_refuse_orders_above_the_cap(self, build):
+        with pytest.raises(TableTooLargeError):
+            build(MAX_TABLE_ORDER + 1)
 
     def test_out_of_range_entry(self):
         with pytest.raises(EntryOutOfRangeError):
