@@ -15,8 +15,9 @@ root) under NAME (default ``current``), so runs of two checkouts, chosen
 with ``--src``, sit side by side. The committed file holds, all on
 2 vCPUs with Python 3.11.7: ``first-column-rule``, the checkout before the
 orderly search; ``orderly``, which prunes by the relabelings that fix the
-branching column; and ``orderly-moves``, which also prunes by those that
-move a set column onto it.
+branching column; ``orderly-moves``, which also prunes by those that
+move a set column onto it; and ``levels``, the same pruning with the
+relabelings of each level kept in one list.
 """
 
 from __future__ import annotations

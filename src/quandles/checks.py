@@ -109,14 +109,14 @@ def report_record(report: CheckReport) -> dict:
     }
 
 
-def _capped(failures: list[tuple[int, ...]], cap: int) -> tuple[tuple, int]:
-    return tuple(failures[:cap]), len(failures)
+def _capped(failures: list[tuple[int, ...]]) -> tuple[tuple, int]:
+    return tuple(failures[:DEFAULT_WITNESS_CAP]), len(failures)
 
 
-def check_conjugation_identity(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_conjugation_identity(q: Quandle) -> CheckReport:
     """R_k R_j R_k^-1 = R_{j*k} for all j, k, checked pointwise as R_k R_j = R_{j*k} R_k."""
     failures = distributivity_failures(q.columns())
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="conjugation-identity",
         hypothesis_holds=True,
@@ -172,7 +172,6 @@ def _cycle_shift_failures(f: Permutation) -> tuple[int, list[tuple[int, int]]]:
 
 def check_cycle_shift(
     p: Permutation,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
     *,
     _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
 ) -> CheckReport:
@@ -188,7 +187,7 @@ def check_cycle_shift(
     if verdict is None:
         verdict = verdicts[structure] = _cycle_shift_failures(_consecutive_form(structure))
     counted, failures = verdict
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="cycle-shift",
         hypothesis_holds=True,
@@ -237,13 +236,13 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
     return failures
 
 
-def check_cycle_length_division(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_cycle_length_division(q: Quandle) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
     failures = cycle_length_division_failures(
         q.rows, [q._right_translation(k) for k in range(1, n + 1)]
     )
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="cycle-length-division",
         hypothesis_holds=True,
@@ -254,7 +253,7 @@ def check_cycle_length_division(q: Quandle, witness_cap: int = DEFAULT_WITNESS_C
     )
 
 
-def check_left_refinement(q: Quandle, i: int, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     """Distinct R_i cycle lengths + unique fixed points => L_i permutes and refines R_i.
 
     The conclusion is evaluated unconditionally so the report can show
@@ -262,12 +261,13 @@ def check_left_refinement(q: Quandle, i: int, witness_cap: int = DEFAULT_WITNESS
     """
     right = q.right_translation(i)  # checks i once for both translations
     hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
-    left = q._left_translation_map(i)
+    row = q.rows[i - 1]
+    is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
     failures = []
-    if left.is_permutation:
+    if is_permutation:
         right_sets = [frozenset(c) for c in right.cycles()]
         contained = True
-        for cycle in left.perm.cycles():
+        for cycle in Permutation(row).cycles():
             cset = set(cycle)
             if not any(cset <= rs for rs in right_sets):
                 contained = False
@@ -276,12 +276,12 @@ def check_left_refinement(q: Quandle, i: int, witness_cap: int = DEFAULT_WITNESS
     else:
         conclusion = False
         seen = set()
-        for v in left.mapping:
+        for v in row:
             if v in seen:
                 failures.append((i, v))
                 break
             seen.add(v)
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="left-refinement",
         hypothesis_holds=hypothesis,
@@ -289,7 +289,7 @@ def check_left_refinement(q: Quandle, i: int, witness_cap: int = DEFAULT_WITNESS
         counted_instances=1,
         witnesses=witnesses if hypothesis else witnesses[:0],
         failure_count=count if hypothesis else 0,
-        details={"element": i, "left_is_permutation": left.is_permutation},
+        details={"element": i, "left_is_permutation": is_permutation},
     )
 
 
@@ -315,7 +315,7 @@ def check_latin_sufficiency(q: Quandle) -> CheckReport:
     )
 
 
-def check_latin_necessary_conditions(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_latin_necessary_conditions(q: Quandle) -> CheckReport:
     """Latin => all right translations have a unique fixed point, and connected."""
     latin = q.is_latin
     unique_fp = q.has_unique_fixed_points
@@ -330,7 +330,7 @@ def check_latin_necessary_conditions(q: Quandle, witness_cap: int = DEFAULT_WITN
                         failures.append((j, x))
         if not connected:
             failures.append(tuple(sorted(min(blocks, key=lambda b: (len(b), sorted(b))))))
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="latin-necessary-conditions",
         hypothesis_holds=latin,
@@ -342,7 +342,7 @@ def check_latin_necessary_conditions(q: Quandle, witness_cap: int = DEFAULT_WITN
     )
 
 
-def check_regular_cycle(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_regular_cycle(q: Quandle) -> CheckReport:
     """Hayashi's conjecture on one quandle: connected => every column has a regular cycle."""
     connected = is_connected(q)
     column_orders = []
@@ -354,7 +354,7 @@ def check_regular_cycle(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> C
         column_longest.append(p.longest_cycle_length)
         if not p.has_regular_cycle:
             failures.append((j,))
-    witnesses, count = _capped(failures, witness_cap)
+    witnesses, count = _capped(failures)
     return CheckReport(
         name="regular-cycle",
         hypothesis_holds=connected,
@@ -372,7 +372,6 @@ def check_regular_cycle(q: Quandle, witness_cap: int = DEFAULT_WITNESS_CAP) -> C
 
 def all_checks(
     q: Quandle,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
     *,
     _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
 ) -> list[CheckReport]:
@@ -383,16 +382,16 @@ def all_checks(
     this call's own.
     """
     reports = [
-        check_conjugation_identity(q, witness_cap),
-        check_cycle_length_division(q, witness_cap),
+        check_conjugation_identity(q),
+        check_cycle_length_division(q),
         check_latin_sufficiency(q),
-        check_latin_necessary_conditions(q, witness_cap),
-        check_regular_cycle(q, witness_cap),
+        check_latin_necessary_conditions(q),
+        check_regular_cycle(q),
     ]
     verdicts = {} if _verdicts is None else _verdicts
     for i in range(1, q.n + 1):
-        reports.append(check_left_refinement(q, i, witness_cap))
-        reports.append(check_cycle_shift(q._right_translation(i), witness_cap, _verdicts=verdicts))
+        reports.append(check_left_refinement(q, i))
+        reports.append(check_cycle_shift(q._right_translation(i), _verdicts=verdicts))
     return reports
 
 

@@ -125,8 +125,12 @@ def cmd_verify(args) -> int:
     findings = []
     # Cycle-shift verdicts depend only on the cycle structure: one per run.
     verdicts: dict = {}
-    for n in range(1, args.max_order + 1):
-        task = enumeration.EnumerationTask(order=n, order_guard=args.guard)
+    # Every task is made first, so an order above the guard stops the run
+    # before any order is searched.
+    tasks = [enumeration.EnumerationTask(order=n, order_guard=args.guard)
+             for n in range(1, args.max_order + 1)]
+    for task in tasks:
+        n = task.order
         tables = 0
         reports = 0
         bad = 0
@@ -223,16 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=_positive_int)
     p.add_argument("--iso", action="store_true", help="one canonical table per isomorphism class")
     p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes; >1 sorts after merging")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes; >1 runs the labeled search in the workers and sorts"
+                        " after merging, so with --iso it is slower than one job")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
-    p.add_argument("--guard", type=_positive_int, default=enumeration.DEFAULT_ORDER_GUARD,
-                   help="largest order the search will accept")
+    p.add_argument("--guard", type=_positive_int, default=None,
+                   help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD},"
+                        f" or {enumeration.ISO_ORDER_GUARD} with --iso and one job)")
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every checker on every quandle up to an order")
     p.add_argument("max_order", type=_positive_int)
-    p.add_argument("--guard", type=_positive_int, default=enumeration.DEFAULT_ORDER_GUARD)
+    p.add_argument("--guard", type=_positive_int, default=None,
+                   help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD})")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -21,24 +21,26 @@ table of a class in the stream is its column-major lex-least labeling.
 Let H_j be the permutations that fix 1..j-1 and commute with
 R_1..R_{j-1}. Relabeling by a sigma in H_j keeps those columns and puts
 sigma R_x sigma^-1 at column j, for x = sigma^-1(j); if that is below R_j,
-every completion has a smaller labeling and the branch is cut. The search
-refines the groups as it descends: H_{j+1} is the members of G_j that
-commute with R_j, where G_j, the members of H_j fixing j, screen the
-candidates for a branching column j, and the other members, indexed by x,
-are tried on each column x a branch sets. Each member is kept as a
-translate table and an inverse, so each test is two ``bytes.translate``
-calls. H_1 is all of S_n: column 1 tries one permutation per cycle type,
-the lex-least one, e.g. (1)(2)(3 4)(5 6 7) for the type 1+2+3 at n = 7,
-and a set column x cuts the branch iff the least permutation fixing 1 of
-its cycle type is below R_1. Columns set by propagation lie in the
-subquandle generated by the branching columns, which every member of the
-later H_j fixes pointwise, so they need no test of their own. The least
-labeling of every class survives, so the reduced stream is unchanged;
-the order-6 search visits 277 tables instead of 6658 (1175 with G_j
-alone, 2790 with the first-column restriction alone), and order 7 1,996
-(11,800 with G_j alone). The rule is off under a first-row prefix, which
-constrains the labeling, so ``--jobs`` workers still search and ship
-unpruned labeled tables.
+every completion has a smaller labeling and the branch is cut. Level j of
+the search lists the members of H_j other than the identity by x, each as
+a translate table and an inverse, so each test is two ``bytes.translate``
+calls; the members with x = j form G_j, the stabiliser of j. One test,
+"some listed sigma gives sigma p sigma^-1 below a target", serves twice:
+G_j screens each candidate p for a branching column j before it is
+assigned, and after the assignment every column x the branch set is
+tested against the members listed under x at each level up to j. Level
+j + 1 is the members of G_j that commute with R_j, listed by
+sigma^-1(j + 1). H_1 is all of S_n and is never listed beyond G_1:
+column 1 tries one permutation per cycle type, the lex-least one, e.g.
+(1)(2)(3 4)(5 6 7) for the type 1+2+3 at n = 7, and a set column x cuts
+the branch iff the least permutation fixing 1 of its cycle type is below
+R_1. Columns set by propagation lie in the subquandle generated by the
+branching columns, which every member of the later H_j fixes pointwise,
+so they need no test of their own. The least labeling of every class
+survives, so the reduced stream is unchanged; the order-6 search visits
+277 tables instead of 6658, and order 7 1,996. The rule is off under a
+first-row prefix, which constrains the labeling, so ``--jobs`` workers
+still search and ship unpruned labeled tables.
 
 The tables of one ``enumerate_quandles`` call, and of one
 ``enumerate_parallel`` merge, take their right translations from one dict
@@ -66,7 +68,13 @@ from .orbits import is_connected
 from .perm import CycleStructure, Permutation
 from .quandle import Quandle
 
-DEFAULT_ORDER_GUARD = 8
+# The largest orders searched without an explicit guard, from measured
+# times on 2 vCPUs (scripts/labeled_orders.py writes BENCH_labeled.json):
+# the labeled order-7 search finds 152,900 tables in about a minute, and
+# in a minute the labeled order-8 search does not finish the first of its
+# 5040 first columns, while ``enumerate 8 --iso`` finishes in about 3 min.
+LABELED_ORDER_GUARD = 7
+ISO_ORDER_GUARD = 8
 
 PREDICATES: dict[str, Callable[[Quandle], bool]] = {
     "latin": lambda q: q.is_latin,
@@ -86,13 +94,18 @@ class OrderTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """One enumeration request, optionally restricted to a first-row prefix."""
+    """One enumeration request, optionally restricted to a first-row prefix.
+
+    A task above its guard is refused when it is made, before any search.
+    Without an explicit ``order_guard`` the guard is ``ISO_ORDER_GUARD``
+    for the orderly search and ``LABELED_ORDER_GUARD`` for a labeled one.
+    """
 
     order: int
     up_to_iso: bool = False
     predicate_filter: Optional[str] = None
     partition_prefix: tuple[int, ...] = ()
-    order_guard: int = DEFAULT_ORDER_GUARD
+    order_guard: Optional[int] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -102,9 +115,24 @@ class EnumerationTask:
                 f"unknown predicate {self.predicate_filter!r};"
                 f" known: {', '.join(sorted(PREDICATES))}"
             )
+        if len(self.partition_prefix) > self.order:
+            raise ValueError(
+                f"prefix of length {len(self.partition_prefix)} is longer than the order {self.order}"
+            )
         for v in self.partition_prefix:
             if not 1 <= v <= self.order:
                 raise ValueError(f"prefix value {v} out of range 1..{self.order}")
+        guard = self.order_guard
+        if guard is None:
+            guard = ISO_ORDER_GUARD if self.orderly else LABELED_ORDER_GUARD
+        if self.order > guard:
+            raise OrderTooLargeError(self.order, guard)
+
+    @property
+    def orderly(self) -> bool:
+        """Whether the search prunes isomorphs: a prefix fixes part of the
+        labeling, so only a free ``up_to_iso`` search may relabel."""
+        return self.up_to_iso and not self.partition_prefix
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,36 +167,24 @@ def _raw_tables(
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All valid tables of order n whose first row starts with the prefix, in search order.
 
-    With orderly, a partial table is cut as soon as a relabeling provably
-    gives every completion a smaller column-major table. H_j is the group
-    of permutations fixing 0..j-1 that commute with the columns before j
-    (0-based); each sigma in H_j keeps those columns and turns column j into
-    sigma R_x sigma^-1 for x = sigma^-1(j). So a table is cut when that is
-    below R_j for some sigma whose R_x is set: G_j, the members fixing j,
-    screen the candidates for a branching column j, and once a candidate
-    is assigned, every column x it set is tested against the other members
-    of H_0..H_j. H_0 is all of S_n, so column 0 tries only
-    ``_column1_representatives(n)``, and a set column x cuts iff the least
-    permutation fixing 0 of its cycle type is below R_0. The output is a
-    subsequence of the full search that still holds the column-major
-    lex-least labeling of every class: 277 of the 6658 labeled tables at
-    order 6, and 1,996 tables at order 7.
+    With orderly, the output is the subsequence of the full search that
+    the orderly rule of the module docstring keeps; it still holds the
+    column-major lex-least labeling of every isomorphism class.
     """
-    if len(prefix) > n:
-        return
     # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
     # bytes.translate table and invs[k] its inverse; both are read only
     # while cols[k] is set.
     options = list(_candidate_columns(n))
     identity = bytes(range(n))
     tail = bytes(range(n, 256))
-    # A group is a list of (translate table, inverse) pairs of its members
-    # other than the identity; the empty list tests nothing. group is G_j;
-    # moves[j] holds the rest of H_j by x = sigma^-1(j), for j >= 1.
-    group: list[tuple[bytes, bytes]] = []
-    moves: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n)]
+    # levels[j][x] lists the members sigma of H_j other than the identity
+    # with sigma^-1(j) = x, as (translate table, inverse) pairs; levels[j][j]
+    # is G_j. Level 0 lists only G_0, the cycle-type rule stands in for the
+    # rest of S_n, and G_{n-1} is trivial, so levels[n] stays empty.
+    levels: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n + 1)]
     if orderly:
-        group = [(s + tail, bytes.maketrans(s, identity)[:n]) for s in options[0] if s != identity]
+        levels[0] = {0: [(s + tail, bytes.maketrans(s, identity)[:n])
+                         for s in options[0] if s != identity]}
         options[0] = _column1_representatives(n)
         least_of_type = {_cycle_type(p): p for p in options[0]}
     # A column's least conjugate fixing 0, looked up once per call.
@@ -219,84 +235,66 @@ def _raw_tables(
                         return False
         return True
 
-    def least(p: bytes, group: list[tuple[bytes, bytes]]) -> bool:
-        # sigma p sigma^-1 is inv.translate(p's table).translate(tab).
-        ptab = p + tail
-        for tab, inv in group:
-            if inv.translate(ptab).translate(tab) < p:
-                return False
-        return True
+    def undercut(members: list[tuple[bytes, bytes]], ptab: bytes, target: bytes) -> bool:
+        # Some sigma in members gives sigma p sigma^-1 < target, ptab being
+        # p's translate table.
+        for tab, inv in members:
+            if inv.translate(ptab).translate(tab) < target:
+                return True
+        return False
 
-    def undercut(x: int, j: int) -> bool:
-        # Some sigma in H_j with sigma(x) = j has sigma R_x sigma^-1 < R_j;
-        # R_x and R_j are set.
-        if j == 0:
+    def trail_undercut(j: int, trail: list[int]) -> bool:
+        # Some level i <= j moves a trail column x onto i below R_i. Level
+        # 0 goes by cycle type, and the branching column j passed G_j
+        # before assign.
+        for x in trail:
             px = cols[x]
             rep = least_conjugate.get(px)
             if rep is None:
                 rep = least_of_type[_cycle_type(px)]
                 least_conjugate[px] = rep
-            return rep < cols[0]
-        ptab, pj = tabs[x], cols[j]
-        for tab, inv in moves[j].get(x, ()):
-            if inv.translate(ptab).translate(tab) < pj:
+            if rep < cols[0]:
                 return True
+        for i in range(1, j + 1):
+            for x in trail:
+                if x != i and undercut(levels[i].get(x, ()), tabs[x], cols[i]):
+                    return True
         return False
 
-    def refine(group: list[tuple[bytes, bytes]], j: int) -> list[tuple[bytes, bytes]]:
-        # H_{j+1}: the members of G_j that commute with R_j. G_{j+1} is those
-        # fixing j + 1; the others go to moves[j + 1].
-        k = j + 1
-        if k == n:
-            return []
-        kept: list[tuple[bytes, bytes]] = []
-        moved: dict[int, list[tuple[bytes, bytes]]] = {}
-        if group:
-            pj, tabj = cols[j], tabs[j]
-            for tab, inv in group:
-                if inv.translate(tabj).translate(tab) == pj:
-                    x = inv[k]
-                    if x == k:
-                        kept.append((tab, inv))
-                    else:
-                        moved.setdefault(x, []).append((tab, inv))
-        moves[k] = moved
-        return kept
+    def refine(j: int) -> None:
+        # levels[j + 1]: the members of G_j that commute with R_j.
+        level: dict[int, list[tuple[bytes, bytes]]] = {}
+        pj, tabj = cols[j], tabs[j]
+        for tab, inv in levels[j].get(j, ()):
+            if inv.translate(tabj).translate(tab) == pj:
+                level.setdefault(inv[j + 1], []).append((tab, inv))
+        levels[j + 1] = level
 
-    def search(j: int, group: list[tuple[bytes, bytes]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        # Columns before j are set, group is G_j and moves[j] the rest of
-        # H_j. The set columns are the subquandle generated by the branching
-        # columns before j, and every member of H_j fixes that subquandle
-        # pointwise and commutes with its columns. So a column set by
-        # propagation passes the G_j test, and only the columns a new
-        # branch sets, its trail, can be moved onto a level.
+    def search(j: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         while j < n and cols[j] is not None:
-            group = refine(group, j)
+            refine(j)
             j += 1
         if j == n:
             yield tuple(zip(*(c.translate(_ONE_BASED) for c in cols)))
             return
+        group = levels[j].get(j)
         for p in options[j]:
-            if group and not least(p, group):
+            if group and undercut(group, p + tail, p):
                 continue
             trail: list[int] = []
-            if assign(j, p, trail) and not (
-                orderly and any(undercut(x, i) for i in range(j + 1) for x in trail)
-            ):
-                yield from search(j + 1, refine(group, j))
+            if assign(j, p, trail) and not (orderly and trail_undercut(j, trail)):
+                refine(j)
+                yield from search(j + 1)
             for t in trail:
                 cols[t] = None
 
-    yield from search(0, group)
+    yield from search(0)
 
 
 def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     """Stream the quandles described by the task; deterministic for a fixed task."""
-    if task.order > task.order_guard:
-        raise OrderTooLargeError(task.order, task.order_guard)
     predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
-    # A prefix fixes part of the labeling, so only a free search may relabel.
-    raw = _raw_tables(task.order, task.partition_prefix, task.up_to_iso and not task.partition_prefix)
+    raw = _raw_tables(task.order, task.partition_prefix, task.orderly)
     translations: dict[tuple[int, ...], Permutation] = {}
     stream = (Quandle(rows, _pool=translations) for rows in raw)
     if predicate is not None:
@@ -436,7 +434,10 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     """Run the task over worker processes and merge deterministically.
 
     The merged output is sorted by table entries (canonical table entries
-    when ``up_to_iso``), so any jobs count yields the same list.
+    when ``up_to_iso``), so any jobs count yields the same list. More than
+    one job runs the labeled search in the workers and reduces in the
+    parent, so it is checked against the labeled guard before any worker
+    starts, and with ``up_to_iso`` it is slower than one job.
     """
     if jobs <= 1:
         result = list(enumerate_quandles(task))
@@ -458,7 +459,7 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
 def falsify(
     property_pair: tuple[str, str],
     max_order: int,
-    order_guard: int = DEFAULT_ORDER_GUARD,
+    order_guard: Optional[int] = None,
 ) -> Optional[Quandle]:
     """First quandle (by order, then search order) where hypothesis holds but conclusion fails.
 

@@ -19,7 +19,7 @@ For n <= 256 the columns are 0-based ``bytes`` and each composition is one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .perm import CycleStructure, DegreeMismatchError, Permutation
 
@@ -120,14 +120,6 @@ def _first_difference(columns: Sequence[Sequence[int]], j: int, k: int) -> int:
                 if colk[colj[i - 1] - 1] != colm[colk[i - 1] - 1])
 
 
-class LeftTranslation(NamedTuple):
-    """Row i viewed as the map j -> i*j, with its bijectivity verdict."""
-
-    mapping: tuple[int, ...]
-    is_permutation: bool
-    perm: Optional[Permutation]
-
-
 class Quandle:
     """An immutable, fully validated quandle table."""
 
@@ -217,20 +209,12 @@ class Quandle:
             self._translations[j - 1] = p
         return p
 
-    def left_translation_map(self, i: int) -> LeftTranslation:
-        """Row i as a map, flagged by whether it is a bijection."""
-        self._check_element(i)
-        return self._left_translation_map(i)
-
-    def _left_translation_map(self, i: int) -> LeftTranslation:
-        """``left_translation_map`` without the range check."""
-        row = self.rows[i - 1]
-        if self._bijective_rows() >> (i - 1) & 1:
-            return LeftTranslation(row, True, Permutation(row))
-        return LeftTranslation(row, False, None)
-
     def left_translation(self, i: int) -> Optional[Permutation]:
-        return self.left_translation_map(i).perm
+        """The permutation x -> i*x (row i), or None when the row is not a bijection."""
+        self._check_element(i)
+        if self._bijective_rows() >> (i - 1) & 1:
+            return Permutation(self.rows[i - 1])
+        return None
 
     @property
     def is_latin(self) -> bool:

@@ -248,18 +248,17 @@ class TestCycleLengthDivisionKernel:
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n),
         st.lists(st.permutations(range(1, n + 1)), min_size=0, max_size=n),
-        st.integers(0, 20),
     )))
     def test_arbitrary_tables_and_permutations(self, drawn):
         # Arbitrary permutations stand in for the R_k, so failures occur.
-        rows, images, cap = drawn
+        rows, images = drawn
         perms = [Permutation(p) for p in images]
         expected = oracle_division_failures(rows, images)
         assert cycle_length_division_failures(rows, perms) == expected
         if len(perms) == len(rows):
             stand_in = SimpleNamespace(n=len(rows), rows=rows, _right_translation=lambda k: perms[k - 1])
-            report = check_cycle_length_division(stand_in, cap)
-            assert report.witnesses == tuple(expected[:cap])
+            report = check_cycle_length_division(stand_in)
+            assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
             assert report.failure_count == len(expected)
             assert report.conclusion_holds == (not expected)
 

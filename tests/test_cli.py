@@ -228,6 +228,23 @@ class TestTableOrderCap:
         assert f"exceeds {MAX_TABLE_ORDER} (MAX_TABLE_ORDER)" in err
 
 
+class TestOrderGuards:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "9"],
+        ["verify", "3", "--guard", "2"],
+        ["enumerate", str(enumeration.LABELED_ORDER_GUARD + 1)],
+        ["enumerate", "8", "--iso", "--jobs", "2"],
+        ["enumerate", str(enumeration.ISO_ORDER_GUARD + 1), "--iso"],
+    ])
+    def test_an_order_above_the_guard_stops_before_any_work(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "guard" in err
+
+
 class TestUsage:
     def test_no_command(self):
         assert run_cli()[0] == 2

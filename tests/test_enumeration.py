@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,8 @@ from quandles.catalog import parse_table, serialize_table
 from quandles.cli import main
 from quandles.constructions import dihedral
 from quandles.enumeration import (
+    ISO_ORDER_GUARD,
+    LABELED_ORDER_GUARD,
     PREDICATES,
     EnumerationTask,
     OrderTooLargeError,
@@ -88,6 +91,22 @@ class TestRawEnumeration:
             list(enumerate_quandles(EnumerationTask(9)))
         # and a raised guard accepts the order
         EnumerationTask(9, order_guard=9)
+
+    def test_default_guards_refuse_before_any_search(self):
+        # the orderly search has its own guard; a prefix or more than one
+        # job runs the labeled search
+        EnumerationTask(8, up_to_iso=True)
+        EnumerationTask(LABELED_ORDER_GUARD)
+        for task in (
+            lambda: EnumerationTask(LABELED_ORDER_GUARD + 1),
+            lambda: EnumerationTask(ISO_ORDER_GUARD + 1, up_to_iso=True),
+            lambda: EnumerationTask(8, up_to_iso=True, partition_prefix=(1,)),
+            lambda: enumerate_parallel(EnumerationTask(8, up_to_iso=True), 2),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(OrderTooLargeError):
+                task()
+            assert time.perf_counter() - start < 1
 
 
 class TestIsoReduction:
@@ -271,6 +290,10 @@ class TestPredicatesAndFilters:
 
 
 class TestPartitioning:
+    def test_prefix_longer_than_the_order_is_refused(self):
+        with pytest.raises(ValueError, match="longer than the order"):
+            EnumerationTask(3, partition_prefix=(1, 2, 3, 1))
+
     def test_prefix_restricts_first_row(self):
         full = list(enumerate_quandles(EnumerationTask(4)))
         restricted = list(

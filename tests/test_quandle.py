@@ -187,7 +187,9 @@ class TestTranslations:
             with pytest.raises(ElementOutOfRangeError):
                 q.right_translation(bad)
             with pytest.raises(ElementOutOfRangeError):
-                q.left_translation_map(bad)
+                q.row(bad)
+            with pytest.raises(ElementOutOfRangeError):
+                q.left_translation(bad)
             with pytest.raises(ElementOutOfRangeError):
                 check_left_refinement(q, bad)
 
@@ -197,25 +199,22 @@ class TestTranslations:
                 verdicts = [len(set(row)) == n for row in q.rows]
                 assert q.is_latin == all(verdicts)
                 for i, row in enumerate(q.rows, 1):
-                    lt = q.left_translation_map(i)
-                    assert (lt.mapping, lt.is_permutation) == (row, verdicts[i - 1])
-                    assert lt.perm == (Permutation(row) if verdicts[i - 1] else None)
+                    lt = q.left_translation(i)
+                    assert (q.row(i), lt is not None) == (row, verdicts[i - 1])
+                    assert lt == (Permutation(row) if verdicts[i - 1] else None)
 
     def test_left_translation_q94(self, q94):
-        lt = q94.left_translation_map(1)
-        assert lt.is_permutation
-        assert lt.perm == Permutation.from_cycles(9, [(2, 3), (4, 9), (5, 8), (6, 7)])
+        lt = q94.left_translation(1)
+        assert lt is not None
+        assert lt == Permutation.from_cycles(9, [(2, 3), (4, 9), (5, 8), (6, 7)])
 
     def test_left_translation_nonlatin3(self, nonlatin3):
-        lt = nonlatin3.left_translation_map(1)
-        assert lt.mapping == (1, 1, 1)
-        assert not lt.is_permutation
-        assert lt.perm is None
+        assert nonlatin3.row(1) == (1, 1, 1)
+        assert nonlatin3.left_translation(1) is None
 
     def test_left_translation_q62_row5(self, q62):
-        lt = q62.left_translation_map(5)
-        assert lt.mapping == (2, 3, 4, 1, 5, 5)
-        assert not lt.is_permutation
+        assert q62.row(5) == (2, 3, 4, 1, 5, 5)
+        assert q62.left_translation(5) is None
 
     def test_every_column_fixes_its_index(self, q62, q94, nonlatin3):
         for q in (q62, q94, nonlatin3):
