@@ -47,7 +47,7 @@ def measure(n: int) -> dict:
     from quandles.quandle import Quandle
 
     start = perf_counter()
-    raw = list(enumeration._raw_tables(n, (), True))
+    raw = list(enumeration._raw_tables(n, orderly=True))
     searched = perf_counter()
     pool: dict = {}
     tables = [Quandle(rows, _pool=pool) for rows in raw]

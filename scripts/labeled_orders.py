@@ -43,7 +43,7 @@ def measure(n: int, cap: float) -> dict:
     start = perf_counter()
     elapsed = 0.0
     complete = True
-    for rows in enumeration._raw_tables(n, (), False):
+    for rows in enumeration._raw_tables(n):
         tables += 1
         last = rows
         elapsed = perf_counter() - start

@@ -55,7 +55,6 @@ from .enumeration import (
     enumerate_parallel,
     enumerate_quandles,
     falsify,
-    split_task,
 )
 from .catalog import (
     CatalogEntry,

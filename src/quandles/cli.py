@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true", help="one canonical table per isomorphism class")
     p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes; >1 runs the labeled search in the workers and sorts"
-                        " after merging, so with --iso it is slower than one job")
+                   help="worker processes, at most one per CPU; >1 splits the labeled search by"
+                        " its first column and prints what one job prints; with --iso it is slower"
+                        " than one job")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
     p.add_argument("--guard", type=_positive_int, default=None,
                    help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD},"

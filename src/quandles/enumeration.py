@@ -26,42 +26,46 @@ the search lists the members of H_j other than the identity by x, each as
 a translate table and an inverse, so each test is two ``bytes.translate``
 calls; the members with x = j form G_j, the stabiliser of j. One test,
 "some listed sigma gives sigma p sigma^-1 below a target", serves twice:
-G_j screens each candidate p for a branching column j before it is
+G_j screens each candidate p for a branching column j > 1 before it is
 assigned, and after the assignment every column x the branch set is
 tested against the members listed under x at each level up to j. Level
 j + 1 is the members of G_j that commute with R_j, listed by
-sigma^-1(j + 1). H_1 is all of S_n and is never listed beyond G_1:
-column 1 tries one permutation per cycle type, the lex-least one, e.g.
-(1)(2)(3 4)(5 6 7) for the type 1+2+3 at n = 7, and a set column x cuts
-the branch iff the least permutation fixing 1 of its cycle type is below
-R_1. Columns set by propagation lie in the subquandle generated by the
-branching columns, which every member of the later H_j fixes pointwise,
-so they need no test of their own. The least labeling of every class
-survives, so the reduced stream is unchanged; the order-6 search visits
-277 tables instead of 6658, and order 7 1,996. The rule is off under a
-first-row prefix, which constrains the labeling, so ``--jobs`` workers
-still search and ship unpruned labeled tables.
+sigma^-1(j + 1). H_1 is all of S_n and is never listed beyond G_1, which
+is kept only to be refined: column 1 tries one permutation per cycle
+type, the lex-least one, e.g. (1)(2)(3 4)(5 6 7) for the type 1+2+3 at
+n = 7, which no member of G_1 conjugates below itself, and a set column
+x cuts the branch iff the least permutation fixing 1 of its cycle type
+is below R_1. Columns set by propagation lie in the subquandle generated
+by the branching columns, which every member of the later H_j fixes
+pointwise, so they need no test of their own. The least labeling of
+every class survives, so the reduced stream is unchanged; the order-6
+search visits 277 tables instead of 6658, and order 7 1,996.
 
-The tables of one ``enumerate_quandles`` call, and of one
-``enumerate_parallel`` merge, take their right translations from one dict
-owned by that call: equal columns in different tables share one
-``Permutation``, so its cycles, cycle structure and order are computed once
-(order 6 has 6658 tables with 39,948 columns but 455 distinct ones). Every
-table is still validated in full. Nothing is shared between calls.
+One pipeline validates, filters and reduces the raw tables of a task,
+for one job and for many. The tables it validates take their right
+translations from one dict owned by that call: equal columns in
+different tables share one ``Permutation``, so its cycles, cycle
+structure and order are computed once (order 6 has 6658 tables with
+39,948 columns but 455 distinct ones). Every table is still validated in
+full. Nothing is shared between calls.
 
-Worker partitions split the labeled search by a prefix of the first table
-row and share nothing, so they can run in separate processes; a
-deterministic result then requires sorting the merged output, which
-``enumerate_parallel`` does.
+Column 1 is always the search's first branch and is never forced, so the
+labeled search splits by its first column into share-nothing units, one
+per permutation fixing 1, whose outputs in lex order concatenate to the
+whole search. ``enumerate_parallel`` runs the units in worker processes
+and feeds their raw rows, in that order, to the same pipeline; the first
+table of each class in the labeled order is the one the orderly search
+keeps, so any jobs count gives what one job gives.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import permutations
-from typing import Callable, Iterator, Optional
+from itertools import chain, permutations
+from typing import Callable, Iterable, Iterator, Optional
 
 from .checks import has_repeat_free_profile
 from .orbits import is_connected
@@ -94,17 +98,16 @@ class OrderTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """One enumeration request, optionally restricted to a first-row prefix.
+    """One enumeration request.
 
     A task above its guard is refused when it is made, before any search.
     Without an explicit ``order_guard`` the guard is ``ISO_ORDER_GUARD``
-    for the orderly search and ``LABELED_ORDER_GUARD`` for a labeled one.
+    with ``up_to_iso`` and ``LABELED_ORDER_GUARD`` without.
     """
 
     order: int
     up_to_iso: bool = False
     predicate_filter: Optional[str] = None
-    partition_prefix: tuple[int, ...] = ()
     order_guard: Optional[int] = None
 
     def __post_init__(self):
@@ -115,24 +118,11 @@ class EnumerationTask:
                 f"unknown predicate {self.predicate_filter!r};"
                 f" known: {', '.join(sorted(PREDICATES))}"
             )
-        if len(self.partition_prefix) > self.order:
-            raise ValueError(
-                f"prefix of length {len(self.partition_prefix)} is longer than the order {self.order}"
-            )
-        for v in self.partition_prefix:
-            if not 1 <= v <= self.order:
-                raise ValueError(f"prefix value {v} out of range 1..{self.order}")
         guard = self.order_guard
         if guard is None:
-            guard = ISO_ORDER_GUARD if self.orderly else LABELED_ORDER_GUARD
+            guard = ISO_ORDER_GUARD if self.up_to_iso else LABELED_ORDER_GUARD
         if self.order > guard:
             raise OrderTooLargeError(self.order, guard)
-
-    @property
-    def orderly(self) -> bool:
-        """Whether the search prunes isomorphs: a prefix fixes part of the
-        labeling, so only a free ``up_to_iso`` search may relabel."""
-        return self.up_to_iso and not self.partition_prefix
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,13 +153,14 @@ _ONE_BASED = bytes(range(1, 256)) + b"\0"
 
 
 def _raw_tables(
-    n: int, prefix: tuple[int, ...], orderly: bool = False,
+    n: int, orderly: bool = False, first: Optional[bytes] = None,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All valid tables of order n whose first row starts with the prefix, in search order.
+    """All valid tables of order n in search order, or those whose first column is first.
 
-    With orderly, the output is the subsequence of the full search that
-    the orderly rule of the module docstring keeps; it still holds the
-    column-major lex-least labeling of every isomorphism class.
+    first is a permutation fixing 0, as 0-based bytes. With orderly, the
+    output is the subsequence of the search that the orderly rule of the
+    module docstring keeps; it still holds the column-major lex-least
+    labeling of every isomorphism class.
     """
     # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
     # bytes.translate table and invs[k] its inverse; both are read only
@@ -187,15 +178,13 @@ def _raw_tables(
                          for s in options[0] if s != identity]}
         options[0] = _column1_representatives(n)
         least_of_type = {_cycle_type(p): p for p in options[0]}
+    if first is not None:
+        options[0] = [first]
     # A column's least conjugate fixing 0, looked up once per call.
     least_conjugate: dict[bytes, bytes] = {}
-    first_row = [v - 1 for v in prefix]
-    for j, v in enumerate(first_row):
-        options[j] = [p for p in options[j] if p[0] == v]
     cols: list[Optional[bytes]] = [None] * n
     invs: list[Optional[bytes]] = [None] * n
     tabs: list[Optional[bytes]] = [None] * n
-    klimit = len(prefix)
 
     def assign(j: int, p: bytes, trail: list[int]) -> bool:
         queue = [(j, p)]
@@ -207,8 +196,6 @@ def _raw_tables(
                     return False
                 continue
             if pk[k] != k:
-                return False
-            if k < klimit and pk[0] != first_row[k]:
                 return False
             invk = bytes.maketrans(pk, identity)[:n]
             tabk = pk + tail
@@ -277,7 +264,9 @@ def _raw_tables(
         if j == n:
             yield tuple(zip(*(c.translate(_ONE_BASED) for c in cols)))
             return
-        group = levels[j].get(j)
+        # No member of G_0 conjugates a column-0 candidate below itself, the
+        # least permutation of its cycle type; levels[0] is only refined.
+        group = levels[j].get(j) if j else None
         for p in options[j]:
             if group and undercut(group, p + tail, p):
                 continue
@@ -293,8 +282,14 @@ def _raw_tables(
 
 def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     """Stream the quandles described by the task; deterministic for a fixed task."""
+    return _pipeline(task, _raw_tables(task.order, task.up_to_iso))
+
+
+def _pipeline(
+    task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]],
+) -> Iterator[Quandle]:
+    """Validate the raw tables against one translation pool, filter and, with ``up_to_iso``, reduce them."""
     predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
-    raw = _raw_tables(task.order, task.partition_prefix, task.orderly)
     translations: dict[tuple[int, ...], Permutation] = {}
     stream = (Quandle(rows, _pool=translations) for rows in raw)
     if predicate is not None:
@@ -411,49 +406,28 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
             Permutation(best_sigma.translate(_ONE_BASED)))
 
 
-def split_task(task: EnumerationTask, parts: int) -> list[EnumerationTask]:
-    """Refine the task into share-nothing subtasks by extending the first-row prefix."""
-    n = task.order
-    prefixes = [task.partition_prefix]
-    position = len(task.partition_prefix)
-    while len(prefixes) < parts and position < n:
-        position += 1
-        if position == 1:
-            values = [1]
-        else:
-            values = [v for v in range(1, n + 1) if v != position]
-        prefixes = [p + (v,) for p in prefixes for v in values]
-    return [replace(task, partition_prefix=p) for p in prefixes]
-
-
-def _collect_rows(task: EnumerationTask) -> list[tuple[tuple[int, ...], ...]]:
-    return [q.rows for q in enumerate_quandles(task)]
+def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
+    return list(_raw_tables(n, first=first))
 
 
 def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
-    """Run the task over worker processes and merge deterministically.
+    """``list(enumerate_quandles(task))``, with the search spread over worker processes.
 
-    The merged output is sorted by table entries (canonical table entries
-    when ``up_to_iso``), so any jobs count yields the same list. More than
-    one job runs the labeled search in the workers and reduces in the
-    parent, so it is checked against the labeled guard before any worker
-    starts, and with ``up_to_iso`` it is slower than one job.
+    More than one job splits the labeled search by its first column and
+    starts at most one worker per CPU. The workers return raw rows; the
+    parent takes them in search order and validates, filters and reduces
+    each table once, so the result equals one job's, order included. The
+    workers search without the orderly pruning, so the task is checked
+    against the labeled guard before any worker starts.
     """
     if jobs <= 1:
-        result = list(enumerate_quandles(task))
-        result.sort(key=lambda q: q.rows)
-        return result
-    subtasks = split_task(replace(task, up_to_iso=False), jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        row_lists = list(pool.map(_collect_rows, subtasks))
-    translations: dict[tuple[int, ...], Permutation] = {}
-    merged = (Quandle(rows, _pool=translations) for row_list in row_lists for rows in row_list)
-    if task.up_to_iso:
-        result = list(_iso_reduce(merged))
-    else:
-        result = list(merged)
-    result.sort(key=lambda q: q.rows)
-    return result
+        return list(enumerate_quandles(task))
+    replace(task, up_to_iso=False)  # refuses an order above the labeled guard
+    units = _candidate_columns(task.order)[0]
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        tables = pool.map(functools.partial(_first_column_tables, task.order), units)
+        return list(_pipeline(task, chain.from_iterable(tables)))
 
 
 def falsify(

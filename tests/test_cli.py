@@ -103,6 +103,18 @@ class TestEnumerate:
         _, parallel, _ = run_cli("enumerate", "4", "--iso", "--jobs", "3", "--tables")
         assert set(serial.split("\n\n")) == set(parallel.split("\n\n"))
 
+    @pytest.mark.parametrize("predicate", [None, *sorted(enumeration.PREDICATES)])
+    @pytest.mark.parametrize("iso", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_two_jobs_print_what_one_job_prints(self, n, iso, predicate, capsys):
+        argv = ["enumerate", str(n), "--tables"] + (["--iso"] if iso else [])
+        argv += ["--filter", predicate] if predicate else []
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_guard(self):
         code, _, err = run_cli("enumerate", "9")
         assert code == 1

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from quandles import enumeration
 from quandles.catalog import parse_table, serialize_table
 from quandles.cli import main
 from quandles.constructions import dihedral
@@ -13,6 +14,7 @@ from quandles.enumeration import (
     PREDICATES,
     EnumerationTask,
     OrderTooLargeError,
+    _candidate_columns,
     _column1_representatives,
     _iso_reduce,
     _raw_tables,
@@ -21,7 +23,6 @@ from quandles.enumeration import (
     enumerate_parallel,
     enumerate_quandles,
     falsify,
-    split_task,
 )
 from quandles.orbits import is_connected
 from quandles.perm import Permutation
@@ -51,9 +52,6 @@ ORDER6_TABLES_SHA256 = {
 }
 # Tables the orderly --iso search visits; RAW_COUNTS are the labeled ones.
 ORDERLY_COUNTS = {1: 1, 2: 1, 3: 3, 4: 10, 5: 48, 6: 277}
-# sha256 of repr([q.rows ...]) for EnumerationTask(5, up_to_iso=True,
-# partition_prefix=(1, 3)), recorded with the same search.
-PREFIX_ISO_SHA256 = "4052e0e0e9aa4d3e2644134764c6d158fcab5a6aa6e3bcf300231fdb4a932858"
 # sha256 of repr([q.rows ...]) for EnumerationTask(7, up_to_iso=True), recorded
 # with the first-column restriction alone, before the orderly search.
 ORDER7_ISO_SHA256 = "0353b08b7bd450ccf096340e0c11467491d0a6e4addcbc09b794c138e38a9c4e"
@@ -93,14 +91,13 @@ class TestRawEnumeration:
         EnumerationTask(9, order_guard=9)
 
     def test_default_guards_refuse_before_any_search(self):
-        # the orderly search has its own guard; a prefix or more than one
-        # job runs the labeled search
+        # the orderly search has its own guard; more than one job runs the
+        # labeled search
         EnumerationTask(8, up_to_iso=True)
         EnumerationTask(LABELED_ORDER_GUARD)
         for task in (
             lambda: EnumerationTask(LABELED_ORDER_GUARD + 1),
             lambda: EnumerationTask(ISO_ORDER_GUARD + 1, up_to_iso=True),
-            lambda: EnumerationTask(8, up_to_iso=True, partition_prefix=(1,)),
             lambda: enumerate_parallel(EnumerationTask(8, up_to_iso=True), 2),
         ):
             start = time.perf_counter()
@@ -169,8 +166,8 @@ class TestSymmetryBreaking:
 
     def test_searches_a_subsequence(self):
         for n in range(1, 7):
-            full = iter(_raw_tables(n, ()))
-            pruned = list(_raw_tables(n, (), orderly=True))
+            full = iter(_raw_tables(n))
+            pruned = list(_raw_tables(n, orderly=True))
             # in order: each pruned table is found in what is left of the full search
             assert all(any(t == u for u in full) for t in pruned)
             reps = {tuple(v + 1 for v in p) for p in _column1_representatives(n)}
@@ -179,13 +176,13 @@ class TestSymmetryBreaking:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_keeps_exactly_the_tables_meeting_the_rule(self, n):
-        pruned = list(_raw_tables(n, (), orderly=True))
-        assert pruned == [t for t in _raw_tables(n, ()) if meets_orderly_rule(t)]
+        pruned = list(_raw_tables(n, orderly=True))
+        assert pruned == [t for t in _raw_tables(n) if meets_orderly_rule(t)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_first_table_of_each_class_is_its_least_labeling(self, n):
         first: dict = {}
-        for t in _raw_tables(n, (), orderly=True):
+        for t in _raw_tables(n, orderly=True):
             first.setdefault(column_major_least_labeling(t), t)
         assert len(first) == ISO_COUNTS[n]
         assert all(least == t for least, t in first.items())
@@ -197,13 +194,12 @@ class TestSymmetryBreaking:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
 
-    def test_prefix_turns_the_break_off(self):
-        task = EnumerationTask(5, up_to_iso=True, partition_prefix=(1, 3))
-        rows = [q.rows for q in enumerate_quandles(task)]
-        assert len(rows) == 21
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == PREFIX_ISO_SHA256
-        labeled = (q for q in enumerate_quandles(EnumerationTask(5, partition_prefix=(1, 3))))
-        assert rows == [q.rows for q in _iso_reduce(labeled)]
+    @pytest.mark.parametrize("iso", [True, False])
+    def test_order6_tables_output_is_unchanged_with_two_jobs(self, iso, capsys):
+        argv = ["enumerate", "6", "--jobs", "2", "--tables"] + (["--iso"] if iso else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
 
     def test_order7_stream_is_unchanged(self):
         rows = [q.rows for q in enumerate_quandles(EnumerationTask(7, up_to_iso=True))]
@@ -290,25 +286,34 @@ class TestPredicatesAndFilters:
 
 
 class TestPartitioning:
-    def test_prefix_longer_than_the_order_is_refused(self):
-        with pytest.raises(ValueError, match="longer than the order"):
-            EnumerationTask(3, partition_prefix=(1, 2, 3, 1))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_first_columns_concatenate_to_the_search(self, n):
+        split = [t for p in _candidate_columns(n)[0] for t in _raw_tables(n, first=p)]
+        assert split == list(_raw_tables(n))
 
-    def test_prefix_restricts_first_row(self):
-        full = list(enumerate_quandles(EnumerationTask(4)))
-        restricted = list(
-            enumerate_quandles(EnumerationTask(4, partition_prefix=(1, 3)))
-        )
-        expected = [q.rows for q in full if q.rows[0][:2] == (1, 3)]
-        assert [q.rows for q in restricted] == expected
+    @pytest.mark.parametrize("n, cpus, workers", [(3, 64, 2), (4, 4, 4), (4, None, 1)])
+    def test_workers_are_bounded_by_units_and_cpus(self, n, cpus, workers, monkeypatch):
+        sizes = []
 
-    def test_split_covers_search_space(self):
-        subtasks = split_task(EnumerationTask(4), 3)
-        merged = sorted(
-            q.rows for t in subtasks for q in enumerate_quandles(t)
-        )
-        single = sorted(q.rows for q in enumerate_quandles(EnumerationTask(4)))
-        assert merged == single
+        class SerialPool:
+            # Records the pool size and maps in this process: no worker starts.
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        task = EnumerationTask(n, up_to_iso=True)
+        assert enumerate_parallel(task, 5000) == list(enumerate_quandles(task))
+        assert sizes == [workers]
 
     def test_parallel_matches_serial_raw(self):
         serial = enumerate_parallel(EnumerationTask(4), 1)

@@ -1,0 +1,25 @@
+"""The timing scripts under scripts/ call private search functions; run them at order 6."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_iso_orders_measures_the_orderly_search():
+    result = load("iso_orders").measure(6)
+    assert result["stream_unchanged"]
+    assert result["searched_tables"] == 277
+
+
+def test_labeled_orders_measures_the_labeled_search():
+    result = load("labeled_orders").measure(6, float("inf"))
+    assert result["tables"] == 6658
+    assert result["complete"]
