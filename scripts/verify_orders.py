@@ -1,0 +1,99 @@
+"""Time ``quandles verify N`` at orders 6 and 7.
+
+    python3 scripts/verify_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
+
+Runs ``cli.main(["verify", N])`` in process, stdlib only, one order after
+the other, and records its wall time, exit code, the counts of its last
+order line and the sha256 of its standard output. The output must be the
+per-order lines of the labeled counts (1, 1, 5, 36, 404, 6658, 152,900
+tables; 5 + 2n reports per table; nothing inconsistent); a mismatch
+exits 1.
+
+Results are merged into FILE (default ``BENCH_verify.json`` at the
+repository root) under NAME (default ``current``), so runs of two
+checkouts, chosen with ``--src``, sit side by side. The committed file
+holds, on 2 vCPUs with Python 3.11.7: ``labeled``, the checkout in which
+``verify`` checked every labeled table, and ``orbit-counting``, which
+checks one table per isomorphism class and counts it n!/|Aut(Q)| times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LABELED_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404, 6: 6658, 7: 152900}
+
+
+def expected_lines(n: int) -> list[str]:
+    lines = [
+        f"order {k}: {LABELED_COUNTS[k]} quandles, {LABELED_COUNTS[k] * (5 + 2 * k)} reports, 0 inconsistent"
+        for k in range(1, n + 1)
+    ]
+    return lines + ["nonconnected refinement candidates: 0", "all checks consistent"]
+
+
+def measure(n: int) -> dict:
+    from quandles.cli import main
+
+    out = io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(n)])
+    elapsed = perf_counter() - start
+
+    stdout = out.getvalue()
+    last = stdout.splitlines()[n - 1].split()
+    return {
+        "exit_code": code,
+        "wall_s": round(elapsed, 3),
+        "tables": int(last[2]),
+        "reports": int(last[4]),
+        "inconsistent": int(last[6]),
+        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stdout_unchanged": code == 0 and stdout.splitlines() == expected_lines(n),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--orders", type=int, nargs="+", default=[6, 7], choices=sorted(LABELED_COUNTS))
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package source to measure")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_verify.json")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    run = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "orders": {},
+    }
+    ok = True
+    for n in args.orders:
+        result = measure(n)
+        run["orders"][str(n)] = result
+        ok = ok and result["stdout_unchanged"]
+        print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items() if k != "stdout_sha256"),
+              flush=True)
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = run
+    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    if not ok:
+        print("verify printed other counts than the labeled ones", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

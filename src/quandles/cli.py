@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -121,31 +122,43 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run every checker on every quandle of each order up to ``max_order``.
+
+    Every printed count is a sum over labeled tables of something that
+    relabeling does not change, so each order checks one table per
+    isomorphism class, from the orderly search, and counts it n!/|Aut(Q)|
+    times. An order with an inconsistent report is searched again labeled,
+    to name its inconsistent tables on stderr in labeled search order.
+    """
     inconsistencies = 0
-    findings = []
+    candidates = 0
     # Cycle-shift verdicts depend only on the cycle structure: one per run.
     verdicts: dict = {}
     # Every task is made first, so an order above the guard stops the run
-    # before any order is searched.
-    tasks = [enumeration.EnumerationTask(order=n, order_guard=args.guard)
+    # before any order is searched. The labeled guard admits the rerun.
+    guard = args.guard or enumeration.LABELED_ORDER_GUARD
+    tasks = [enumeration.EnumerationTask(order=n, up_to_iso=True, order_guard=guard)
              for n in range(1, args.max_order + 1)]
     for task in tasks:
         n = task.order
         tables = 0
         reports = 0
         bad = 0
-        # One table at a time: each is checked and screened, then dropped.
-        for q in enumeration.enumerate_quandles(task):
-            tables += 1
-            for report in checks.all_checks(q, _verdicts=verdicts):
-                reports += 1
-                if not report.consistent:
-                    bad += 1
-                    print(
-                        f"INCONSISTENT {report.name} on order-{n} table {q.rows}",
-                        file=sys.stderr,
-                    )
-            findings.extend(checks.search_nonconnected_refinement((q,)))
+        # One class at a time: its table is checked and screened, then dropped.
+        for q, labelings in enumeration._weighted_quandles(task):
+            class_reports = checks.all_checks(q, _verdicts=verdicts)
+            tables += labelings
+            reports += labelings * len(class_reports)
+            bad += labelings * sum(not report.consistent for report in class_reports)
+            candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
+        if bad:
+            for q in enumeration.enumerate_quandles(replace(task, up_to_iso=False)):
+                for report in checks.all_checks(q, _verdicts=verdicts):
+                    if not report.consistent:
+                        print(
+                            f"INCONSISTENT {report.name} on order-{n} table {q.rows}",
+                            file=sys.stderr,
+                        )
         inconsistencies += bad
         if args.format == "records":
             _emit(json.dumps({
@@ -157,10 +170,10 @@ def cmd_verify(args) -> int:
     if args.format == "records":
         _emit(json.dumps({
             "command": "verify", "ok": inconsistencies == 0,
-            "nonconnected_refinement_candidates": len(findings),
+            "nonconnected_refinement_candidates": candidates,
         }))
     else:
-        _emit(f"nonconnected refinement candidates: {len(findings)}")
+        _emit(f"nonconnected refinement candidates: {candidates}")
         _emit("all checks consistent" if inconsistencies == 0 else f"{inconsistencies} INCONSISTENT reports")
     return 0 if inconsistencies == 0 else 1
 

@@ -9,6 +9,11 @@ the column of their product is forced, so each guess propagates. Every
 table of the requested order is emitted exactly once; with ``up_to_iso``
 the stream is reduced to one canonical representative per isomorphism
 class, the canonical form of the first table of the class in the stream.
+The canonical form is the least of all n! relabelings, and the relabelings
+that give it form one coset of Aut(Q); counting them in the same scan
+gives |Aut(Q)|, so each class comes with its size n!/|Aut(Q)|, the number
+of labeled tables it stands for. ``verify`` checks one table per class
+and counts its reports that many times.
 
 Columns are held 0-based as ``bytes`` together with their inverses and
 256-byte translate tables, so each conjugation is two ``bytes.translate``
@@ -42,12 +47,12 @@ every class survives, so the reduced stream is unchanged; the order-6
 search visits 277 tables instead of 6658, and order 7 1,996.
 
 One pipeline validates, filters and reduces the raw tables of a task,
-for one job and for many. The tables it validates take their right
-translations from one dict owned by that call: equal columns in
-different tables share one ``Permutation``, so its cycles, cycle
-structure and order are computed once (order 6 has 6658 tables with
-39,948 columns but 455 distinct ones). Every table is still validated in
-full. Nothing is shared between calls.
+for one job and for many. The tables it validates, and the canonical
+forms it builds, take their right translations from one dict owned by
+that call: equal columns in different tables share one ``Permutation``,
+so its cycles, cycle structure and order are computed once (order 6 has
+6658 tables with 39,948 columns but 455 distinct ones). Every table is
+still validated in full. Nothing is shared between calls.
 
 Column 1 is always the search's first branch and is never forced, so the
 labeled search splits by its first column into share-nothing units, one
@@ -61,6 +66,7 @@ keeps, so any jobs count gives what one job gives.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -282,32 +288,44 @@ def _raw_tables(
 
 def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     """Stream the quandles described by the task; deterministic for a fixed task."""
+    return (q for q, _ in _weighted_quandles(task))
+
+
+def _weighted_quandles(task: EnumerationTask) -> Iterator[tuple[Quandle, int]]:
+    """``enumerate_quandles(task)``, each quandle with the number of labeled tables it stands for."""
     return _pipeline(task, _raw_tables(task.order, task.up_to_iso))
 
 
 def _pipeline(
     task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]],
-) -> Iterator[Quandle]:
-    """Validate the raw tables against one translation pool, filter and, with ``up_to_iso``, reduce them."""
+) -> Iterator[tuple[Quandle, int]]:
+    """Validate the raw tables against one translation pool, filter and, with ``up_to_iso``, reduce them.
+
+    Each table comes with the number of labeled tables it stands for: 1,
+    or n!/|Aut(Q)| for a class representative, the size of its class.
+    """
     predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
     translations: dict[tuple[int, ...], Permutation] = {}
     stream = (Quandle(rows, _pool=translations) for rows in raw)
     if predicate is not None:
         stream = (q for q in stream if predicate(q))
     if task.up_to_iso:
-        stream = _iso_reduce(stream)
-    return stream
+        return _iso_reduce(stream, translations)
+    return ((q, 1) for q in stream)
 
 
-def _iso_reduce(stream: Iterator[Quandle]) -> Iterator[Quandle]:
-    """Keep one quandle per isomorphism class, emitted as its canonical form."""
+def _iso_reduce(
+    stream: Iterator[Quandle], pool: Optional[dict[tuple[int, ...], Permutation]] = None,
+) -> Iterator[tuple[Quandle, int]]:
+    """One (canonical form, n!/|Aut(Q)|) per isomorphism class; the forms take translations from pool."""
     buckets: dict[tuple, list[Quandle]] = {}
     for q in stream:
         reps = buckets.setdefault(q.iso_signature(), [])
         if any(are_isomorphic(rep, q) is not None for rep in reps):
             continue
         reps.append(q)
-        yield canonical_form(q)[0]
+        rows, _, automorphisms = _least_relabeling(q)
+        yield Quandle(rows, _pool=pool), math.factorial(q.n) // automorphisms
 
 
 def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
@@ -379,9 +397,19 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     """The lexicographically minimal relabeling of the table, with a witnessing map.
 
     Scans all n! relabelings with early row-by-row cutoff; meant for the
-    small orders this package targets. Row r of the relabeled table is
-    sigma L_x sigma^-1 with x = sigma^-1(r), two ``bytes.translate`` calls
-    on 0-based rows, which compare like the 1-based ones.
+    small orders this package targets.
+    """
+    rows, sigma, _ = _least_relabeling(q)
+    return Quandle(rows), Permutation(sigma)
+
+
+def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
+    """(least relabeled rows, the first sigma giving them, |Aut(Q)|); rows and sigma are 1-based bytes.
+
+    Row r of the relabeled table is sigma L_x sigma^-1 with x = sigma^-1(r),
+    two ``bytes.translate`` calls on 0-based rows, which compare like the
+    1-based ones. The sigma giving the least table form one coset of
+    Aut(Q), so counting them counts the automorphisms.
     """
     n = q.n
     identity = bytes(range(n))
@@ -389,6 +417,7 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     left = [bytes([v - 1 for v in row]) + tail for row in q.rows]
     best = [row[:n] for row in left]
     best_sigma = identity
+    ties = 0
     for images in permutations(identity):
         sigma = bytes(images)
         tab = sigma + tail
@@ -398,12 +427,13 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
             if new_row != best[r]:
                 break
         else:
-            continue  # the same table: the first witness stays
+            ties += 1  # the same table: the first witness stays
+            continue
         if new_row < best[r]:
             best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
             best_sigma = sigma
-    return (Quandle([row.translate(_ONE_BASED) for row in best]),
-            Permutation(best_sigma.translate(_ONE_BASED)))
+            ties = 1
+    return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
 
 
 def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
@@ -427,7 +457,7 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     workers = min(jobs, len(units), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tables = pool.map(functools.partial(_first_column_tables, task.order), units)
-        return list(_pipeline(task, chain.from_iterable(tables)))
+        return [q for q, _ in _pipeline(task, chain.from_iterable(tables))]
 
 
 def falsify(

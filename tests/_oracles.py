@@ -135,6 +135,19 @@ def naive_isomorphic(rows_a, rows_b):
     return None
 
 
+def automorphism_count(rows):
+    """The number of relabelings sigma with sigma(x*y) = sigma(x)*sigma(y), by trying all n!."""
+    n = len(rows)
+    return sum(
+        all(
+            sigma[rows[x][y] - 1] == rows[sigma[x] - 1][sigma[y] - 1]
+            for x in range(n)
+            for y in range(n)
+        )
+        for sigma in permutations(range(1, n + 1))
+    )
+
+
 def cycle_length_division_failures(rows, translations):
     """Every (k, x, y) whose z = x*y has an f-cycle length not dividing lcm(l_x, l_y).
 

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import cycle_length_division_failures as oracle_division_failures
+from _oracles import relabeled
 from quandles import checks
 from quandles.checks import (
     DEFAULT_WITNESS_CAP,
@@ -441,6 +444,28 @@ class TestReportInvariants:
         for n in range(1, 7):
             for q in enumerated(n, False):
                 assert check_regular_cycle(q).consistent
+
+
+class TestRelabelingInvariance:
+    """``verify`` checks one table per class and counts it n!/|Aut(Q)| times.
+
+    That is sound only if every relabeling of a table gets the same
+    verdicts and the same refinement screen as the table itself.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_relabeling_gets_the_verdicts_of_its_class(self, n, enumerated):
+        def verdicts(q):
+            return Counter(
+                (r.name, r.hypothesis_holds, r.conclusion_holds, r.consistent, r.failure_count)
+                for r in all_checks(q)
+            )
+
+        for rep in enumerated(n, True):
+            expected = (verdicts(rep), len(search_nonconnected_refinement((rep,))))
+            for sigma in permutations(range(1, n + 1)):
+                q = Quandle(relabeled(rep.rows, sigma))
+                assert (verdicts(q), len(search_nonconnected_refinement((q,)))) == expected
 
 
 class TestReportRendering:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,15 @@ from quandles.quandle import MAX_TABLE_ORDER
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, (str(Path(quandles.__file__).parents[1]), os.environ.get("PYTHONPATH")))
 ))
+
+# sha256 of the standard output of `quandles verify 6 [--format records]`,
+# recorded while verify still checked every labeled table.
+VERIFY6_SHA256 = {
+    "text": "d77ef349574baea89c83d4f5122eb921dfb01725619d1e96a1b655475e7bc6a5",
+    "records": "6c73caf0a68f73cea44619fbeb04aecc29d7232c6f6f5545b49e0a943fa6e928",
+}
+# sha256 of the standard output of `quandles verify 7`, recorded the same way.
+VERIFY7_SHA256 = "4426d366d244b23b5d236134cadac24b1db8422b51d08ee48a3ea80f6afd81e5"
 
 
 def run_cli(*args, stdin=""):
@@ -151,21 +161,66 @@ class TestVerify:
     def test_one_table_alive_at_a_time(self, monkeypatch, capsys):
         refs = []
         most_alive = 0
-        enumerate_quandles = enumeration.enumerate_quandles
+        weighted_quandles = enumeration._weighted_quandles
 
         def watched(task):
             nonlocal most_alive
-            for q in enumerate_quandles(task):
+            for q, labelings in weighted_quandles(task):
                 refs.append(weakref.ref(q))
                 most_alive = max(most_alive, sum(r() is not None for r in refs))
-                yield q
+                yield q, labelings
 
-        monkeypatch.setattr(enumeration, "enumerate_quandles", watched)
+        monkeypatch.setattr(enumeration, "_weighted_quandles", watched)
         assert main(["verify", "5"]) == 0
         assert "all checks consistent" in capsys.readouterr().out
-        assert len(refs) == 1 + 1 + 5 + 36 + 404
+        # one class representative per isomorphism class
+        assert len(refs) == 1 + 1 + 3 + 7 + 22
         # the table being yielded and the one the caller still names
         assert most_alive <= 3
+
+    @pytest.mark.parametrize("fmt", sorted(VERIFY6_SHA256))
+    def test_order6_output_is_unchanged(self, fmt, capsys):
+        assert main(["verify", "6", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256[fmt]
+
+    def test_order7_counts_every_labeled_table(self, capsys):
+        assert main(["verify", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[6:] == [
+            "order 7: 152900 quandles, 2905100 reports, 0 inconsistent",
+            "nonconnected refinement candidates: 0",
+            "all checks consistent",
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY7_SHA256
+
+    def test_an_inconsistent_class_prints_what_a_labeled_loop_prints(self, monkeypatch, capsys):
+        # Inconsistent on exactly the latin tables, a property relabeling keeps.
+        def latin_is_inconsistent(q):
+            return checks.CheckReport(name="latin-sufficiency", hypothesis_holds=True,
+                                      conclusion_holds=not q.is_latin, counted_instances=1)
+
+        monkeypatch.setattr(checks, "check_latin_sufficiency", latin_is_inconsistent)
+        out, err = [], []
+        total = candidates = 0
+        for n in range(1, 5):
+            tables = reports = bad = 0
+            for q in enumeration.enumerate_quandles(enumeration.EnumerationTask(n)):
+                tables += 1
+                for report in checks.all_checks(q):
+                    reports += 1
+                    if not report.consistent:
+                        bad += 1
+                        err.append(f"INCONSISTENT {report.name} on order-{n} table {q.rows}\n")
+                candidates += len(checks.search_nonconnected_refinement((q,)))
+            total += bad
+            out.append(f"order {n}: {tables} quandles, {reports} reports, {bad} inconsistent\n")
+        out.append(f"nonconnected refinement candidates: {candidates}\n")
+        out.append(f"{total} INCONSISTENT reports\n")
+        assert total > 0
+
+        assert main(["verify", "4"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("".join(out), "".join(err))
 
 
 class TestReport:

@@ -17,7 +17,9 @@ from quandles.enumeration import (
     _candidate_columns,
     _column1_representatives,
     _iso_reduce,
+    _least_relabeling,
     _raw_tables,
+    _weighted_quandles,
     are_isomorphic,
     canonical_form,
     enumerate_parallel,
@@ -29,6 +31,7 @@ from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
 from _oracles import (
+    automorphism_count,
     canonical_labeling,
     column_major_least_labeling,
     column_search_quandles,
@@ -158,11 +161,11 @@ class TestSymmetryBreaking:
         keep = PREDICATES[predicate] if predicate else (lambda q: True)
         full = _iso_reduce(q for q in enumerated(n, False) if keep(q))
         broken = enumerate_quandles(EnumerationTask(n, up_to_iso=True, predicate_filter=predicate))
-        assert [q.rows for q in broken] == [q.rows for q in full]
+        assert [q.rows for q in broken] == [q.rows for q, _ in full]
 
     def test_order6_stream_equals_reduction_of_full_search(self, enumerated):
         full = _iso_reduce(iter(enumerated(6, False)))
-        assert [q.rows for q in enumerated(6, True)] == [q.rows for q in full]
+        assert [q.rows for q in enumerated(6, True)] == [q.rows for q, _ in full]
 
     def test_searches_a_subsequence(self):
         for n in range(1, 7):
@@ -271,6 +274,27 @@ class TestCanonicalForm:
         for q in enumerated(n, up_to_iso):
             canon, sigma = canonical_form(q)
             assert (canon.rows, sigma.images) == canonical_labeling(q.rows)
+
+
+class TestAutomorphismCounts:
+    """The ties of the canonical scan count Aut(Q); the classes weighted by n!/|Aut(Q)| count every table."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ties_equal_a_brute_force_count(self, n, enumerated):
+        reps = enumerated(n, True)
+        assert [_least_relabeling(q)[2] for q in reps] == [automorphism_count(q.rows) for q in reps]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_class_sizes_sum_to_the_labeled_count(self, n):
+        weighted = list(_weighted_quandles(EnumerationTask(n, up_to_iso=True)))
+        assert len(weighted) == ISO_COUNTS[n]
+        assert sum(labelings for _, labelings in weighted) == RAW_COUNTS[n]
+
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    def test_filtered_class_sizes_sum_to_the_filtered_count(self, predicate, enumerated):
+        task = EnumerationTask(5, up_to_iso=True, predicate_filter=predicate)
+        labeled = [q for q in enumerated(5, False) if PREDICATES[predicate](q)]
+        assert sum(labelings for _, labelings in _weighted_quandles(task)) == len(labeled)
 
 
 class TestPredicatesAndFilters:

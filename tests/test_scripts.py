@@ -1,4 +1,4 @@
-"""The timing scripts under scripts/ call private search functions; run them at order 6."""
+"""The timing scripts under scripts/ call private search functions; run them at small orders."""
 
 import importlib.util
 from pathlib import Path
@@ -23,3 +23,9 @@ def test_labeled_orders_measures_the_labeled_search():
     result = load("labeled_orders").measure(6, float("inf"))
     assert result["tables"] == 6658
     assert result["complete"]
+
+
+def test_verify_orders_measures_verify():
+    result = load("verify_orders").measure(4)
+    assert result["stdout_unchanged"]
+    assert (result["tables"], result["reports"], result["inconsistent"]) == (36, 468, 0)
