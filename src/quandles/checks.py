@@ -28,8 +28,7 @@ Work that depends only on a permutation is cached on it, and work that
 depends only on a table on the table (orbits, latinity), so the checkers
 share it. Cycle shift on the relabeled f depends only on the cycle
 structure: ``all_checks`` checks its pairs once per structure in the table,
-or once per run when the caller passes its own verdict dict (``verify``
-does), while each column's report keeps its own relabeling. A direct call
+while each column's report keeps its own relabeling. A direct call
 of ``check_cycle_shift`` still checks every pair.
 
 Cycle length division screens whole rows instead of looping over the n^3
@@ -178,8 +177,8 @@ def check_cycle_shift(
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
     f depends only on the cycle structure of p. ``all_checks`` passes a
-    ``_verdicts`` dict, so the pairs are checked once per cycle structure
-    that dict sees; a call without it checks them all.
+    ``_verdicts`` dict of its own, so the pairs are checked once per cycle
+    structure in the table; a call without it checks them all.
     """
     verdicts = {} if _verdicts is None else _verdicts
     structure = p.cycle_structure()
@@ -370,16 +369,11 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
     )
 
 
-def all_checks(
-    q: Quandle,
-    *,
-    _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
-) -> list[CheckReport]:
+def all_checks(q: Quandle) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Cycle-shift verdicts go to ``_verdicts`` when given, so a caller checking
-    many tables computes one per cycle structure; otherwise to a dict of
-    this call's own.
+    Cycle-shift verdicts go to a dict of this call's own, so the pairs are
+    checked once per cycle structure in the table.
     """
     reports = [
         check_conjugation_identity(q),
@@ -388,7 +382,7 @@ def all_checks(
         check_latin_necessary_conditions(q),
         check_regular_cycle(q),
     ]
-    verdicts = {} if _verdicts is None else _verdicts
+    verdicts: dict[CycleStructure, tuple[int, list[tuple[int, int]]]] = {}
     for i in range(1, q.n + 1):
         reports.append(check_left_refinement(q, i))
         reports.append(check_cycle_shift(q._right_translation(i), _verdicts=verdicts))

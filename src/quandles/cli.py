@@ -132,8 +132,6 @@ def cmd_verify(args) -> int:
     """
     inconsistencies = 0
     candidates = 0
-    # Cycle-shift verdicts depend only on the cycle structure: one per run.
-    verdicts: dict = {}
     # Every task is made first, so an order above the guard stops the run
     # before any order is searched. The labeled guard admits the rerun.
     guard = args.guard or enumeration.LABELED_ORDER_GUARD
@@ -146,14 +144,14 @@ def cmd_verify(args) -> int:
         bad = 0
         # One class at a time: its table is checked and screened, then dropped.
         for q, labelings in enumeration._weighted_quandles(task):
-            class_reports = checks.all_checks(q, _verdicts=verdicts)
+            class_reports = checks.all_checks(q)
             tables += labelings
             reports += labelings * len(class_reports)
             bad += labelings * sum(not report.consistent for report in class_reports)
             candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
         if bad:
             for q in enumeration.enumerate_quandles(replace(task, up_to_iso=False)):
-                for report in checks.all_checks(q, _verdicts=verdicts):
+                for report in checks.all_checks(q):
                     if not report.consistent:
                         print(
                             f"INCONSISTENT {report.name} on order-{n} table {q.rows}",
@@ -241,13 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true", help="one canonical table per isomorphism class")
     p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per CPU; >1 splits the labeled search by"
-                        " its first column and prints what one job prints; with --iso it is slower"
-                        " than one job")
+                   help="worker processes, at most one per CPU; >1 splits the search by its"
+                        " first column and prints what one job prints")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
     p.add_argument("--guard", type=_positive_int, default=None,
                    help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD},"
-                        f" or {enumeration.ISO_ORDER_GUARD} with --iso and one job)")
+                        f" or {enumeration.ISO_ORDER_GUARD} with --iso)")
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
 

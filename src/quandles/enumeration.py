@@ -54,13 +54,16 @@ so its cycles, cycle structure and order are computed once (order 6 has
 6658 tables with 39,948 columns but 455 distinct ones). Every table is
 still validated in full. Nothing is shared between calls.
 
-Column 1 is always the search's first branch and is never forced, so the
-labeled search splits by its first column into share-nothing units, one
-per permutation fixing 1, whose outputs in lex order concatenate to the
-whole search. ``enumerate_parallel`` runs the units in worker processes
-and feeds their raw rows, in that order, to the same pipeline; the first
-table of each class in the labeled order is the one the orderly search
-keeps, so any jobs count gives what one job gives.
+Column 1 is always the search's first branch and is never forced, so
+either search splits by its first column into share-nothing units whose
+outputs, in the order of their first columns, concatenate to the whole
+search: one unit per permutation fixing 1 for the labeled search, and one
+per column-1 representative, so one per cycle type, for the orderly one.
+The orderly rule needs nothing from another unit: G_1 and the least
+permutation of each cycle type are built before the unit's first column
+is fixed. ``enumerate_parallel`` runs the units of the task's search in
+worker processes and feeds their raw rows, in that order, to the same
+pipeline, so any jobs count gives what one job gives.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -436,27 +439,27 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
     return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
 
 
-def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
-    return list(_raw_tables(n, first=first))
+def _first_column_tables(n: int, orderly: bool, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
+    return list(_raw_tables(n, orderly, first))
 
 
 def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     """``list(enumerate_quandles(task))``, with the search spread over worker processes.
 
-    More than one job splits the labeled search by its first column and
-    starts at most one worker per CPU. The workers return raw rows; the
-    parent takes them in search order and validates, filters and reduces
-    each table once, so the result equals one job's, order included. The
-    workers search without the orderly pruning, so the task is checked
-    against the labeled guard before any worker starts.
+    More than one job splits the task's own search by its first column,
+    one unit per permutation fixing 1, or per column-1 representative with
+    ``up_to_iso``, and starts at most one worker per CPU. The workers
+    return raw rows; the parent takes them in search order and validates,
+    filters and reduces each table once, so the result equals one job's,
+    order included.
     """
     if jobs <= 1:
         return list(enumerate_quandles(task))
-    replace(task, up_to_iso=False)  # refuses an order above the labeled guard
-    units = _candidate_columns(task.order)[0]
+    n = task.order
+    units = _column1_representatives(n) if task.up_to_iso else _candidate_columns(n)[0]
     workers = min(jobs, len(units), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        tables = pool.map(functools.partial(_first_column_tables, task.order), units)
+        tables = pool.map(functools.partial(_first_column_tables, n, task.up_to_iso), units)
         return [q for q, _ in _pipeline(task, chain.from_iterable(tables))]
 
 

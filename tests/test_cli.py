@@ -155,8 +155,8 @@ class TestVerify:
         monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
         assert main(["verify", "5"]) == 0
         assert "all checks consistent" in capsys.readouterr().out
-        structures = {cs for n in range(1, 6) for q in enumerated(n, False) for cs in q.column_structures()}
-        assert len(calls) == len(structures)
+        # one verdict per cycle structure of each of the 34 class tables
+        assert len(calls) == sum(len(set(q.column_structures())) for n in range(1, 6) for q in enumerated(n, True))
 
     def test_one_table_alive_at_a_time(self, monkeypatch, capsys):
         refs = []
@@ -300,7 +300,7 @@ class TestOrderGuards:
         ["verify", "9"],
         ["verify", "3", "--guard", "2"],
         ["enumerate", str(enumeration.LABELED_ORDER_GUARD + 1)],
-        ["enumerate", "8", "--iso", "--jobs", "2"],
+        ["enumerate", str(enumeration.ISO_ORDER_GUARD + 1), "--iso", "--jobs", "2"],
         ["enumerate", str(enumeration.ISO_ORDER_GUARD + 1), "--iso"],
     ])
     def test_an_order_above_the_guard_stops_before_any_work(self, argv, capsys):

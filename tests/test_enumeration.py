@@ -94,14 +94,13 @@ class TestRawEnumeration:
         EnumerationTask(9, order_guard=9)
 
     def test_default_guards_refuse_before_any_search(self):
-        # the orderly search has its own guard; more than one job runs the
-        # labeled search
+        # the orderly search has its own guard, for any number of jobs
         EnumerationTask(8, up_to_iso=True)
         EnumerationTask(LABELED_ORDER_GUARD)
         for task in (
             lambda: EnumerationTask(LABELED_ORDER_GUARD + 1),
             lambda: EnumerationTask(ISO_ORDER_GUARD + 1, up_to_iso=True),
-            lambda: enumerate_parallel(EnumerationTask(8, up_to_iso=True), 2),
+            lambda: enumerate_parallel(EnumerationTask(ISO_ORDER_GUARD + 1, up_to_iso=True), 2),
         ):
             start = time.perf_counter()
             with pytest.raises(OrderTooLargeError):
@@ -310,12 +309,19 @@ class TestPredicatesAndFilters:
 
 
 class TestPartitioning:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_first_columns_concatenate_to_the_search(self, n):
-        split = [t for p in _candidate_columns(n)[0] for t in _raw_tables(n, first=p)]
-        assert split == list(_raw_tables(n))
+    @pytest.mark.parametrize(
+        "n, orderly",
+        [(n, orderly) for orderly in (False, True) for n in range(1, 7)],
+        ids=[f"{n}-orderly" if orderly else str(n) for orderly in (False, True) for n in range(1, 7)],
+    )
+    def test_first_columns_concatenate_to_the_search(self, n, orderly):
+        # The labeled units are the permutations fixing 1, the orderly ones
+        # the column-1 representatives, one per cycle type.
+        units = _column1_representatives(n) if orderly else _candidate_columns(n)[0]
+        split = [t for p in units for t in _raw_tables(n, orderly, first=p)]
+        assert split == list(_raw_tables(n, orderly))
 
-    @pytest.mark.parametrize("n, cpus, workers", [(3, 64, 2), (4, 4, 4), (4, None, 1)])
+    @pytest.mark.parametrize("n, cpus, workers", [(3, 64, 2), (4, 4, 3), (5, 4, 4), (4, None, 1)])
     def test_workers_are_bounded_by_units_and_cpus(self, n, cpus, workers, monkeypatch):
         sizes = []
 
