@@ -13,8 +13,10 @@ Results are merged into FILE (default ``BENCH_verify.json`` at the
 repository root) under NAME (default ``current``), so runs of two
 checkouts, chosen with ``--src``, sit side by side. The committed file
 holds, on 2 vCPUs with Python 3.11.7: ``labeled``, the checkout in which
-``verify`` checked every labeled table, and ``orbit-counting``, which
-checks one table per isomorphism class and counts it n!/|Aut(Q)| times.
+``verify`` checked every labeled table; ``orbit-counting``, which
+checks one table per isomorphism class and counts it n!/|Aut(Q)| times;
+and ``screened-scan``, the same with the faster canonical-form scan that
+gives |Aut(Q)|.
 """
 
 from __future__ import annotations

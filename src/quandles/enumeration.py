@@ -15,6 +15,18 @@ gives |Aut(Q)|, so each class comes with its size n!/|Aut(Q)|, the number
 of labeled tables it stands for. ``verify`` checks one table per class
 and counts its reports that many times.
 
+The scan reads the relabelings of order n from one table, built once per
+order: (sigma, translate table, inverse) for every sigma, in
+``itertools.permutations`` order (1 ms to build at order 6; 0.05 s and
+about 18 MB at order 8; above ``ISO_ORDER_GUARD`` no table is kept and
+the relabelings are built as the scan goes). Each sigma builds the first
+row of its table first and is dropped if that row is above the best
+first row: its table is then above the best table. That is exact: a
+sigma whose first row ties is still compared row by row to the end, so
+every sigma giving the least table is counted, and the first of them in
+``permutations`` order stays the witness. Most sigma cost two
+``bytes.translate`` calls, not 2n.
+
 Columns are held 0-based as ``bytes`` together with their inverses and
 256-byte translate tables, so each conjugation is two ``bytes.translate``
 calls: R_k R_m R_k^-1 is ``inv_k.translate(tab_m).translate(tab_k)``.
@@ -71,7 +83,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, Optional
@@ -85,7 +96,7 @@ from .quandle import Quandle
 # times on 2 vCPUs (scripts/labeled_orders.py writes BENCH_labeled.json):
 # the labeled order-7 search finds 152,900 tables in about a minute, and
 # in a minute the labeled order-8 search does not finish the first of its
-# 5040 first columns, while ``enumerate 8 --iso`` finishes in about 3 min.
+# 5040 first columns, while ``enumerate 8 --iso`` finishes in about 2 min.
 LABELED_ORDER_GUARD = 7
 ISO_ORDER_GUARD = 8
 
@@ -399,11 +410,28 @@ def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
 def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     """The lexicographically minimal relabeling of the table, with a witnessing map.
 
-    Scans all n! relabelings with early row-by-row cutoff; meant for the
-    small orders this package targets.
+    Scans all n! relabelings, read from a table cached per order up to
+    ``ISO_ORDER_GUARD``; a relabeling whose first row is above the best
+    first row is dropped after that row. Meant for the small orders this
+    package targets; the witness is the first least relabeling in
+    ``itertools.permutations`` order.
     """
     rows, sigma, _ = _least_relabeling(q)
     return Quandle(rows), Permutation(sigma)
+
+
+def _relabelings(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """(sigma, its translate table, its inverse) for every sigma in S_n, 0-based bytes, in ``permutations`` order."""
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    for sigma in map(bytes, permutations(identity)):
+        yield sigma, sigma + tail, bytes.maketrans(sigma, identity)[:n]
+
+
+@functools.lru_cache(maxsize=None)
+def _relabeling_table(n: int) -> tuple[tuple[bytes, bytes, bytes], ...]:
+    """``_relabelings(n)`` kept for the life of the process; for n up to ``ISO_ORDER_GUARD``."""
+    return tuple(_relabelings(n))
 
 
 def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
@@ -411,31 +439,42 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
 
     Row r of the relabeled table is sigma L_x sigma^-1 with x = sigma^-1(r),
     two ``bytes.translate`` calls on 0-based rows, which compare like the
-    1-based ones. The sigma giving the least table form one coset of
-    Aut(Q), so counting them counts the automorphisms.
+    1-based ones. Each sigma builds row 0 first and is dropped if that row
+    is above the best row 0: its table is then above the best table. A
+    sigma whose row 0 ties is compared row by row to the end, so every
+    sigma that gives the least table is counted. They form one coset of
+    Aut(Q), so the count is |Aut(Q)|.
+
+    Up to ``ISO_ORDER_GUARD`` the relabelings are read from a table kept
+    per order. Above it they are built as the scan goes: the table would
+    hold about 160 MB at order 9 and ten times that at order 10.
     """
     n = q.n
-    identity = bytes(range(n))
     tail = bytes(range(n, 256))
     left = [bytes([v - 1 for v in row]) + tail for row in q.rows]
     best = [row[:n] for row in left]
-    best_sigma = identity
+    best0 = best[0]
+    best_sigma = bytes(range(n))
     ties = 0
-    for images in permutations(identity):
-        sigma = bytes(images)
-        tab = sigma + tail
-        inv = bytes.maketrans(sigma, identity)[:n]
-        for r in range(n):
-            new_row = inv.translate(left[inv[r]]).translate(tab)
-            if new_row != best[r]:
-                break
-        else:
-            ties += 1  # the same table: the first witness stays
+    relabelings = _relabeling_table(n) if n <= ISO_ORDER_GUARD else _relabelings(n)
+    for sigma, tab, inv in relabelings:
+        new_row = inv.translate(left[inv[0]]).translate(tab)
+        if new_row > best0:
             continue
-        if new_row < best[r]:
-            best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
-            best_sigma = sigma
-            ties = 1
+        if new_row == best0:
+            for r in range(1, n):
+                new_row = inv.translate(left[inv[r]]).translate(tab)
+                if new_row != best[r]:
+                    break
+            else:
+                ties += 1  # the same table: the first witness stays
+                continue
+            if new_row > best[r]:
+                continue
+        best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
+        best0 = best[0]
+        best_sigma = sigma
+        ties = 1
     return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
 
 
@@ -455,6 +494,10 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     """
     if jobs <= 1:
         return list(enumerate_quandles(task))
+    # Imported here, its only use: it loads multiprocessing, which a
+    # one-job run does not need.
+    from concurrent.futures import ProcessPoolExecutor
+
     n = task.order
     units = _column1_representatives(n) if task.up_to_iso else _candidate_columns(n)[0]
     workers = min(jobs, len(units), os.cpu_count() or 1)

@@ -126,7 +126,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.images):
+        if isinstance(i, bool) or not 1 <= i <= len(self.images):
             raise ValueError(f"element {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
 

@@ -173,7 +173,7 @@ class Quandle:
         self._iso_sig = None
 
     def _check_element(self, x: int) -> None:
-        if not isinstance(x, int) or not 1 <= x <= self.n:
+        if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.n:
             raise ElementOutOfRangeError(x, self.n)
 
     def op(self, i: int, j: int) -> int:

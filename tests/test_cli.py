@@ -352,3 +352,12 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "connected=no" in out
         assert "profile=[(1^3),(1^3),(1,2)]" in out
+
+
+class TestStartup:
+    def test_the_cli_does_not_load_the_process_pool(self):
+        # Only `enumerate --jobs J` with J > 1 starts workers, and it imports the pool itself.
+        code = ("import quandles.cli, sys;"
+                " print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

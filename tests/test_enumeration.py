@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import time
 from itertools import permutations
@@ -38,6 +39,7 @@ from _oracles import (
     meets_orderly_rule,
     naive_all_quandles,
     naive_isomorphic,
+    relabeled,
 )
 
 # Raw (labeled) and isomorphism-class counts, frozen after cross-checking the
@@ -267,12 +269,28 @@ class TestCanonicalForm:
         canon, _ = canonical_form(q62)
         assert canonical_form(canon)[0] == canon
 
-    @pytest.mark.parametrize("n, up_to_iso", [(1, False), (2, False), (3, False), (4, False),
-                                              (5, False), (6, True)])
-    def test_table_and_witness_match_the_plain_scan(self, n, up_to_iso, enumerated):
+    # The order-6 class representatives are canonical, so their witness is
+    # the identity, the first relabeling. Relabeled by x -> 7 - x, a later
+    # relabeling becomes the best one and its ties come after it.
+    @pytest.mark.parametrize("n, up_to_iso, relabeling", [
+        (1, False, None), (2, False, None), (3, False, None), (4, False, None),
+        (5, False, None), (6, True, None), (6, True, (6, 5, 4, 3, 2, 1)),
+    ], ids=["1-False", "2-False", "3-False", "4-False", "5-False", "6-True", "6-True-reversed"])
+    def test_table_and_witness_match_the_plain_scan(self, n, up_to_iso, relabeling, enumerated):
         for q in enumerated(n, up_to_iso):
+            if relabeling is not None:
+                q = Quandle(relabeled(q.rows, relabeling))
             canon, sigma = canonical_form(q)
             assert (canon.rows, sigma.images) == canonical_labeling(q.rows)
+
+    def test_above_the_iso_guard_no_relabeling_table_is_kept(self):
+        # The order-9 table would hold 9! relabelings, about 160 MB.
+        q = dihedral(ISO_ORDER_GUARD + 1)
+        before = enumeration._relabeling_table.cache_info()
+        canon, sigma = canonical_form(q)
+        assert enumeration._relabeling_table.cache_info() == before
+        assert q.relabel(sigma) == canon
+        assert _least_relabeling(q)[2] == 54  # Aut of the dihedral quandle of order 9 is Aff(Z_9)
 
 
 class TestAutomorphismCounts:
@@ -339,7 +357,8 @@ class TestPartitioning:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        # enumerate_parallel imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
         task = EnumerationTask(n, up_to_iso=True)
         assert enumerate_parallel(task, 5000) == list(enumerate_quandles(task))

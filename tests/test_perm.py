@@ -25,6 +25,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation([2, 3])
 
+    def test_call_rejects_elements_out_of_range(self):
+        swap = Permutation([2, 1])
+        for bad in (0, 3, -1, True, False):
+            with pytest.raises(ValueError, match="out of range"):
+                swap(bad)
+
     def test_identity(self):
         assert Permutation.identity(4).images == (1, 2, 3, 4)
 

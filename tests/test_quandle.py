@@ -177,13 +177,17 @@ class TestTranslations:
             q62.right_translation(7)
         with pytest.raises(ElementOutOfRangeError):
             q62.op(0, 1)
+        with pytest.raises(ElementOutOfRangeError):
+            q62.op(True, 2)
+        with pytest.raises(ElementOutOfRangeError):
+            q62.op(2, False)
 
     def test_range_checks_survive_the_checkers_reads(self, q62):
         from quandles.checks import all_checks, check_left_refinement
 
         q = Quandle(q62.rows)
         all_checks(q)  # reads every translation without the range check
-        for bad in (0, -1, 7, 1.0, "1"):
+        for bad in (0, -1, 7, 1.0, "1", True, False):
             with pytest.raises(ElementOutOfRangeError):
                 q.right_translation(bad)
             with pytest.raises(ElementOutOfRangeError):
