@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -82,7 +83,7 @@ def _parse_plain(text: str) -> Quandle:
     rows = []
     for lineno, line in data_lines[1:]:
         try:
-            row = [int(token) for token in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             # Locate the first bad token only now, for its column.
             for match in re.finditer(r"\S+", line):
@@ -105,10 +106,13 @@ def _parse_gap_matrix(text: str) -> Quandle:
         raise TableParseError(e.lineno, e.colno, e.msg) from None
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise TableParseError(1, 1, "expected a list of rows")
-    for row in data:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TableParseError(1, 1, f"non-integer entry: {v!r}")
+    # JSON numbers without a fraction or exponent load as int; the entries
+    # are walked one by one only to name the first that is not one.
+    if not {int}.issuperset(map(type, chain.from_iterable(data))):
+        for row in data:
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TableParseError(1, 1, f"non-integer entry: {v!r}")
     return Quandle(data)
 
 

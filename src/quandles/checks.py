@@ -41,6 +41,15 @@ n^2 (1 + d) C-level calls per table, d being the number of distinct cycle
 lengths, and the screen data is cached on each permutation. A row that
 fails is rescanned point by point, so failures keep their (k, x, y) order.
 Tables above order 256 (entries no longer fit in bytes) use the plain loop.
+
+The other checkers that can fail point by point screen the same way, on
+the 0-based byte rows and columns the table keeps from validation:
+conjugation identity is one pass of the validation's distributivity
+screen, and left refinement is decided by one ``translate`` of row i by
+the R_i-cycle labels cached on the permutation. Their point-by-point
+loops run only to name witnesses: when a screen fails, and for left
+refinement only when the hypothesis holds too, or above order 256 (a
+non-bijective row is scanned to its first repeat).
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .orbits import is_connected, orbits
 from .perm import CycleStructure, Permutation
-from .quandle import _IDENTITY_BYTES, Quandle, distributivity_failures
+from .quandle import _IDENTITY_BYTES, Quandle, _distributive, distributivity_failures
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -114,7 +123,8 @@ def _capped(failures: list[tuple[int, ...]]) -> tuple[tuple, int]:
 
 def check_conjugation_identity(q: Quandle) -> CheckReport:
     """R_k R_j R_k^-1 = R_{j*k} for all j, k, checked pointwise as R_k R_j = R_{j*k} R_k."""
-    failures = distributivity_failures(q.columns())
+    cols = q._col_bytes
+    failures = [] if cols is not None and _distributive(cols) else distributivity_failures(q.columns())
     witnesses, count = _capped(failures)
     return CheckReport(
         name="conjugation-identity",
@@ -207,11 +217,13 @@ def _row_division_failures(k: int, x: int, row: Sequence[int],
 
 
 def cycle_length_division_failures(rows: Sequence[Sequence[int]],
-                                   translations: Sequence[Permutation]) -> list[tuple[int, int, int]]:
+                                   translations: Sequence[Permutation], *,
+                                   _row_bytes: Optional[Sequence[bytes]] = None) -> list[tuple[int, int, int]]:
     """Every (k, x, y), k-major, where the f-cycle of x*y has a length not dividing lcm(l_x, l_y).
 
     f = translations[k-1] is any permutation of the points 1..n of the
-    1-based n x n table ``rows``; for a quandle they are its R_k.
+    1-based n x n table ``rows``; for a quandle they are its R_k, and
+    ``_row_bytes`` its 0-based rows as bytes, which are built otherwise.
     """
     n = len(rows)
     failures = []
@@ -221,8 +233,10 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
             for x in range(n):
                 failures.extend(_row_division_failures(k, x, rows[x], lengths))
         return failures
+    if _row_bytes is None:
+        _row_bytes = [bytes([v - 1 for v in row]) for row in rows]
     pad = _IDENTITY_BYTES[n:]
-    maps = [bytes([v - 1 for v in row]) + pad for row in rows]
+    maps = [row + pad for row in _row_bytes]
     for k, f in enumerate(translations, 1):
         lengths, order, runs = f._division_screen()
         for x, row_runs in enumerate(runs):
@@ -239,7 +253,7 @@ def check_cycle_length_division(q: Quandle) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
     failures = cycle_length_division_failures(
-        q.rows, [q._right_translation(k) for k in range(1, n + 1)]
+        q.rows, [q._right_translation(k) for k in range(1, n + 1)], _row_bytes=q._row_bytes
     )
     witnesses, count = _capped(failures)
     return CheckReport(
@@ -252,34 +266,48 @@ def check_cycle_length_division(q: Quandle) -> CheckReport:
     )
 
 
-def check_left_refinement(q: Quandle, i: int) -> CheckReport:
-    """Distinct R_i cycle lengths + unique fixed points => L_i permutes and refines R_i.
-
-    The conclusion is evaluated unconditionally so the report can show
-    whether it holds even when the hypothesis fails.
-    """
-    right = q.right_translation(i)  # checks i once for both translations
-    hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
-    row = q.rows[i - 1]
-    is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
+def _left_refinement_failures(row: Sequence[int], right: Permutation, i: int,
+                               is_permutation: bool) -> list[tuple[int, ...]]:
+    """The L_i-cycles outside every R_i-cycle, or (i, v) for the first repeated v of a non-bijective row."""
     failures = []
     if is_permutation:
         right_sets = [frozenset(c) for c in right.cycles()]
-        contained = True
         for cycle in Permutation(row).cycles():
             cset = set(cycle)
             if not any(cset <= rs for rs in right_sets):
-                contained = False
                 failures.append(tuple(cycle))
-        conclusion = contained
     else:
-        conclusion = False
         seen = set()
         for v in row:
             if v in seen:
                 failures.append((i, v))
                 break
             seen.add(v)
+    return failures
+
+
+def check_left_refinement(q: Quandle, i: int) -> CheckReport:
+    """Distinct R_i cycle lengths + unique fixed points => L_i permutes and refines R_i.
+
+    The conclusion is evaluated unconditionally so the report can show
+    whether it holds even when the hypothesis fails. For a bijective row
+    of a table kept as bytes it is decided there: each L_i-cycle lies in
+    one R_i-cycle iff L_i keeps every point's R_i-cycle label, one
+    ``translate`` of row i by the labels and one compare. Cycles are
+    walked only to name witnesses, which a report shows only when the
+    hypothesis holds; a non-bijective row is scanned to its first repeat.
+    """
+    right = q.right_translation(i)  # checks i once for both translations
+    hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
+    is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
+    on_bytes = is_permutation and q._row_bytes is not None
+    if on_bytes:
+        labels = right._cycle_labels()
+        conclusion = q._row_bytes[i - 1].translate(labels) == labels[:q.n]
+    failures = []
+    if not on_bytes or (hypothesis and not conclusion):
+        failures = _left_refinement_failures(q.rows[i - 1], right, i, is_permutation)
+        conclusion = is_permutation and not failures
     witnesses, count = _capped(failures)
     return CheckReport(
         name="left-refinement",

@@ -85,7 +85,7 @@ class Permutation:
     cycle-length division screen) is cached on it too.
     """
 
-    __slots__ = ("images", "_cycles", "_structure", "_order", "_relabeling", "_screen")
+    __slots__ = ("images", "_cycles", "_structure", "_order", "_relabeling", "_screen", "_labels")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -101,6 +101,7 @@ class Permutation:
         self._order: int | None = None
         self._relabeling: tuple[int, ...] | None = None
         self._screen: tuple | None = None
+        self._labels: bytes | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -126,7 +127,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if isinstance(i, bool) or not 1 <= i <= len(self.images):
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(self.images):
             raise ValueError(f"element {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
 
@@ -198,6 +199,19 @@ class Permutation:
                     relabeling[x - 1] = label
             self._relabeling = tuple(relabeling)
         return self._relabeling
+
+    def _cycle_labels(self) -> bytes:
+        """A 256-byte translate table sending each 0-based point to the index of its cycle; cached.
+
+        For degree at most 256 only. Bytes past the degree are zero.
+        """
+        if self._labels is None:
+            labels = bytearray(256)
+            for c, cycle in enumerate(self.cycles()):
+                for x in cycle:
+                    labels[x - 1] = c
+            self._labels = bytes(labels)
+        return self._labels
 
     def _division_screen(self) -> tuple[tuple[int, ...], bytes | None, tuple | None]:
         """(lengths, order, runs): the cycle-length division screen, cached.

@@ -11,14 +11,26 @@ j is the right translation by j. Validation is eager: a Quandle object
 cannot exist with a broken axiom.
 
 Axiom (iii) says R_k R_j = R_{j*k} R_k for every pair of columns j, k, so
-validation composes columns n^2 times instead of looping over n^3 triples.
-For n <= 256 the columns are 0-based ``bytes`` and each composition is one
-``bytes.translate`` call; larger tables compose 0-based lists.
+validation composes columns instead of looping over n^3 triples.
+
+For n <= 256 validation is a screen of whole rows and columns at C level:
+one ``set`` of entry types, one ``bytes`` of the 0-based entries, a
+``translate`` that deletes the values in range, the diagonal as one slice,
+one ``set`` per column, and for each k all n compositions on both sides of
+(iii) at once. The 0-based rows and columns it builds are kept on the
+table (``_row_bytes``, ``_col_bytes``) for the checkers' byte kernels. A
+table that fails the screen is walked again point by point, in the
+documented order (shape and entries row by row, idempotency, columns,
+distributivity), only to raise the first failure with its witness; so is
+every table above order 256, composing 0-based lists n^2 times, and a
+valid table whose entries are of an int subclass, which keeps no bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from typing import Iterator, Optional, Sequence
 
 from .perm import CycleStructure, DegreeMismatchError, Permutation
@@ -81,6 +93,9 @@ class ElementOutOfRangeError(ValueError):
 
 # Byte b -> b; its tail pads an n-byte column to a 256-byte translate table.
 _IDENTITY_BYTES = bytes(range(256))
+# Byte b -> b - 1, and x -> x - 1 on ints: 1-based entries to 0-based ones.
+_PREDECESSOR = _IDENTITY_BYTES[-1:] + _IDENTITY_BYTES[:-1]
+_DECREMENT = (1).__rsub__
 
 
 def _then_list(a: list[int], b: list[int]) -> list[int]:
@@ -120,11 +135,81 @@ def _first_difference(columns: Sequence[Sequence[int]], j: int, k: int) -> int:
                 if colk[colj[i - 1] - 1] != colm[colk[i - 1] - 1])
 
 
+def _distributive(cols: Sequence[bytes]) -> bool:
+    """True iff R_k R_j = R_{j*k} R_k for all j, k; ``cols`` are 0-based bytes columns.
+
+    For each k both sides are built for every j at once: the columns
+    joined and translated by R_k, against R_k translated by each
+    R_{j*k} in turn. That is n + 1 ``translate`` calls per k, all at C level.
+    """
+    maps = [col + _IDENTITY_BYTES[len(cols):] for col in cols]
+    joined = b"".join(cols)
+    for colk, mapk in zip(cols, maps):
+        if joined.translate(mapk) != b"".join(map(colk.translate, map(maps.__getitem__, colk))):
+            return False
+    return True
+
+
+def _screened_bytes(rows: tuple[tuple, ...], n: int) -> Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
+    """(rows, columns) as 0-based bytes if the table passes every axiom, else None; n <= 256.
+
+    Whole rows and columns are screened by C-level ``set`` and ``bytes``
+    operations. None says only that some screen failed (an entry of an
+    int subclass fails one too); ``_validate_point_by_point`` names the failure.
+    """
+    if set(map(len, rows)) != {n} or set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    entries = chain.from_iterable(rows)
+    try:
+        # Below 256 the 1-based entries fit in bytes; the translate makes them 0-based.
+        table = bytes(entries).translate(_PREDECESSOR) if n < 256 else bytes(map(_DECREMENT, entries))
+    except ValueError:
+        return None
+    if table.translate(None, _IDENTITY_BYTES[:n]) or table[::n + 1] != _IDENTITY_BYTES[:n]:
+        return None
+    cols = tuple([table[j::n] for j in range(n)])
+    if any(len(set(col)) != n for col in cols) or not _distributive(cols):
+        return None
+    return tuple([table[i:i + n] for i in range(0, n * n, n)]), cols
+
+
+def _validate_point_by_point(rows: tuple[tuple, ...], n: int) -> None:
+    """Raise the first failure in the documented order, or return if there is none.
+
+    Shape and entries row by row, then idempotency, then the columns, then
+    distributivity at the least failing (i, j, k).
+    """
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise TableShapeError(i, len(row), n)
+        for j, v in enumerate(row, 1):
+            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+                raise EntryOutOfRangeError(i, j, v, n)
+    for i in range(1, n + 1):
+        if rows[i - 1][i - 1] != i:
+            raise NotIdempotentError(i, rows[i - 1][i - 1])
+    cols = []
+    for j in range(n):
+        seen = [False] * (n + 1)
+        for row in rows:
+            v = row[j]
+            if seen[v]:
+                raise ColumnNotPermutationError(j + 1, v)
+            seen[v] = True
+        cols.append(tuple(row[j] for row in rows))
+    failures = distributivity_failures(cols)
+    if failures:
+        raise NotRightDistributiveError(*min(
+            (_first_difference(cols, j, k), j, k) for j, k in failures
+        ))
+
+
 class Quandle:
     """An immutable, fully validated quandle table."""
 
-    __slots__ = ("n", "rows", "_cols", "_pool", "_translations", "_structures", "_profile",
-                 "_row_mask", "_unique_fp", "_orbits", "_invariants", "_iso_sig", "__weakref__")
+    __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_pool", "_translations",
+                 "_structures", "_profile", "_row_mask", "_unique_fp", "_orbits", "_invariants",
+                 "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]], *,
                  _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
@@ -134,33 +219,16 @@ class Quandle:
             raise EmptyTableError()
         if n > MAX_TABLE_ORDER:
             raise TableTooLargeError(n)
-        rows = tuple(tuple(row) for row in rows)
-        for i, row in enumerate(rows, 1):
-            if len(row) != n:
-                raise TableShapeError(i, len(row), n)
-            for j, v in enumerate(row, 1):
-                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
-                    raise EntryOutOfRangeError(i, j, v, n)
-        for i in range(1, n + 1):
-            if rows[i - 1][i - 1] != i:
-                raise NotIdempotentError(i, rows[i - 1][i - 1])
-        cols = []
-        for j in range(n):
-            seen = [False] * (n + 1)
-            for row in rows:
-                v = row[j]
-                if seen[v]:
-                    raise ColumnNotPermutationError(j + 1, v)
-                seen[v] = True
-            cols.append(tuple(row[j] for row in rows))
-        failures = distributivity_failures(cols)
-        if failures:
-            raise NotRightDistributiveError(*min(
-                (_first_difference(cols, j, k), j, k) for j, k in failures
-            ))
+        rows = tuple(map(tuple, rows))
+        screened = _screened_bytes(rows, n) if n <= 256 else None
+        if screened is None:
+            _validate_point_by_point(rows, n)
         self.rows = rows
         self.n = n
-        self._cols = tuple(cols)
+        self._cols = tuple(zip(*rows))
+        # 0-based byte rows and columns for the checkers' kernels; None when
+        # the screen did not run or did not pass, and the kernels walk points.
+        self._row_bytes, self._col_bytes = screened or (None, None)
         # Right translations by column, from ``_pool`` when one is given.
         self._pool = {} if _pool is None else _pool
         self._translations: list[Optional[Permutation]] = [None] * n
@@ -235,9 +303,8 @@ class Quandle:
     def has_unique_fixed_points(self) -> bool:
         """True iff every right translation fixes exactly one element (necessarily j)."""
         if self._unique_fp is None:
-            self._unique_fp = all(
-                sum(1 for x, v in enumerate(col, 1) if v == x) == 1 for col in self._cols
-            )
+            points = range(1, self.n + 1)
+            self._unique_fp = all(sum(map(eq, col, points)) == 1 for col in self._cols)
         return self._unique_fp
 
     def column_structures(self) -> tuple[CycleStructure, ...]:

@@ -225,3 +225,87 @@ def canonical_labeling(rows):
         if best is None or table < best[0]:
             best = (table, sigma)
     return best
+
+
+def first_table_error(rows, max_order=300):
+    """(exception class name, message) of the first axiom failure of a raw table, or None.
+
+    The order is the documented one: emptiness and the order cap, then
+    shape and entries row by row, then idempotency, then each column in
+    turn, then distributivity at the least (i, j, k) by a plain triple loop.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if n == 0:
+        return "EmptyTableError", "quandle tables must be nonempty"
+    if n > max_order:
+        return "TableTooLargeError", f"table order {n} exceeds {max_order} (MAX_TABLE_ORDER)"
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            return "TableShapeError", f"row {i} has {len(row)} entries, expected {n}"
+        for j, v in enumerate(row, 1):
+            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
+                return "EntryOutOfRangeError", f"entry at ({i},{j}) is {v!r}, expected an integer in 1..{n}"
+    for i in range(1, n + 1):
+        if rows[i - 1][i - 1] != i:
+            return "NotIdempotentError", f"idempotency fails: {i}*{i} = {rows[i - 1][i - 1]}"
+    for j in range(n):
+        seen = set()
+        for row in rows:
+            if row[j] in seen:
+                return "ColumnNotPermutationError", f"column {j + 1} repeats the value {row[j]}"
+            seen.add(row[j])
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if rows[rows[i - 1][j - 1] - 1][k - 1] != rows[rows[i - 1][k - 1] - 1][rows[j - 1][k - 1] - 1]:
+                    return ("NotRightDistributiveError",
+                            f"right distributivity fails at ({i},{j},{k}): ({i}*{j})*{k} != ({i}*{k})*({j}*{k})")
+    return None
+
+
+def cycles_of(images):
+    """Cycles of a permutation given by 1-based images, each from its least point, by least point."""
+    seen = set()
+    cycles = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        x = images[start - 1]
+        while x != start:
+            cycle.append(x)
+            seen.add(x)
+            x = images[x - 1]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def left_refinement(rows, rights=None):
+    """(hypothesis, conclusion, failures, left is a permutation) of left refinement at each i.
+
+    The hypothesis at i: R_i has cycles of distinct lengths and every
+    column of the table fixes exactly one point. The conclusion: row i is
+    a permutation and each of its cycles lies inside one cycle of R_i. The
+    failures are the cycles of L_i that do not, or (i, v) for the first
+    value v that row i repeats. ``rights`` maps some i to images that
+    replace those of R_i.
+    """
+    n = len(rows)
+    rights = rights or {}
+    unique_fixed = all(sum(rows[x][j] == x + 1 for x in range(n)) == 1 for j in range(n))
+    results = []
+    for i in range(1, n + 1):
+        right = rights.get(i, [rows[x][i - 1] for x in range(n)])
+        right_cycles = cycles_of(right)
+        lengths = [len(c) for c in right_cycles]
+        hypothesis = len(set(lengths)) == len(lengths) and unique_fixed
+        row = list(rows[i - 1])
+        if sorted(row) != list(range(1, n + 1)):
+            first = next(v for k, v in enumerate(row) if v in row[:k])
+            results.append((hypothesis, False, [(i, first)], False))
+            continue
+        failures = [c for c in cycles_of(row) if not any(set(c) <= set(rc) for rc in right_cycles)]
+        results.append((hypothesis, not failures, failures, True))
+    return results

@@ -101,6 +101,30 @@ class TestParseTable:
         text = "3\n" + "\n".join("".join(sep + tok for sep, tok in line) for line in lines) + "\n"
         assert outcome(lambda: parse_table(text, "plain")) == outcome(lambda: per_token_parse(text))
 
+    @pytest.mark.parametrize("entry, shown", [
+        ("true", "True"), ("false", "False"), ("2.0", "2.0"), ("1e0", "1.0"),
+        ('"2"', "'2'"), ("null", "None"), ("[2]", "[2]"),
+    ])
+    def test_gap_matrix_non_integer_entry(self, entry, shown):
+        # a short last row too: the entries are checked before any shape
+        text = f"# order 3\n[[1,3,2],\n [3,{entry},1],\n [2,1]]\n"
+        with pytest.raises(TableParseError) as err:
+            parse_table(text, "gap_matrix")
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert str(err.value) == f"line 1, column 1: non-integer entry: {shown}"
+
+    def test_gap_matrix_first_non_integer_entry_is_named(self):
+        with pytest.raises(TableParseError, match=r"^line 1, column 1: non-integer entry: 'x'$"):
+            parse_table('[[1,2,"x"],[2,null,1],[3,1,2.5]]', "gap_matrix")
+
+    @pytest.mark.parametrize("token", ["x", "1.0", "2e0", "--1", "1,"])
+    def test_plain_bad_token(self, token):
+        text = f"# order 3\n3\n1 3 2\n3 2 1\n2  {token} 3\n"
+        with pytest.raises(TableParseError) as err:
+            parse_table(text, "plain")
+        assert (err.value.line, err.value.column) == (5, 4)
+        assert str(err.value) == f"line 5, column 4: not an integer: {token!r}"
+
     def test_wrong_row_count(self):
         with pytest.raises(TableParseError):
             parse_table("3\n1 2 3\n", "plain")

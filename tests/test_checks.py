@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import cycle_length_division_failures as oracle_division_failures
+from _oracles import left_refinement as oracle_left_refinement
 from _oracles import relabeled
 from quandles import checks
 from quandles.checks import (
@@ -259,7 +260,8 @@ class TestCycleLengthDivisionKernel:
         expected = oracle_division_failures(rows, images)
         assert cycle_length_division_failures(rows, perms) == expected
         if len(perms) == len(rows):
-            stand_in = SimpleNamespace(n=len(rows), rows=rows, _right_translation=lambda k: perms[k - 1])
+            stand_in = SimpleNamespace(n=len(rows), rows=rows, _row_bytes=None,
+                                       _right_translation=lambda k: perms[k - 1])
             report = check_cycle_length_division(stand_in)
             assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
             assert report.failure_count == len(expected)
@@ -275,7 +277,8 @@ class TestCycleLengthDivisionKernel:
         assert len(expected) > DEFAULT_WITNESS_CAP
         perms = [Permutation(p) for p in images]
         assert cycle_length_division_failures(rows, perms) == expected
-        stand_in = SimpleNamespace(n=n, rows=rows, _right_translation=lambda k: perms[k - 1])
+        stand_in = SimpleNamespace(n=n, rows=rows, _row_bytes=None,
+                                   _right_translation=lambda k: perms[k - 1])
         report = check_cycle_length_division(stand_in)
         assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
         assert report.failure_count == len(expected)
@@ -341,6 +344,84 @@ class TestLeftRefinement:
     def test_order_one(self):
         report = check_left_refinement(ORDER_ONE, 1)
         assert report.hypothesis_holds and report.conclusion_holds
+
+
+def left_refinement_fields(q):
+    """What every left-refinement report of q says, element by element."""
+    return [(r.hypothesis_holds, r.conclusion_holds, r.witnesses, r.failure_count, dict(r.details))
+            for r in (check_left_refinement(q, i) for i in range(1, q.n + 1))]
+
+
+def oracle_left_refinement_fields(rows, rights=None):
+    """The same fields from the oracle: witnesses only where the hypothesis holds."""
+    fields = []
+    for i, (hypothesis, conclusion, failures, is_permutation) in enumerate(
+            oracle_left_refinement(rows, rights), 1):
+        shown = failures if hypothesis else []
+        fields.append((hypothesis, conclusion, tuple(shown[:DEFAULT_WITNESS_CAP]), len(shown),
+                       {"element": i, "left_is_permutation": is_permutation}))
+    return fields
+
+
+def transposition_quandle(k):
+    swap = Permutation.from_cycles(k, [(1, 2)])
+    rotate = Permutation.from_cycles(k, [tuple(range(1, k + 1))])
+    return conjugation([swap, rotate], swap)
+
+
+class TestLeftRefinementAgainstOracle:
+    """The byte decision and the cycle walk that names witnesses, against a library-free oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labeled_table(self, enumerated, n):
+        for q in enumerated(n, False):
+            assert left_refinement_fields(q) == oracle_left_refinement_fields(q.rows)
+
+    def test_every_order_6_class(self, enumerated):
+        classes = enumerated(6, True)
+        assert len(classes) == 73
+        for q in classes:
+            assert left_refinement_fields(q) == oracle_left_refinement_fields(q.rows)
+
+    @pytest.mark.parametrize("n", range(3, 48, 2))
+    def test_affine(self, n):
+        for t in range(1, n):
+            if math.gcd(t, n) == 1:
+                q = affine(n, t)
+                assert left_refinement_fields(q) == oracle_left_refinement_fields(q.rows)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_transpositions(self, k):
+        q = transposition_quandle(k)
+        assert q.n == k * (k - 1) // 2
+        assert left_refinement_fields(q) == oracle_left_refinement_fields(q.rows)
+
+    def test_a_split_cycle_keeps_its_witnesses(self, monkeypatch):
+        # affine(5, 2): L_1 = (1)(2 5)(3 4) and every column fixes one point.
+        # R_1 = (1 2)(3 4 5) has distinct lengths and splits the L_1-cycle (2 5).
+        q = affine(5, 2)
+        fake = Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])
+        real = Quandle.right_translation
+        monkeypatch.setattr(Quandle, "right_translation",
+                            lambda self, i: fake if i == 1 else real(self, i))
+        report = check_left_refinement(q, 1)
+        assert report.hypothesis_holds and not report.conclusion_holds and not report.consistent
+        assert (report.witnesses, report.failure_count) == (((2, 5),), 1)
+        assert report.details == {"element": 1, "left_is_permutation": True}
+        assert left_refinement_fields(q)[0] == oracle_left_refinement_fields(q.rows, {1: fake.images})[0]
+
+    def test_a_repeating_row_is_never_contained(self, nonlatin3, monkeypatch):
+        # L_2 = [3, 2, 2] keeps every point in the one cycle of R_2 = (1 2 3),
+        # yet it is not a permutation, so the conclusion fails.
+        fake = Permutation.from_cycles(3, [(1, 2, 3)])
+        real = Quandle.right_translation
+        monkeypatch.setattr(Quandle, "right_translation",
+                            lambda self, i: fake if i == 2 else real(self, i))
+        report = check_left_refinement(nonlatin3, 2)
+        assert not report.conclusion_holds
+        assert report.details == {"element": 2, "left_is_permutation": False}
+        assert left_refinement_fields(nonlatin3)[1] == \
+            oracle_left_refinement_fields(nonlatin3.rows, {2: fake.images})[1]
 
 
 class TestLatinSufficiency:

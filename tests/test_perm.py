@@ -31,6 +31,17 @@ class TestConstruction:
             with pytest.raises(ValueError, match="out of range"):
                 swap(bad)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_call_rejects_non_integers_like_the_table_accessors(self, bad):
+        from quandles import builtin_example
+        from quandles.quandle import ElementOutOfRangeError
+
+        swap = Permutation([2, 1])
+        with pytest.raises(ValueError, match=f"element {bad} out of range 1..2"):
+            swap(bad)
+        with pytest.raises(ElementOutOfRangeError):
+            builtin_example("nonlatin3").op(bad, 1)
+
     def test_identity(self):
         assert Permutation.identity(4).images == (1, 2, 3, 4)
 

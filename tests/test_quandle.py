@@ -16,10 +16,11 @@ from quandles.quandle import (
     Quandle,
     TableError,
     TableTooLargeError,
+    _distributive,
     distributivity_failures,
 )
 
-from _oracles import axioms_hold
+from _oracles import axioms_hold, first_table_error
 
 
 def mutate(rows, i, j, value):
@@ -144,6 +145,7 @@ class TestDistributivityKernel:
             pairs = sorted({(j, k) for _, j, k in triples})
             columns = list(zip(*rows))
             assert distributivity_failures(columns) == pairs
+            assert _distributive([bytes(v - 1 for v in col) for col in columns]) == (not pairs)
             try:
                 Quandle(rows)
                 accepted = True
@@ -159,6 +161,96 @@ class TestDistributivityKernel:
         with pytest.raises(NotRightDistributiveError) as err:
             Quandle(rows)
         assert (err.value.i, err.value.j, err.value.k) == next(failing_triples(rows))
+
+
+def outcome(rows):
+    """(exception class name, message) of ``Quandle(rows)``, or None when it validates."""
+    try:
+        Quandle(rows)
+    except TableError as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+BAD_ENTRIES = (0, "n+1", True, 1.0, "1", None)
+
+
+def broken_tables(rows, cells):
+    """The table with each bad entry at each cell, then with one row one short and one long."""
+    n = len(rows)
+    for i, j in cells:
+        for bad in BAD_ENTRIES:
+            yield mutate(rows, i, j, n + 1 if bad == "n+1" else bad)
+    for i in sorted({i for i, _ in cells}):
+        short = [list(r) for r in rows]
+        short[i - 1].pop()
+        yield short
+        long = [list(r) for r in rows]
+        long[i - 1].append(long[i - 1][0])
+        yield long
+
+
+def dihedral_rows(n):
+    return [[(2 * j - i) % n + 1 for j in range(n)] for i in range(n)]
+
+
+SCREEN_SOURCES = dict(EXAMPLE_TABLES)
+SCREEN_SOURCES["affine(11,3)"] = affine(11, 3).rows
+SCREEN_SOURCES["dihedral(8)"] = dihedral(8).rows
+
+
+class TestValidationScreen:
+    """The byte screen names the same first failure as the library-free oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_SOURCES))
+    def test_every_cell_and_row_length(self, name):
+        rows = SCREEN_SOURCES[name]
+        n = len(rows)
+        assert outcome(rows) is None is first_table_error(rows)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for broken in broken_tables(rows, cells):
+            assert outcome(broken) == first_table_error(broken)
+
+    @pytest.mark.parametrize("name", sorted(SCREEN_SOURCES))
+    def test_valid_values_in_every_cell_and_column_swaps(self, name):
+        rows = SCREEN_SOURCES[name]
+        n = len(rows)
+        tables = [mutate(rows, i, j, v) for i in range(1, n + 1) for j in range(1, n + 1)
+                  for v in range(1, n + 1)]
+        for broken in tables + list(column_swaps(rows)):
+            assert outcome(broken) == first_table_error(broken)
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_the_byte_bounds(self, n):
+        # 255 and 256 are screened on bytes (256 by another conversion), 257 only point by point
+        rows = dihedral_rows(n)
+        cells = [(1, 1), (1, 2), (2, 1), (n // 2, n // 3), (n, n - 1), (n, n)]
+        for broken in broken_tables(rows, cells):
+            assert outcome(broken) == first_table_error(broken)
+
+    def test_the_largest_byte_table_validates(self):
+        rows = dihedral_rows(256)
+        q = Quandle(rows)
+        assert q._col_bytes[255] == bytes(row[255] - 1 for row in rows)
+        swapped = [list(r) for r in rows]
+        swapped[2][1], swapped[4][1] = swapped[4][1], swapped[2][1]
+        assert outcome(swapped) == first_table_error(swapped)
+
+    def test_int_subclass_entries_take_the_point_paths(self):
+        from enum import IntEnum
+
+        from quandles.checks import all_checks, render_report
+
+        Element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
+        plain = dihedral(8)
+        q = Quandle([[Element(v) for v in row] for row in plain.rows])
+        assert q == plain and q._row_bytes is q._col_bytes is None
+        assert [render_report(r) for r in all_checks(q)] == [render_report(r) for r in all_checks(plain)]
+
+    def test_bytes_are_built_once_and_kept(self):
+        q = dihedral(8)
+        assert q._row_bytes == tuple(bytes(v - 1 for v in row) for row in q.rows)
+        assert q._col_bytes == tuple(bytes(v - 1 for v in col) for col in q.columns())
 
 
 class TestTranslations:

@@ -29,3 +29,15 @@ def test_verify_orders_measures_verify():
     result = load("verify_orders").measure(4)
     assert result["stdout_unchanged"]
     assert (result["tables"], result["reports"], result["inconsistent"]) == (36, 468, 0)
+
+
+def test_catalog_orders_times_every_stage():
+    result = load("catalog_orders").measure(11, rounds=1)
+    assert result["answers_unchanged"] and result["exit_code"] == 0
+    # Aff(Z_n, t) by cycle type: 1, 2, 3, 2, 3 tables at n = 3..11; S_4 and S_5
+    assert result["tables"] == 13
+    # the digests of the point-by-point checkout at this order
+    assert result["reports_sha256"].startswith("21c5fe34a218")
+    assert result["report_stdout_sha256"].startswith("d23c2e753ae5")
+    stages = ("parse_s", "conjugation_identity_s", "left_refinement_s", "cycle_shift_s", "report_s")
+    assert all(result[stage] > 0 for stage in stages)
