@@ -26,8 +26,10 @@ repository root) under NAME (default ``current``), so runs of two
 checkouts, chosen with ``--src``, sit side by side. The committed file
 holds, on 2 vCPUs with Python 3.11.7 and ``--rounds 11``, the last of
 three alternating runs a side: ``point-loops``, the checkout that
-validated tables and decided left refinement point by point, and
-``byte-screens``, which screens them with ``bytes`` and ``set`` operations.
+validated tables and decided left refinement point by point, against
+``byte-screens``, which screens them with ``bytes`` and ``set``
+operations; then ``fixed-sets``, which checks cycle-length division as
+the closure of each Fix(f^m), against a fresh ``byte-screens`` run.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ tables, which then stay out of the per-index survey table.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -75,9 +77,11 @@ def _parse_plain(text: str) -> Quandle:
         raise TableParseError(1, 1, "no table data found")
     lineno, header = data_lines[0]
     tokens = header.split()
-    if len(tokens) != 1 or not tokens[0].lstrip("-").isdigit():
+    if len(tokens) != 1 or not tokens[0].removeprefix("-").isdecimal():
         raise TableParseError(lineno, 1, f"expected the order on its own line, got {header.strip()!r}")
     n = int(tokens[0])
+    if n < 0:
+        raise TableParseError(lineno, 1, f"expected a positive order, got {n}")
     if len(data_lines) - 1 != n:
         raise TableParseError(lineno, 1, f"expected {n} table rows, found {len(data_lines) - 1}")
     rows = []
@@ -197,8 +201,11 @@ def catalog_index(name: str) -> Optional[tuple[int, int]]:
 
 
 def load_catalog(directory: str | Path) -> tuple[CatalogEntry, ...]:
-    """Read every *.qdl file in the directory, sorted by filename."""
+    """Read every *.qdl file in the directory, sorted by filename; OSError if it is no directory."""
     directory = Path(directory)
+    if not directory.is_dir():
+        code = errno.ENOTDIR if directory.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(directory))
     entries = []
     for path in sorted(directory.glob("*.qdl")):
         q = parse_table(path.read_text(), "auto")

@@ -31,16 +31,16 @@ structure: ``all_checks`` checks its pairs once per structure in the table,
 while each column's report keeps its own relabeling. A direct call
 of ``check_cycle_shift`` still checks every pair.
 
-Cycle length division screens whole rows instead of looping over the n^3
-triples (k, x, y). Under f = R_k, a product z = x*y passes iff z lies in
-Fix(f^lcm(l_x, l_y)). With the points sorted by f-cycle length, the
-products of row x form one ``bytes.translate`` of that order by the row,
-and each class of equal l_y is one slice whose fixed points a second
-``translate`` deletes; anything left over is a failure. That is about
-n^2 (1 + d) C-level calls per table, d being the number of distinct cycle
-lengths, and the screen data is cached on each permutation. A row that
-fails is rescanned point by point, so failures keep their (k, x, y) order.
-Tables above order 256 (entries no longer fit in bytes) use the plain loop.
+Cycle length division is checked as a closure rule, not over the n^3
+triples (k, x, y). Under f = R_k, l_{x*y} divides lcm(l_x, l_y) for all
+x, y exactly when each Fix(f^m), m = lcm(a, b) for cycle lengths a, b of
+f, is closed under *: x, y in Fix(f^m) have lcm(l_x, l_y) dividing m, and
+a failing pair fails at its own m. Each permutation caches these sets as
+bytes, except those of the m its order divides (every point). Row x fails
+iff for some set S holding x, ``S.translate(row x)`` keeps a product once
+S is deleted from it. Only failing rows are rescanned point by point,
+with the cycle lengths, so failures keep their (k, x, y) order. Above
+order 256 (entries no longer fit in bytes) every row is scanned so.
 
 The other checkers that can fail point by point screen the same way, on
 the 0-based byte rows and columns the table keeps from validation:
@@ -216,6 +216,15 @@ def _row_division_failures(k: int, x: int, row: Sequence[int],
             if math.lcm(lx, lengths[y - 1]) % lengths[z - 1]]
 
 
+def _cycle_lengths(f: Permutation) -> list[int]:
+    """The f-cycle length of each 0-based point."""
+    lengths = [0] * f.n
+    for cycle in f.cycles():
+        for x in cycle:
+            lengths[x - 1] = len(cycle)
+    return lengths
+
+
 def cycle_length_division_failures(rows: Sequence[Sequence[int]],
                                    translations: Sequence[Permutation], *,
                                    _row_bytes: Optional[Sequence[bytes]] = None) -> list[tuple[int, int, int]]:
@@ -226,26 +235,21 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
     ``_row_bytes`` its 0-based rows as bytes, which are built otherwise.
     """
     n = len(rows)
+    maps = None
+    if n <= 256:
+        if _row_bytes is None:
+            _row_bytes = [bytes([v - 1 for v in row]) for row in rows]
+        pad = _IDENTITY_BYTES[n:]
+        maps = [row + pad for row in _row_bytes]
     failures = []
-    if n > 256:
-        for k, f in enumerate(translations, 1):
-            lengths = f._division_screen()[0]
-            for x in range(n):
-                failures.extend(_row_division_failures(k, x, rows[x], lengths))
-        return failures
-    if _row_bytes is None:
-        _row_bytes = [bytes([v - 1 for v in row]) for row in rows]
-    pad = _IDENTITY_BYTES[n:]
-    maps = [row + pad for row in _row_bytes]
     for k, f in enumerate(translations, 1):
-        lengths, order, runs = f._division_screen()
-        for x, row_runs in enumerate(runs):
-            if row_runs:
-                products = order.translate(maps[x])
-                for start, stop, fixed in row_runs:
-                    if products[start:stop].translate(None, fixed):
-                        failures.extend(_row_division_failures(k, x, rows[x], lengths))
-                        break
+        scan = range(n) if maps is None else sorted(
+            {x for fixed in f._division_screen() for x in fixed
+             if fixed.translate(maps[x]).translate(None, fixed)})
+        if scan:
+            lengths = _cycle_lengths(f)
+            for x in scan:
+                failures.extend(_row_division_failures(k, x, rows[x], lengths))
     return failures
 
 

@@ -12,7 +12,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 
@@ -90,17 +90,20 @@ class Permutation:
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         n = len(images)
-        seen = [False] * (n + 1)
-        for v in images:
-            if not (1 <= v <= n) or seen[v]:
-                raise ValueError(f"images are not a bijection of 1..{n}: {images}")
-            seen[v] = True
+        # One C-level screen; the images are walked only to name a failure,
+        # and an int subclass passes the walk.
+        if not ({int}.issuperset(map(type, images)) and sorted(images) == list(range(1, n + 1))):
+            seen = [False] * (n + 1)
+            for v in images:
+                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n or seen[v]:
+                    raise ValueError(f"images are not a bijection of 1..{n}: {images}")
+                seen[v] = True
         self.images = images
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None
         self._order: int | None = None
         self._relabeling: tuple[int, ...] | None = None
-        self._screen: tuple | None = None
+        self._screen: tuple[bytes, ...] | None = None
         self._labels: bytes | None = None
 
     @classmethod
@@ -113,9 +116,11 @@ class Permutation:
         images = list(range(1, n + 1))
         touched = set()
         for cycle in cycles:
+            if not cycle:
+                raise ValueError("cycles must be nonempty")
             for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-                if not (1 <= a <= n):
-                    raise ValueError(f"cycle element {a} out of range 1..{n}")
+                if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
+                    raise ValueError(f"cycle element {a!r} out of range 1..{n}")
                 if a in touched:
                     raise ValueError(f"cycles are not disjoint at element {a}")
                 touched.add(a)
@@ -213,53 +218,25 @@ class Permutation:
             self._labels = bytes(labels)
         return self._labels
 
-    def _division_screen(self) -> tuple[tuple[int, ...], bytes | None, tuple | None]:
-        """(lengths, order, runs): the cycle-length division screen, cached.
+    def _division_screen(self) -> tuple[bytes, ...]:
+        """The sets Fix(f^m) that the cycle-length division check needs closed, cached.
 
-        ``lengths[x]`` is the cycle length of the 0-based point x. For degree
-        at most 256 (the points fit in bytes), ``order`` holds the 0-based
-        points as bytes sorted by cycle length, and ``runs[x]`` lists triples
-        (start, stop, fixed): order[start:stop] is one class of points of
-        cycle length b, or adjacent classes sharing the set, and ``fixed``
-        holds the points of Fix(f^lcm(l_x, b)). Classes whose set is every
-        point are left out. Above degree 256 ``order`` and ``runs`` are None.
+        m runs over lcm(a, b) for cycle lengths a, b of f, except the m that
+        the order divides (their set is every point). Each set holds the
+        0-based points whose cycle length divides m, as bytes; a set fixes
+        its m as the lcm of its lengths, so no two are equal. For degree at
+        most 256 only.
         """
         if self._screen is None:
-            n = len(self.images)
             cycles = self.cycles()
-            lengths = [0] * n
-            for cycle in cycles:
-                m = len(cycle)
-                for x in cycle:
-                    lengths[x - 1] = m
-            order = runs = None
-            if n <= 256:
-                order = bytes([x - 1 for cycle in sorted(cycles, key=len) for x in cycle])
-                classes = []
-                start = 0
-                for b, mult in self.cycle_structure().entries:
-                    classes.append((b, start, start + b * mult))
-                    start += b * mult
-                # Fix(f^m): the points whose cycle length divides m.
-                fixed_of: dict[int, bytes] = {}
-                runs_of = {}
-                for a, _ in self.cycle_structure().entries:
-                    a_runs: list[tuple[int, int, bytes]] = []
-                    for b, start, stop in classes:
-                        m = math.lcm(a, b)
-                        if m % self.order == 0:
-                            continue
-                        fixed = fixed_of.get(m)
-                        if fixed is None:
-                            fixed = fixed_of[m] = bytes(
-                                [x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
-                        if a_runs and a_runs[-1][1] == start and a_runs[-1][2] == fixed:
-                            a_runs[-1] = (a_runs[-1][0], stop, fixed)
-                        else:
-                            a_runs.append((start, stop, fixed))
-                    runs_of[a] = tuple(a_runs)
-                runs = tuple([runs_of[a] for a in lengths])
-            self._screen = (tuple(lengths), order, runs)
+            lengths = {len(cycle) for cycle in cycles}
+            order = math.lcm(*lengths)
+            fixed_of: dict[int, bytes] = {}
+            for a, b in combinations_with_replacement(lengths, 2):
+                m = math.lcm(a, b)
+                if m % order and m not in fixed_of:
+                    fixed_of[m] = bytes([x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
+            self._screen = tuple(fixed_of.values())
         return self._screen
 
     def fixed_points(self) -> frozenset[int]:

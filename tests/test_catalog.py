@@ -125,6 +125,14 @@ class TestParseTable:
         assert (err.value.line, err.value.column) == (5, 4)
         assert str(err.value) == f"line 5, column 4: not an integer: {token!r}"
 
+    @pytest.mark.parametrize("header, message", [
+        ("-1", "expected a positive order, got -1"),
+        ("--1", "expected the order on its own line, got '--1'"),
+    ])
+    def test_plain_header_that_is_no_order(self, header, message):
+        with pytest.raises(TableParseError, match=f"^line 2, column 1: {message}$"):
+            parse_table(f"# order\n{header}\n", "plain")
+
     def test_wrong_row_count(self):
         with pytest.raises(TableParseError):
             parse_table("3\n1 2 3\n", "plain")
@@ -289,6 +297,13 @@ class TestLoadCatalog:
         entries = load_catalog(tmp_path)
         assert [e.name for e in entries] == ["Q_6_2", "Q_9_4"]
         assert entries[0].quandle == q62
+
+    def test_missing_directory_or_a_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_catalog(tmp_path / "missing")
+        (tmp_path / "Q_3_1.qdl").write_text("[[1,3,2],[3,2,1],[2,1,3]]")
+        with pytest.raises(NotADirectoryError):
+            load_catalog(tmp_path / "Q_3_1.qdl")
 
     def test_gap_matrix_files_load_too(self, tmp_path):
         (tmp_path / "Q_3_1.qdl").write_text("[[1,3,2],[3,2,1],[2,1,3]]")

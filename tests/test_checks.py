@@ -210,6 +210,13 @@ def transposition_quandle(k):
                        Permutation.from_cycles(k, [(1, 2)]))
 
 
+# Arbitrary n x n tables with up to n arbitrary permutations standing in for the R_k.
+TABLES_AND_PERMUTATIONS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.permutations(range(1, n + 1)), min_size=0, max_size=n),
+))
+
+
 class TestCycleLengthDivisionKernel:
     """The row screen against a plain triple loop, on quandles and on non-automorphisms."""
 
@@ -249,10 +256,7 @@ class TestCycleLengthDivisionKernel:
             assert q.n == k * (k - 1) // 2
             self.assert_matches_oracle(q)
 
-    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(st.permutations(range(1, n + 1)), min_size=0, max_size=n),
-    )))
+    @given(TABLES_AND_PERMUTATIONS)
     def test_arbitrary_tables_and_permutations(self, drawn):
         # Arbitrary permutations stand in for the R_k, so failures occur.
         rows, images = drawn
@@ -283,17 +287,54 @@ class TestCycleLengthDivisionKernel:
         assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
         assert report.failure_count == len(expected)
 
+    @given(TABLES_AND_PERMUTATIONS)
+    def test_rescans_exactly_the_rows_holding_a_failure(self, drawn):
+        rows, images = drawn
+        scanned = []
+        rescan = checks._row_division_failures
+
+        def record(k, x, row, lengths):
+            scanned.append((k, x + 1))
+            return rescan(k, x, row, lengths)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "_row_division_failures", record)
+            cycle_length_division_failures(rows, [Permutation(p) for p in images])
+        expected = oracle_division_failures(rows, images)
+        assert scanned == sorted({(k, x) for k, x, _ in expected})
+
     @pytest.mark.parametrize("n", [256, 257])
-    def test_largest_byte_order_and_the_list_path(self, n):
-        # Order 256 still screens bytes; order 257 takes the plain loop.
+    def test_largest_byte_order_and_the_list_path(self, n, monkeypatch):
+        # Order 256 still screens bytes; order 257 takes the plain loop and builds no screen.
         rows = [[(2 * x + 3 * y) % n + 1 for y in range(n)] for x in range(n)]
         cycles = [(1,), (2, 3), tuple(range(4, 8)), tuple(range(8, n + 1))]
         f = Permutation.from_cycles(n, cycles)
         g = Permutation([(x + 1) % n + 1 for x in range(n)])
         expected = oracle_division_failures(rows, [f.images, g.images])
         assert expected
+        built = []
+        screen = Permutation._division_screen
+
+        def build(p):
+            if n > 256:
+                raise AssertionError("division screen built above order 256")
+            built.append(p)
+            return screen(p)
+
+        monkeypatch.setattr(Permutation, "_division_screen", build)
         assert cycle_length_division_failures(rows, [f, g]) == expected
-        assert (f._division_screen()[1] is None) == (n > 256)
+        assert built == ([f, g] if n <= 256 else [])
+
+    def test_screen_holds_each_set_that_is_not_every_point_once(self):
+        for images in permutations(range(1, 7)):
+            f = Permutation(images)
+            lengths = {len(c) for c in f.cycles()}
+            expected = {frozenset(x - 1 for x in range(1, 7) if (f ** m)(x) == x)
+                        for a in lengths for b in lengths
+                        for m in [math.lcm(a, b)] if m % f.order}
+            screen = f._division_screen()
+            assert len(screen) == len(expected)
+            assert set(map(frozenset, screen)) == expected
 
     def test_screen_is_cached_on_the_permutation(self, q94):
         p = q94.right_translation(1)

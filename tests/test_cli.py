@@ -239,6 +239,16 @@ class TestReport:
         assert record["stats"]["latin"] == 1
         assert record["repeat_free"] == [{"n": 9, "m": [4], "profile": "(2,6)"}]
 
+    def test_missing_directory_or_a_file_is_an_error(self, tmp_path, q94, capsys):
+        table = tmp_path / "Q_9_4.qdl"
+        table.write_text(serialize_table(q94, "plain"))
+        for path, reason in ((tmp_path / "missing", "No such file or directory"),
+                             (table, "Not a directory")):
+            assert main(["report", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and reason in captured.err
+
 
 class TestConstruct:
     def test_dihedral(self):

@@ -25,6 +25,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation([2, 3])
 
+    @pytest.mark.parametrize("images", [[1.0], ["1"], [True], [2, None], [2, 1.0], [False, 1]])
+    def test_rejects_non_integer_images_like_the_table_accessors(self, images):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(images)
+
+    def test_int_subclass_images_are_accepted(self):
+        class Label(int):
+            pass
+
+        assert Permutation([Label(2), Label(3), 1]).images == (2, 3, 1)
+
+    @given(st.lists(st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 5), st.just("1")),
+                    max_size=5))
+    def test_screen_agrees_with_a_walk(self, images):
+        n = len(images)
+        valid = (all(isinstance(v, int) and not isinstance(v, bool) for v in images)
+                 and sorted(images) == list(range(1, n + 1)))
+        try:
+            Permutation(images)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+
     def test_call_rejects_elements_out_of_range(self):
         swap = Permutation([2, 1])
         for bad in (0, 3, -1, True, False):
@@ -52,6 +76,11 @@ class TestConstruction:
     def test_from_cycles_rejects_overlap(self):
         with pytest.raises(ValueError):
             Permutation.from_cycles(4, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("cycles", [[()], [(1, 2), ()], [(1.0, 2)], [(1, "2")], [(True, 2)], [(0, 1)]])
+    def test_from_cycles_rejects_empty_cycles_and_bad_elements(self, cycles):
+        with pytest.raises(ValueError):
+            Permutation.from_cycles(3, cycles)
 
 
 class TestAlgebra:
