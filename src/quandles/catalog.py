@@ -17,9 +17,7 @@ tables, which then stay out of the per-index survey table.
 
 from __future__ import annotations
 
-import errno
 import json
-import os
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -202,12 +200,9 @@ def catalog_index(name: str) -> Optional[tuple[int, int]]:
 
 def load_catalog(directory: str | Path) -> tuple[CatalogEntry, ...]:
     """Read every *.qdl file in the directory, sorted by filename; OSError if it is no directory."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        code = errno.ENOTDIR if directory.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(directory))
     entries = []
-    for path in sorted(directory.glob("*.qdl")):
+    # Listing the directory raises the OSError that glob would swallow.
+    for path in sorted(p for p in Path(directory).iterdir() if p.match("*.qdl")):
         q = parse_table(path.read_text(), "auto")
         entries.append(CatalogEntry.from_quandle(path.stem, q))
     return tuple(entries)

@@ -35,12 +35,14 @@ Cycle length division is checked as a closure rule, not over the n^3
 triples (k, x, y). Under f = R_k, l_{x*y} divides lcm(l_x, l_y) for all
 x, y exactly when each Fix(f^m), m = lcm(a, b) for cycle lengths a, b of
 f, is closed under *: x, y in Fix(f^m) have lcm(l_x, l_y) dividing m, and
-a failing pair fails at its own m. Each permutation caches these sets as
-bytes, except those of the m its order divides (every point). Row x fails
-iff for some set S holding x, ``S.translate(row x)`` keeps a product once
-S is deleted from it. Only failing rows are rescanned point by point,
-with the cycle lengths, so failures keep their (k, x, y) order. Above
-order 256 (entries no longer fit in bytes) every row is scanned so.
+a failing pair x, y fails at m = lcm(l_x, l_y), so row x needs only the
+sets of the m = lcm(l_x, b), b a cycle length. Each permutation caches
+these sets as bytes, each with the rows that need it, except those of
+the m its order divides (every point). Row x fails iff for some set S
+that needs it, ``S.translate(row x)`` keeps a product once S is deleted
+from it. Only failing rows are rescanned point by point, with the cycle
+lengths, so failures keep their (k, x, y) order. Above order 256
+(entries no longer fit in bytes) every row is scanned so.
 
 The other checkers that can fail point by point screen the same way, on
 the 0-based byte rows and columns the table keeps from validation:
@@ -244,7 +246,7 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
     failures = []
     for k, f in enumerate(translations, 1):
         scan = range(n) if maps is None else sorted(
-            {x for fixed in f._division_screen() for x in fixed
+            {x for fixed, tested in f._division_screen() for x in tested
              if fixed.translate(maps[x]).translate(None, fixed)})
         if scan:
             lengths = _cycle_lengths(f)

@@ -12,7 +12,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -90,20 +90,19 @@ class Permutation:
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         n = len(images)
-        # One C-level screen; the images are walked only to name a failure,
-        # and an int subclass passes the walk.
-        if not ({int}.issuperset(map(type, images)) and sorted(images) == list(range(1, n + 1))):
-            seen = [False] * (n + 1)
-            for v in images:
-                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n or seen[v]:
-                    raise ValueError(f"images are not a bijection of 1..{n}: {images}")
-                seen[v] = True
+        seen = [False] * (n + 1)
+        for v in images:
+            # A plain int pays one identity test; an int subclass other than bool passes.
+            if ((type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)))
+                    or not 1 <= v <= n or seen[v]):
+                raise ValueError(f"images are not a bijection of 1..{n}: {images}")
+            seen[v] = True
         self.images = images
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None
         self._order: int | None = None
         self._relabeling: tuple[int, ...] | None = None
-        self._screen: tuple[bytes, ...] | None = None
+        self._screen: tuple[tuple[bytes, bytes], ...] | None = None
         self._labels: bytes | None = None
 
     @classmethod
@@ -218,25 +217,34 @@ class Permutation:
             self._labels = bytes(labels)
         return self._labels
 
-    def _division_screen(self) -> tuple[bytes, ...]:
+    def _division_screen(self) -> tuple[tuple[bytes, bytes], ...]:
         """The sets Fix(f^m) that the cycle-length division check needs closed, cached.
 
         m runs over lcm(a, b) for cycle lengths a, b of f, except the m that
-        the order divides (their set is every point). Each set holds the
-        0-based points whose cycle length divides m, as bytes; a set fixes
-        its m as the lcm of its lengths, so no two are equal. For degree at
-        most 256 only.
+        the order divides (their set is every point). Each entry pairs the
+        set, the 0-based points whose cycle length divides m, with the points
+        x that must be tested against it: those of a length a with
+        m = lcm(a, b) for some length b, since a failing pair x, y fails at
+        m = lcm(l_x, l_y). Both are bytes. For degree at most 256 only.
         """
         if self._screen is None:
             cycles = self.cycles()
+            order = self.order
             lengths = {len(cycle) for cycle in cycles}
-            order = math.lcm(*lengths)
-            fixed_of: dict[int, bytes] = {}
-            for a, b in combinations_with_replacement(lengths, 2):
-                m = math.lcm(a, b)
-                if m % order and m not in fixed_of:
-                    fixed_of[m] = bytes([x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
-            self._screen = tuple(fixed_of.values())
+            row_lengths: dict[int, set[int]] = {}
+            for a in lengths:
+                for b in lengths:
+                    m = math.lcm(a, b)
+                    if m % order:
+                        row_lengths.setdefault(m, set()).add(a)
+            screen = []
+            for m, needing in row_lengths.items():
+                fixed = bytes([x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
+                # An m that is itself a length is needed by every length dividing it.
+                tested = fixed if m in lengths else bytes(
+                    [x - 1 for cycle in cycles if len(cycle) in needing for x in cycle])
+                screen.append((fixed, tested))
+            self._screen = tuple(screen)
         return self._screen
 
     def fixed_points(self) -> frozenset[int]:

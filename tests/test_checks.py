@@ -325,16 +325,39 @@ class TestCycleLengthDivisionKernel:
         assert cycle_length_division_failures(rows, [f, g]) == expected
         assert built == ([f, g] if n <= 256 else [])
 
-    def test_screen_holds_each_set_that_is_not_every_point_once(self):
-        for images in permutations(range(1, 7)):
-            f = Permutation(images)
-            lengths = {len(c) for c in f.cycles()}
-            expected = {frozenset(x - 1 for x in range(1, 7) if (f ** m)(x) == x)
-                        for a in lengths for b in lengths
-                        for m in [math.lcm(a, b)] if m % f.order}
+    @staticmethod
+    def _blocks(*lengths):
+        # Cycles of the given lengths on consecutive points.
+        starts = [sum(lengths[:i]) + 1 for i in range(len(lengths))]
+        return Permutation.from_cycles(sum(lengths), [tuple(range(s, s + m)) for s, m in zip(starts, lengths)])
+
+    def test_screen_pairs_each_needed_set_with_the_rows_it_tests(self):
+        # Fix(f^m) for m = lcm(l_x, l_y), tested by every such x, except the m the order divides.
+        degree_6 = [Permutation(images) for images in permutations(range(1, 7))]
+        wider = [self._blocks(*lengths) for lengths in [(2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (3, 4, 6, 1)]]
+        for f in degree_6 + wider:
+            n = f.n
+            length = {x: len(cycle) for cycle in f.cycles() for x in cycle}
+            tested = {}
+            for x in range(1, n + 1):
+                for y in range(1, n + 1):
+                    m = math.lcm(length[x], length[y])
+                    if m % f.order:
+                        tested.setdefault(m, set()).add(x - 1)
+            expected = {(frozenset(x - 1 for x in range(1, n + 1) if (f ** m)(x) == x), frozenset(rows))
+                        for m, rows in tested.items()}
             screen = f._division_screen()
             assert len(screen) == len(expected)
-            assert set(map(frozenset, screen)) == expected
+            assert {(frozenset(fixed), frozenset(rows)) for fixed, rows in screen} == expected
+
+    def test_a_failure_seen_only_at_an_m_that_is_no_cycle_length(self):
+        # Under (1 2)(3 4 5)(6 7 8 9), 1*3 = 6 fails at m = 6 and at no cycle length.
+        f = self._blocks(2, 3, 4)
+        rows = [list(range(1, 10)) for _ in range(9)]
+        rows[0][2] = 6
+        expected = oracle_division_failures(rows, [f.images])
+        assert expected == [(1, 1, 3)]
+        assert cycle_length_division_failures(rows, [f]) == expected
 
     def test_screen_is_cached_on_the_permutation(self, q94):
         p = q94.right_translation(1)

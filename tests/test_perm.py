@@ -38,7 +38,7 @@ class TestConstruction:
 
     @given(st.lists(st.one_of(st.integers(-1, 5), st.booleans(), st.floats(0, 5), st.just("1")),
                     max_size=5))
-    def test_screen_agrees_with_a_walk(self, images):
+    def test_accepts_exactly_the_bijections_of_ints(self, images):
         n = len(images)
         valid = (all(isinstance(v, int) and not isinstance(v, bool) for v in images)
                  and sorted(images) == list(range(1, n + 1)))
