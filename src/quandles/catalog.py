@@ -17,14 +17,12 @@ tables, which then stay out of the per-index survey table.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .checks import has_repeat_free_profile
+from ._value import Value
 from .orbits import is_connected
 from .perm import CycleStructure
 from .quandle import Profile, Quandle
@@ -102,6 +100,9 @@ def _parse_plain(text: str) -> Quandle:
 
 
 def _parse_gap_matrix(text: str) -> Quandle:
+    # Imported here, its only use: plain tables and the CLI's text output do not need it.
+    import json
+
     try:
         data = json.loads(_strip_comments(text))
     except json.JSONDecodeError as e:
@@ -162,8 +163,7 @@ def render_structure(cs: CycleStructure, omit_unique_fixed_point: bool = False) 
     return str(CycleStructure(cs.entries[1:]))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     """A named quandle with cached derived flags; the cache must match recomputation."""
 
     name: str
@@ -174,6 +174,10 @@ class CatalogEntry:
     unique_fixed_point: bool
     profile: Profile
 
+    def __init__(self, name: str, quandle: Quandle, connected: bool, latin: bool,
+                 distinct_lengths: bool, unique_fixed_point: bool, profile: Profile):
+        self._init(name, quandle, connected, latin, distinct_lengths, unique_fixed_point, profile)
+
     @classmethod
     def from_quandle(cls, name: str, q: Quandle) -> "CatalogEntry":
         return cls(
@@ -181,7 +185,7 @@ class CatalogEntry:
             quandle=q,
             connected=is_connected(q),
             latin=q.is_latin,
-            distinct_lengths=has_repeat_free_profile(q),
+            distinct_lengths=q.has_repeat_free_profile,
             unique_fixed_point=q.has_unique_fixed_points,
             profile=q.profile(),
         )
@@ -208,8 +212,7 @@ def load_catalog(directory: str | Path) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(Value):
     """Counts over a catalog, plus the non-latin unique-fixed-point oddballs."""
 
     total: int
@@ -219,6 +222,12 @@ class StatsReport:
     latin_with_repeats: int
     nonlatin_unique_fixed_point: int
     nonlatin_unique_fixed_point_entries: tuple[tuple[str, int, str], ...]
+
+    def __init__(self, total: int, connected: int, latin: int, latin_distinct_lengths: int,
+                 latin_with_repeats: int, nonlatin_unique_fixed_point: int,
+                 nonlatin_unique_fixed_point_entries: tuple[tuple[str, int, str], ...]):
+        self._init(total, connected, latin, latin_distinct_lengths, latin_with_repeats,
+                   nonlatin_unique_fixed_point, nonlatin_unique_fixed_point_entries)
 
 
 def catalog_stats(entries: Sequence[CatalogEntry]) -> StatsReport:

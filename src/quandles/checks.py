@@ -57,9 +57,9 @@ non-bijective row is scanned to its first repeat).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._value import Value
 from .orbits import is_connected, orbits
 from .perm import CycleStructure, Permutation
 from .quandle import _IDENTITY_BYTES, Quandle, _distributive, distributivity_failures
@@ -67,9 +67,8 @@ from .quandle import _IDENTITY_BYTES, Quandle, _distributive, distributivity_fai
 DEFAULT_WITNESS_CAP = 16
 
 
-@dataclass(frozen=True, eq=False)
-class CheckReport:
-    """Structured verdict of one checker run.
+class CheckReport(Value):
+    """Structured verdict of one checker run; compared and hashed by identity.
 
     ``witnesses`` holds up to a cap of failing instances; ``failure_count``
     is the total number observed. ``consistent`` is the implication
@@ -81,9 +80,18 @@ class CheckReport:
     hypothesis_holds: bool
     conclusion_holds: bool
     counted_instances: int
-    witnesses: tuple[tuple[int, ...], ...] = ()
-    failure_count: int = 0
-    details: Mapping[str, object] = field(default_factory=dict)
+    witnesses: tuple[tuple[int, ...], ...]
+    failure_count: int
+    details: Mapping[str, object]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, hypothesis_holds: bool, conclusion_holds: bool,
+                 counted_instances: int, witnesses: tuple[tuple[int, ...], ...] = (),
+                 failure_count: int = 0, details: Optional[Mapping[str, object]] = None):
+        self._init(name, hypothesis_holds, conclusion_holds, counted_instances, witnesses,
+                   failure_count, {} if details is None else details)
 
     @property
     def consistent(self) -> bool:
@@ -328,7 +336,7 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
 
 def has_repeat_free_profile(q: Quandle) -> bool:
     """True iff every right translation has cycles of pairwise distinct lengths."""
-    return all(cs.has_distinct_lengths for cs in q.column_structures())
+    return q.has_repeat_free_profile
 
 
 def check_latin_sufficiency(q: Quandle) -> CheckReport:

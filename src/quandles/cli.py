@@ -6,19 +6,22 @@ input, or from construction specs like "dihedral:5", "affine:9,4",
 "example:Q9_4". Results go to standard output; diagnostics to standard
 error. Exit codes: 0 success, 1 validation or check failure, 2 usage,
 including a malformed or unknown construction spec.
+
+Each command imports the modules it runs when it runs, so a process loads
+only those: ``constructions`` for spec inputs and ``construct``,
+``catalog`` for file and standard-input tables, ``--tables`` and
+``report``, ``checks`` for ``analyze`` and ``verify``, and ``json`` for
+``--format records``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import replace
-from pathlib import Path
 from typing import Optional
 
-from . import catalog, checks, enumeration
-from .constructions import ConstructionSpecError, build_from_spec
+from . import enumeration
 from .orbits import is_connected
 from .quandle import Quandle
 
@@ -31,12 +34,16 @@ def _load_input(arg: str) -> Quandle:
     KIND:ARGS naming no existing file is a spec even for an unknown KIND, so
     that a mistyped spec is a usage error rather than a missing file.
     """
-    if arg == "-":
-        return catalog.parse_table(sys.stdin.read(), "auto")
-    path = Path(arg)
-    if arg.split(":", 1)[0] in _SPEC_KINDS or (":" in arg and not path.exists()):
+    if arg.split(":", 1)[0] in _SPEC_KINDS or (":" in arg and not os.path.exists(arg)):
+        from .constructions import build_from_spec
+
         return build_from_spec(arg)
-    return catalog.parse_table(path.read_text(), "auto")
+    from .catalog import parse_table
+
+    if arg == "-":
+        return parse_table(sys.stdin.read(), "auto")
+    with open(arg) as f:
+        return parse_table(f.read(), "auto")
 
 
 def _yn(flag: bool) -> str:
@@ -47,25 +54,35 @@ def _emit(line: str) -> None:
     print(line)
 
 
+def _emit_record(record: dict) -> None:
+    import json
+
+    _emit(json.dumps(record))
+
+
 def cmd_check(args) -> int:
     try:
         q = _load_input(args.input)
-    except ConstructionSpecError:
-        raise
     except (ValueError, OSError) as e:
+        from .constructions import ConstructionSpecError
+
+        if isinstance(e, ConstructionSpecError):
+            raise
         if args.format == "records":
-            _emit(json.dumps({"command": "check", "valid": False, "error": str(e)}))
+            _emit_record({"command": "check", "valid": False, "error": str(e)})
         else:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
     if args.format == "records":
-        _emit(json.dumps({"command": "check", "valid": True, "order": q.n}))
+        _emit_record({"command": "check", "valid": True, "order": q.n})
     else:
         _emit(f"valid quandle of order {q.n}")
     return 0
 
 
 def cmd_analyze(args) -> int:
+    from . import checks
+
     q = _load_input(args.input)
     connected = is_connected(q)
     sufficiency = checks.check_latin_sufficiency(q)
@@ -84,7 +101,7 @@ def cmd_analyze(args) -> int:
     if args.format == "records":
         record = {"command": "analyze", **fields}
         record["order"] = q.n
-        _emit(json.dumps(record))
+        _emit_record(record)
     else:
         _emit(" ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
@@ -102,20 +119,22 @@ def cmd_enumerate(args) -> int:
         stream = iter(results)
     else:
         stream = enumeration.enumerate_quandles(task)
+    if args.tables:
+        from .catalog import serialize_table
     count = 0
     for q in stream:
         count += 1
         if args.tables:
             if args.format == "records":
-                _emit(json.dumps({"order": q.n, "rows": [list(r) for r in q.rows]}))
+                _emit_record({"order": q.n, "rows": [list(r) for r in q.rows]})
             else:
-                _emit(catalog.serialize_table(q, "plain"))
+                _emit(serialize_table(q, "plain"))
     if not args.tables:
         if args.format == "records":
-            _emit(json.dumps({
+            _emit_record({
                 "command": "enumerate", "order": args.order, "iso": args.iso,
                 "filter": args.filter, "count": count,
-            }))
+            })
         else:
             _emit(f"{count} quandles")
     return 0
@@ -130,6 +149,8 @@ def cmd_verify(args) -> int:
     times. An order with an inconsistent report is searched again labeled,
     to name its inconsistent tables on stderr in labeled search order.
     """
+    from . import checks
+
     inconsistencies = 0
     candidates = 0
     # Every task is made first, so an order above the guard stops the run
@@ -150,7 +171,8 @@ def cmd_verify(args) -> int:
             bad += labelings * sum(not report.consistent for report in class_reports)
             candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
         if bad:
-            for q in enumeration.enumerate_quandles(replace(task, up_to_iso=False)):
+            labeled = enumeration.EnumerationTask(order=n, order_guard=guard)
+            for q in enumeration.enumerate_quandles(labeled):
                 for report in checks.all_checks(q):
                     if not report.consistent:
                         print(
@@ -159,17 +181,17 @@ def cmd_verify(args) -> int:
                         )
         inconsistencies += bad
         if args.format == "records":
-            _emit(json.dumps({
+            _emit_record({
                 "command": "verify", "order": n, "tables": tables,
                 "reports": reports, "inconsistent": bad,
-            }))
+            })
         else:
             _emit(f"order {n}: {tables} quandles, {reports} reports, {bad} inconsistent")
     if args.format == "records":
-        _emit(json.dumps({
+        _emit_record({
             "command": "verify", "ok": inconsistencies == 0,
             "nonconnected_refinement_candidates": candidates,
-        }))
+        })
     else:
         _emit(f"nonconnected refinement candidates: {candidates}")
         _emit("all checks consistent" if inconsistencies == 0 else f"{inconsistencies} INCONSISTENT reports")
@@ -177,15 +199,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import catalog
+
     entries = catalog.load_catalog(args.directory)
     stats = catalog.catalog_stats(entries)
     rows5, rows6 = catalog.appendix_tables(entries)
     if args.format == "records":
-        _emit(json.dumps({
+        _emit_record({
             "command": "report",
             "stats": catalog.stats_record(stats),
             **catalog.appendix_records(rows5, rows6),
-        }))
+        })
     else:
         _emit(catalog.render_stats(stats))
         _emit("")
@@ -194,12 +218,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import build_from_spec
+
     q = build_from_spec(args.spec)
     if args.format == "records":
-        _emit(json.dumps({"command": "construct", "order": q.n,
-                          "rows": [list(r) for r in q.rows]}))
+        _emit_record({"command": "construct", "order": q.n,
+                      "rows": [list(r) for r in q.rows]})
     else:
-        _emit(catalog.serialize_table(q, "plain").rstrip("\n"))
+        from .catalog import serialize_table
+
+        _emit(serialize_table(q, "plain").rstrip("\n"))
     return 0
 
 
@@ -273,12 +301,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConstructionSpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
+        from .constructions import ConstructionSpecError
+
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConstructionSpecError) else 1
 
 
 def entrypoint() -> None:

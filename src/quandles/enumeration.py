@@ -83,11 +83,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .checks import has_repeat_free_profile
+from ._value import Value
 from .orbits import is_connected
 from .perm import CycleStructure, Permutation
 from .quandle import Quandle
@@ -103,7 +102,7 @@ ISO_ORDER_GUARD = 8
 PREDICATES: dict[str, Callable[[Quandle], bool]] = {
     "latin": lambda q: q.is_latin,
     "connected": is_connected,
-    "distinct-lengths": has_repeat_free_profile,
+    "distinct-lengths": lambda q: q.has_repeat_free_profile,
     "unique-fixed-point": lambda q: q.has_unique_fixed_points,
 }
 
@@ -116,8 +115,7 @@ class OrderTooLargeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
+class EnumerationTask(Value):
     """One enumeration request.
 
     A task above its guard is refused when it is made, before any search.
@@ -126,23 +124,25 @@ class EnumerationTask:
     """
 
     order: int
-    up_to_iso: bool = False
-    predicate_filter: Optional[str] = None
-    order_guard: Optional[int] = None
+    up_to_iso: bool
+    predicate_filter: Optional[str]
+    order_guard: Optional[int]
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, up_to_iso: bool = False,
+                 predicate_filter: Optional[str] = None, order_guard: Optional[int] = None):
+        if order < 1:
             raise ValueError("order must be positive")
-        if self.predicate_filter is not None and self.predicate_filter not in PREDICATES:
+        if predicate_filter is not None and predicate_filter not in PREDICATES:
             raise ValueError(
-                f"unknown predicate {self.predicate_filter!r};"
+                f"unknown predicate {predicate_filter!r};"
                 f" known: {', '.join(sorted(PREDICATES))}"
             )
-        guard = self.order_guard
+        guard = order_guard
         if guard is None:
-            guard = ISO_ORDER_GUARD if self.up_to_iso else LABELED_ORDER_GUARD
-        if self.order > guard:
-            raise OrderTooLargeError(self.order, guard)
+            guard = ISO_ORDER_GUARD if up_to_iso else LABELED_ORDER_GUARD
+        if order > guard:
+            raise OrderTooLargeError(order, guard)
+        self._init(order, up_to_iso, predicate_filter, order_guard)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+from ._value import Value
 
 
 class DegreeMismatchError(ValueError):
@@ -21,8 +21,7 @@ class DegreeMismatchError(ValueError):
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(Value):
     """Multiset of cycle lengths, stored as ascending (length, multiplicity) pairs.
 
     Renders in the usual compact notation: multiplicity-1 exponents are
@@ -31,19 +30,22 @@ class CycleStructure:
 
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
         prev = 0
-        for length, mult in self.entries:
+        for length, mult in entries:
             if length <= prev:
-                raise ValueError(f"cycle lengths must be strictly increasing: {self.entries}")
+                raise ValueError(f"cycle lengths must be strictly increasing: {entries}")
             if mult < 1:
-                raise ValueError(f"multiplicities must be positive: {self.entries}")
+                raise ValueError(f"multiplicities must be positive: {entries}")
             prev = length
+        self._init(entries)
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "CycleStructure":
         """Aggregate raw cycle lengths into a structure."""
-        counts = Counter(lengths)
+        counts: dict[int, int] = {}
+        for length in lengths:
+            counts[length] = counts.get(length, 0) + 1
         return cls(tuple(sorted(counts.items())))
 
     @property
@@ -252,9 +254,9 @@ class Permutation:
 
     @property
     def order(self) -> int:
-        """Least k >= 1 with self**k equal to the identity: lcm of cycle lengths."""
+        """Least k >= 1 with self**k equal to the identity: lcm of the distinct cycle lengths."""
         if self._order is None:
-            self._order = math.lcm(*(len(c) for c in self.cycles()))
+            self._order = math.lcm(*{len(cycle) for cycle in self.cycles()})
         return self._order
 
     @property

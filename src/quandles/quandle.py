@@ -28,11 +28,11 @@ valid table whose entries are of an int subclass, which keeps no bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import eq
 from typing import Iterator, Optional, Sequence
 
+from ._value import Value
 from .perm import CycleStructure, DegreeMismatchError, Permutation
 
 
@@ -208,8 +208,8 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_pool", "_translations",
-                 "_structures", "_profile", "_row_mask", "_unique_fp", "_orbits", "_invariants",
-                 "_iso_sig", "__weakref__")
+                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free", "_orbits",
+                 "_invariants", "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]], *,
                  _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
@@ -236,6 +236,7 @@ class Quandle:
         self._profile: Optional[Profile] = None
         self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
+        self._repeat_free: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
         self._invariants: Optional[tuple[tuple, ...]] = None
         self._iso_sig = None
@@ -288,6 +289,13 @@ class Quandle:
     def is_latin(self) -> bool:
         """True iff every row is a bijection, i.e. the table is a latin square."""
         return self._bijective_rows() == (1 << self.n) - 1
+
+    @property
+    def has_repeat_free_profile(self) -> bool:
+        """True iff every right translation has cycles of pairwise distinct lengths; computed once."""
+        if self._repeat_free is None:
+            self._repeat_free = all(cs.has_distinct_lengths for cs in self.column_structures())
+        return self._repeat_free
 
     def _bijective_rows(self) -> int:
         """Bit i-1 is set iff row i is a bijection; computed once per table.
@@ -366,8 +374,7 @@ class Quandle:
         return f"Quandle({[list(r) for r in self.rows]!r})"
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Value):
     """The sorted list of cycle structures of all right translations.
 
     All n structures are stored even when they coincide; collapsing the
@@ -375,6 +382,9 @@ class Profile:
     """
 
     structures: tuple[CycleStructure, ...]
+
+    def __init__(self, structures: tuple[CycleStructure, ...]):
+        self._init(structures)
 
     @classmethod
     def of(cls, structures: Sequence[CycleStructure]) -> "Profile":

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quandles
-from quandles import checks, enumeration
+from quandles import checks, constructions, enumeration
 from quandles.catalog import serialize_table
 from quandles.cli import main
 from quandles.quandle import MAX_TABLE_ORDER
@@ -353,6 +353,14 @@ class TestUsage:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
+    def test_degree_above_the_cap_is_usage_error(self, command, capsys):
+        degree = constructions.MAX_CONJUGATION_DEGREE + 1
+        assert main([command, f"conjugation:{degree};(1 2);(1 2 3)"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: degree {degree} exceeds {degree - 1} (MAX_CONJUGATION_DEGREE)\n"
+
+    @pytest.mark.parametrize("command", ["check", "analyze", "construct"])
     def test_non_unit_is_validation_error(self, command, capsys):
         assert main([command, "affine:4,2"]) == 1
         assert "not a unit" in capsys.readouterr().err
@@ -364,7 +372,44 @@ class TestUsage:
         assert "profile=[(1^3),(1^3),(1,2)]" in out
 
 
+def loaded_modules(*argv) -> set[str]:
+    """The package's modules, ``dataclasses`` and ``json`` that a fresh process holds
+    after importing the CLI and, given arguments, running ``quandles argv``."""
+    code = ("import sys, quandles.cli\n"
+            "if sys.argv[1:]: quandles.cli.main(sys.argv[1:])\n"
+            "print(*(m for m in sys.modules if m.startswith('quandles.') or m in ('dataclasses', 'json')),"
+            " file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
 class TestStartup:
+    def test_the_cli_import_loads_no_command_module(self):
+        loaded = loaded_modules()
+        assert "quandles.enumeration" in loaded
+        assert not loaded & {"dataclasses", "json", "quandles.catalog", "quandles.constructions", "quandles.checks"}
+
+    def test_the_package_import_loads_only_the_orbits_function(self):
+        code = "import sys, quandles; print(*sorted(m for m in sys.modules if m.startswith('quandles.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.stdout.split() == ["quandles._value", "quandles.orbits", "quandles.perm", "quandles.quandle"]
+
+    def test_no_module_loads_dataclasses(self):
+        code = "import sys; from quandles import *; import quandles.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+        assert (proc.stdout, proc.stderr) == ("False\n", "")
+
+    def test_enumerate_loads_no_checker_or_construction(self):
+        loaded = loaded_modules("enumerate", "6", "--iso", "--tables")
+        assert "quandles.catalog" in loaded
+        assert not loaded & {"dataclasses", "quandles.checks", "quandles.constructions"}
+
+    def test_verify_loads_no_catalog_or_construction(self):
+        loaded = loaded_modules("verify", "6")
+        assert "quandles.checks" in loaded
+        assert not loaded & {"dataclasses", "quandles.catalog", "quandles.constructions"}
+
     def test_the_cli_does_not_load_the_process_pool(self):
         # Only `enumerate --jobs J` with J > 1 starts workers, and it imports the pool itself.
         code = ("import quandles.cli, sys;"

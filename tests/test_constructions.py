@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from quandles import constructions
 from quandles.constructions import (
     MAX_CLOSURE_MEMBERS,
+    MAX_CONJUGATION_DEGREE,
     ClosureTooLargeError,
     ConstructionSpec,
     ConstructionSpecError,
@@ -204,6 +205,28 @@ class TestSpecSyntax:
         for text in ("dihedral", "dihedral:x", "affine:9", "banana:3", "conjugation:3;(1 2)"):
             with pytest.raises(ConstructionSpecError):
                 ConstructionSpec.parse(text)
+
+    def test_unknown_kind_is_refused_when_made(self):
+        # It used to be accepted and fail only in build().
+        with pytest.raises(ConstructionSpecError, match="unknown construction kind 'bogus'"):
+            ConstructionSpec(kind="bogus")
+
+    def test_conjugation_needs_a_seed(self):
+        with pytest.raises(ConstructionSpecError, match="seed"):
+            ConstructionSpec(kind="conjugation", degree=3)
+
+    def test_degree_cap(self, monkeypatch):
+        assert build_from_spec(f"conjugation:{MAX_CONJUGATION_DEGREE};(1 2);(1 2 3)").n == 3
+        # The degree is refused before any permutation is built.
+        def no_permutation(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(constructions, "parse_permutation", no_permutation)
+        with pytest.raises(ConstructionSpecError, match=f"degree {MAX_CONJUGATION_DEGREE + 1} exceeds"):
+            ConstructionSpec.parse(f"conjugation:{MAX_CONJUGATION_DEGREE + 1};(1 2);(1 2 3)")
+        seed = Permutation.from_cycles(MAX_CONJUGATION_DEGREE + 1, [(1, 2)])
+        with pytest.raises(ConstructionSpecError, match="MAX_CONJUGATION_DEGREE"):
+            ConstructionSpec(kind="conjugation", degree=MAX_CONJUGATION_DEGREE + 1, seed=seed)
 
     def test_parse_permutation(self):
         assert parse_permutation("(1 2)(3 4 5)", 5) == Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])

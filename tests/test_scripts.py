@@ -41,3 +41,15 @@ def test_catalog_orders_times_every_stage():
     assert result["report_stdout_sha256"].startswith("d23c2e753ae5")
     stages = ("parse_s", "conjugation_identity_s", "left_refinement_s", "cycle_shift_s", "report_s")
     assert all(result[stage] > 0 for stage in stages)
+
+
+def test_startup_orders_runs_each_command_in_a_fresh_process():
+    result = load("startup_orders").measure(repeats=1)
+    assert list(result) == ["check", "analyze", "enumerate", "verify", "report", "construct"]
+    assert all(row["exit_code"] == 0 and 0 < row["import_s"] < row["wall_s"] for row in result.values())
+    assert not any("dataclasses" in row["modules"] for row in result.values())
+    loads = {name: {m.removeprefix("quandles.") for m in row["modules"]} for name, row in result.items()}
+    assert loads["verify"] >= {"checks", "enumeration"} and not loads["verify"] & {"catalog", "constructions"}
+    assert "catalog" in loads["enumerate"] and not loads["enumerate"] & {"checks", "constructions"}
+    assert "constructions" in loads["analyze"] and "catalog" not in loads["analyze"]
+    assert not loads["check"] & {"checks", "constructions"}
