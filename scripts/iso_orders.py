@@ -5,8 +5,7 @@
 Runs in process, stdlib only, and takes about 3 s (``--orders 8`` about
 2 min, a fifth of it the canonical-form scan). For each order it runs
 the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
-after the other: the search (``_raw_tables`` with the isomorph-free
-pruning on), validation of every searched table, and the isomorphism
+after the other: the orderly search (``_raw_tables``), validation of every searched table, and the isomorphism
 reduction, of which it also reports the share of the canonical-form scan
 (``_least_relabeling``, reported as ``canonical_form_s``). The
 reduced stream must hash to the sha256 recorded for it before the orderly
@@ -53,7 +52,7 @@ def measure(n: int) -> dict:
     from quandles.quandle import Quandle
 
     start = perf_counter()
-    raw = list(enumeration._raw_tables(n, orderly=True))
+    raw = list(enumeration._raw_tables(n))
     searched = perf_counter()
     pool: dict = {}
     tables = [Quandle(rows, _pool=pool) for rows in raw]

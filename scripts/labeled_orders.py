@@ -1,21 +1,19 @@
-"""Time the labeled search, the one ``enumerate N`` and ``verify N`` run, at orders 6 to 8.
+"""Time the labeled stream, as ``enumerate N`` builds it, at orders 6 and 7.
 
     python3 scripts/labeled_orders.py [--label NAME] [--src DIR] [--out FILE]
 
-Runs in process, stdlib only, and takes about two and a half minutes. Orders
-6 and 7 run ``_raw_tables`` without the orderly pruning to the end and
-report the table count and the search seconds; the count must equal the
-labeled count recorded for the order (Σ n!/|Aut(Q)| over the classes), or
-the script exits 1. Order 8 stops after ``ORDER_8_CAP_S`` (60) seconds and
-reports the tables found so far and how many of its 5040 first columns
-were finished. The search emits tables in lex order of their columns, so
-the first column of the last table shows how far it got; the identity
-column comes first and holds the most tables, so the fraction done says
-little about the time left. These numbers set
-``enumeration.LABELED_ORDER_GUARD``.
+Runs in process, stdlib only. Each order consumes
+``enumerate_quandles(EnumerationTask(n))`` to the end and reports the
+table count, the wall seconds and the process's peak resident set
+(``ru_maxrss``, which only grows, so order 7's covers order 6's too). The
+count must equal the labeled count recorded for the order
+(Σ n!/|Aut(Q)| over the classes), or the script exits 1. Order 8 is not
+run: its 5,225,916 tables would be held in memory before the first is
+yielded. These numbers set ``enumeration.LABELED_ORDER_GUARD``.
 
 Results are merged into FILE (default ``BENCH_labeled.json`` at the
-repository root) under NAME (default ``current``).
+repository root) under NAME (default ``current``). ``--src`` measures
+another checkout's package, e.g. the parent commit's.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -31,37 +30,20 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 
 LABELED_COUNTS = {6: 6658, 7: 152900}
-ORDER_8_CAP_S = 60.0
 
 
-def measure(n: int, cap: float) -> dict:
-    from quandles import enumeration
+def measure(n: int) -> dict:
+    from quandles.enumeration import EnumerationTask, enumerate_quandles
 
-    first_columns = enumeration._candidate_columns(n)[0]
-    tables = 0
-    last = None
     start = perf_counter()
-    elapsed = 0.0
-    complete = True
-    for rows in enumeration._raw_tables(n):
-        tables += 1
-        last = rows
-        elapsed = perf_counter() - start
-        if elapsed > cap:
-            complete = False
-            break
-    else:
-        elapsed = perf_counter() - start
-    result = {
+    tables = sum(1 for _ in enumerate_quandles(EnumerationTask(n)))
+    wall = perf_counter() - start
+    return {
         "tables": tables,
-        "search_s": round(elapsed, 3),
-        "complete": complete,
+        "wall_s": round(wall, 3),
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    if not complete:
-        current = bytes(row[0] - 1 for row in last)
-        result["first_columns"] = len(first_columns)
-        result["first_columns_done"] = first_columns.index(current)
-    return result
 
 
 def main(argv=None) -> int:
@@ -72,18 +54,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
-    run = {
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "order_8_cap_s": ORDER_8_CAP_S,
-        "orders": {},
-    }
+    run = {"python": platform.python_version(), "cpus": os.cpu_count(), "orders": {}}
     ok = True
-    for n in (6, 7, 8):
-        result = measure(n, ORDER_8_CAP_S if n == 8 else float("inf"))
+    for n, expected in LABELED_COUNTS.items():
+        result = measure(n)
         run["orders"][str(n)] = result
-        if n in LABELED_COUNTS:
-            ok = ok and result["tables"] == LABELED_COUNTS[n]
+        ok = ok and result["tables"] == expected
         print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items()), flush=True)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
     Every printed count is a sum over labeled tables of something that
     relabeling does not change, so each order checks one table per
     isomorphism class, from the orderly search, and counts it n!/|Aut(Q)|
-    times. An order with an inconsistent report is searched again labeled,
+    times. An order with an inconsistent report is enumerated again labeled,
     to name its inconsistent tables on stderr in labeled search order.
     """
     from . import checks

@@ -5,14 +5,15 @@ permutations fixing the column index (idempotency pins the diagonal,
 right-invertibility makes columns permutations), tried in lex order, and
 right self-distributivity is enforced incrementally through its equivalent
 translation form R_k R_j R_k^-1 = R_{j*k}: whenever two columns are known,
-the column of their product is forced, so each guess propagates. Every
-table of the requested order is emitted exactly once; with ``up_to_iso``
-the stream is reduced to one canonical representative per isomorphism
-class, the canonical form of the first table of the class in the stream.
-The canonical form is the least of all n! relabelings, and the relabelings
-that give it form one coset of Aut(Q); counting them in the same scan
-gives |Aut(Q)|, so each class comes with its size n!/|Aut(Q)|, the number
-of labeled tables it stands for. ``verify`` checks one table per class
+the column of their product is forced, so each guess propagates. The
+search is orderly: it emits a subsequence of the tables that holds every
+isomorphism class. With ``up_to_iso`` each class gives one canonical
+representative, the canonical form of its first table in the stream;
+without, each class gives all its labeled tables. The canonical form is
+the least of all n! relabelings, and the relabelings that give it form
+one coset of Aut(Q); counting them in the same scan gives |Aut(Q)|, so
+each class comes with its size n!/|Aut(Q)|, the number of labeled tables
+it stands for. ``verify`` checks one table per class
 and counts its reports that many times.
 
 The scan reads the relabelings of order n from one table, built once per
@@ -31,11 +32,12 @@ Columns are held 0-based as ``bytes`` together with their inverses and
 256-byte translate tables, so each conjugation is two ``bytes.translate``
 calls: R_k R_m R_k^-1 is ``inv_k.translate(tab_m).translate(tab_k)``.
 
-Orderly search under ``up_to_iso`` (McKay's canonical augmentation, as
-in Ho-Nelson's and Vendramin's column-by-column enumerations). The search
-emits tables in lex order of their columns (R_1, .., R_n), so the first
-table of a class in the stream is its column-major lex-least labeling.
-Let H_j be the permutations that fix 1..j-1 and commute with
+The search is orderly (McKay's canonical augmentation, as in
+Ho-Nelson's and Vendramin's column-by-column enumerations). Unpruned, it
+would emit every table in lex order of its columns (R_1, .., R_n), so the
+first table of a class is its column-major lex-least labeling; the
+orderly rule keeps a subsequence that still holds that labeling of every
+class. Let H_j be the permutations that fix 1..j-1 and commute with
 R_1..R_{j-1}. Relabeling by a sigma in H_j keeps those columns and puts
 sigma R_x sigma^-1 at column j, for x = sigma^-1(j); if that is below R_j,
 every completion has a smaller labeling and the branch is cut. Level j of
@@ -50,32 +52,43 @@ j + 1 is the members of G_j that commute with R_j, listed by
 sigma^-1(j + 1). H_1 is all of S_n and is never listed beyond G_1, which
 is kept only to be refined: column 1 tries one permutation per cycle
 type, the lex-least one, e.g. (1)(2)(3 4)(5 6 7) for the type 1+2+3 at
-n = 7, which no member of G_1 conjugates below itself, and a set column
-x cuts the branch iff the least permutation fixing 1 of its cycle type
-is below R_1. Columns set by propagation lie in the subquandle generated
-by the branching columns, which every member of the later H_j fixes
-pointwise, so they need no test of their own. The least labeling of
-every class survives, so the reduced stream is unchanged; the order-6
-search visits 277 tables instead of 6658, and order 7 1,996.
+n = 7, which no member of G_1 conjugates below itself. That permutation
+puts the fixed points first and then cycles of increasing length on
+consecutive points, so two of them compare as their ascending cycle
+lengths do: at the first length that differs, the shorter cycle closes
+first and writes the smaller image. So a set column x cuts the branch iff
+its ascending cycle lengths are below R_1's. Columns set by propagation
+lie in the subquandle generated by the branching columns, which every
+member of the later H_j fixes pointwise, so they need no test of their
+own. The order-6 search visits 277 tables, not the 6658 labeled ones,
+and order 7 1,996, not 152,900.
 
-One pipeline validates, filters and reduces the raw tables of a task,
-for one job and for many. The tables it validates, and the canonical
-forms it builds, take their right translations from one dict owned by
-that call: equal columns in different tables share one ``Permutation``,
-so its cycles, cycle structure and order are computed once (order 6 has
-6658 tables with 39,948 columns but 455 distinct ones). Every table is
-still validated in full. Nothing is shared between calls.
+One pipeline validates, filters and reduces the searched tables of a
+task, for one job and for many: it keeps the first table of each
+isomorphism class. With ``up_to_iso`` a class gives its canonical form.
+Without, it gives its n!/|Aut(Q)| distinct relabelings, each class
+sorted by column-major bytes, and the classes are merged; they are
+disjoint, so every labeled table comes out once, in the lex order of its
+columns, the order the unpruned search would emit them in. The filter
+runs before the reduction: every predicate is isomorphism-invariant, so
+it keeps whole classes. An order's labeled tables are held, as bytes,
+until the merge starts: about 20 MB at order 7. The tables the pipeline
+validates, and the canonical forms it builds, take their right
+translations from one dict owned by that call: equal columns in
+different tables share one ``Permutation``, so its cycles, cycle
+structure and order are computed once (order 6 has 6658 tables with
+39,948 columns but 455 distinct ones). Every table is still validated in
+full. Nothing is shared between calls.
 
 Column 1 is always the search's first branch and is never forced, so
-either search splits by its first column into share-nothing units whose
-outputs, in the order of their first columns, concatenate to the whole
-search: one unit per permutation fixing 1 for the labeled search, and one
-per column-1 representative, so one per cycle type, for the orderly one.
-The orderly rule needs nothing from another unit: G_1 and the least
-permutation of each cycle type are built before the unit's first column
-is fixed. ``enumerate_parallel`` runs the units of the task's search in
-worker processes and feeds their raw rows, in that order, to the same
-pipeline, so any jobs count gives what one job gives.
+the search splits by its first column into share-nothing units, one per
+column-1 representative, so one per cycle type, whose outputs, in the
+order of their first columns, concatenate to the whole search. The
+orderly rule needs nothing from another unit: G_1 and the cycle types of
+the representatives are built before the unit's first column is fixed.
+``enumerate_parallel`` runs the units in worker processes, for every
+task, and feeds their raw rows, in that order, to the same pipeline, so
+any jobs count gives what one job gives.
 """
 
 from __future__ import annotations
@@ -88,14 +101,15 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ._value import Value
 from .orbits import is_connected
-from .perm import CycleStructure, Permutation
+from .perm import Permutation
 from .quandle import Quandle
 
 # The largest orders searched without an explicit guard, from measured
-# times on 2 vCPUs (scripts/labeled_orders.py writes BENCH_labeled.json):
-# the labeled order-7 search finds 152,900 tables in about a minute, and
-# in a minute the labeled order-8 search does not finish the first of its
-# 5040 first columns, while ``enumerate 8 --iso`` finishes in about 2 min.
+# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in about 2 min. The
+# labeled order-7 stream of 152,900 tables takes 7-11 s and peaks
+# at about 36 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
+# order 8 would hold its 5,225,916 tables, about 0.5 GB as bytes alone,
+# before yielding the first.
 LABELED_ORDER_GUARD = 7
 ISO_ORDER_GUARD = 8
 
@@ -152,8 +166,19 @@ def _candidate_columns(n: int) -> tuple[tuple[bytes, ...], ...]:
     return tuple(tuple(p for p in all_perms if p[j] == j) for j in range(n))
 
 
-def _cycle_type(p: bytes) -> CycleStructure:
-    return Permutation([v + 1 for v in p]).cycle_structure()
+def _cycle_type(p: bytes) -> tuple[int, ...]:
+    """The cycle lengths of a 0-based permutation, ascending with multiplicity."""
+    seen = bytearray(len(p))
+    lengths = []
+    for start in range(len(p)):
+        x, length = start, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def _column1_representatives(n: int) -> list[bytes]:
@@ -162,7 +187,7 @@ def _column1_representatives(n: int) -> list[bytes]:
     It fixes the smallest points and then closes cycles of increasing length
     on consecutive points, e.g. (0)(1)(2 3)(4 5 6) for the type 1+2+3 at n=7.
     """
-    reps: dict[CycleStructure, bytes] = {}
+    reps: dict[tuple[int, ...], bytes] = {}
     for p in _candidate_columns(n)[0]:
         reps.setdefault(_cycle_type(p), p)
     return list(reps.values())
@@ -172,15 +197,13 @@ def _column1_representatives(n: int) -> list[bytes]:
 _ONE_BASED = bytes(range(1, 256)) + b"\0"
 
 
-def _raw_tables(
-    n: int, orderly: bool = False, first: Optional[bytes] = None,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All valid tables of order n in search order, or those whose first column is first.
+def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The orderly search's tables of order n in search order, or those whose first column is first.
 
-    first is a permutation fixing 0, as 0-based bytes. With orderly, the
-    output is the subsequence of the search that the orderly rule of the
-    module docstring keeps; it still holds the column-major lex-least
-    labeling of every isomorphism class.
+    first is a column-1 representative, as 0-based bytes. The output is
+    the subsequence of the column search that the orderly rule of the
+    module docstring keeps; it holds the column-major lex-least labeling
+    of every isomorphism class.
     """
     # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
     # bytes.translate table and invs[k] its inverse; both are read only
@@ -193,15 +216,11 @@ def _raw_tables(
     # is G_j. Level 0 lists only G_0, the cycle-type rule stands in for the
     # rest of S_n, and G_{n-1} is trivial, so levels[n] stays empty.
     levels: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n + 1)]
-    if orderly:
-        levels[0] = {0: [(s + tail, bytes.maketrans(s, identity)[:n])
-                         for s in options[0] if s != identity]}
-        options[0] = _column1_representatives(n)
-        least_of_type = {_cycle_type(p): p for p in options[0]}
-    if first is not None:
-        options[0] = [first]
-    # A column's least conjugate fixing 0, looked up once per call.
-    least_conjugate: dict[bytes, bytes] = {}
+    levels[0] = {0: [(s + tail, bytes.maketrans(s, identity)[:n])
+                     for s in options[0] if s != identity]}
+    options[0] = _column1_representatives(n) if first is None else [first]
+    # A column's cycle type, found once per call.
+    cycle_types = {p: _cycle_type(p) for p in options[0]}
     cols: list[Optional[bytes]] = [None] * n
     invs: list[Optional[bytes]] = [None] * n
     tabs: list[Optional[bytes]] = [None] * n
@@ -254,13 +273,13 @@ def _raw_tables(
         # Some level i <= j moves a trail column x onto i below R_i. Level
         # 0 goes by cycle type, and the branching column j passed G_j
         # before assign.
+        first_type = cycle_types[cols[0]]
         for x in trail:
             px = cols[x]
-            rep = least_conjugate.get(px)
-            if rep is None:
-                rep = least_of_type[_cycle_type(px)]
-                least_conjugate[px] = rep
-            if rep < cols[0]:
+            cycle_type = cycle_types.get(px)
+            if cycle_type is None:
+                cycle_type = cycle_types[px] = _cycle_type(px)
+            if cycle_type < first_type:
                 return True
         for i in range(1, j + 1):
             for x in trail:
@@ -291,7 +310,7 @@ def _raw_tables(
             if group and undercut(group, p + tail, p):
                 continue
             trail: list[int] = []
-            if assign(j, p, trail) and not (orderly and trail_undercut(j, trail)):
+            if assign(j, p, trail) and not trail_undercut(j, trail):
                 refine(j)
                 yield from search(j + 1)
             for t in trail:
@@ -307,16 +326,18 @@ def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
 
 def _weighted_quandles(task: EnumerationTask) -> Iterator[tuple[Quandle, int]]:
     """``enumerate_quandles(task)``, each quandle with the number of labeled tables it stands for."""
-    return _pipeline(task, _raw_tables(task.order, task.up_to_iso))
+    return _pipeline(task, _raw_tables(task.order))
 
 
 def _pipeline(
     task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]],
 ) -> Iterator[tuple[Quandle, int]]:
-    """Validate the raw tables against one translation pool, filter and, with ``up_to_iso``, reduce them.
+    """Validate the searched tables against one translation pool, filter them and reduce them to classes.
 
-    Each table comes with the number of labeled tables it stands for: 1,
-    or n!/|Aut(Q)| for a class representative, the size of its class.
+    With ``up_to_iso`` each class gives its canonical form, with the
+    number of labeled tables it stands for, n!/|Aut(Q)|. Without, each
+    class gives its labeled tables, each validated against the same pool
+    and standing for 1, all in column-major lex order.
     """
     predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
     translations: dict[tuple[int, ...], Permutation] = {}
@@ -325,21 +346,53 @@ def _pipeline(
         stream = (q for q in stream if predicate(q))
     if task.up_to_iso:
         return _iso_reduce(stream, translations)
-    return ((q, 1) for q in stream)
+    labeled = _labeled_tables(task.order, _first_of_each_class(stream))
+    return ((Quandle(rows, _pool=translations), 1) for rows in labeled)
+
+
+def _first_of_each_class(stream: Iterator[Quandle]) -> Iterator[Quandle]:
+    """The first table of each isomorphism class in the stream, in stream order."""
+    buckets: dict[tuple, list[Quandle]] = {}
+    for q in stream:
+        reps = buckets.setdefault(q.iso_signature(), [])
+        if all(are_isomorphic(rep, q) is None for rep in reps):
+            reps.append(q)
+            yield q
 
 
 def _iso_reduce(
     stream: Iterator[Quandle], pool: Optional[dict[tuple[int, ...], Permutation]] = None,
 ) -> Iterator[tuple[Quandle, int]]:
     """One (canonical form, n!/|Aut(Q)|) per isomorphism class; the forms take translations from pool."""
-    buckets: dict[tuple, list[Quandle]] = {}
-    for q in stream:
-        reps = buckets.setdefault(q.iso_signature(), [])
-        if any(are_isomorphic(rep, q) is not None for rep in reps):
-            continue
-        reps.append(q)
+    for q in _first_of_each_class(stream):
         rows, _, automorphisms = _least_relabeling(q)
         yield Quandle(rows, _pool=pool), math.factorial(q.n) // automorphisms
+
+
+def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]:
+    """Every labeled table of the given classes of order n, once each, in column-major lex order.
+
+    Column c of the table relabeled by sigma is sigma R_x sigma^-1 for
+    x = sigma^-1(c), two ``bytes.translate`` calls on 0-based columns; the
+    second is done once on the joined columns. The relabelings of a class
+    are gathered in a set, as column-major bytes, and sorted; the classes
+    are disjoint, so a merge of their sorted lists holds each table once.
+    Rows are yielded as 1-based bytes.
+    """
+    # Imported here, its only use, as --iso and verify do not need it.
+    import heapq
+
+    tail = bytes(range(n, 256))
+    per_class = []
+    for q in classes:
+        relabelings = _relabeling_table(n) if n <= ISO_ORDER_GUARD else _relabelings(n)
+        maps = [bytes([v - 1 for v in col]) + tail for col in q.columns()]
+        tables = {b"".join(map(inv.translate, map(maps.__getitem__, inv))).translate(tab)
+                  for _, tab, inv in relabelings}
+        per_class.append(sorted(tables))
+    for table in heapq.merge(*per_class):
+        table = table.translate(_ONE_BASED)
+        yield [table[i::n] for i in range(n)]
 
 
 def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
@@ -478,19 +531,19 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
     return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
 
 
-def _first_column_tables(n: int, orderly: bool, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
-    return list(_raw_tables(n, orderly, first))
+def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ...]]:
+    return list(_raw_tables(n, first))
 
 
 def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     """``list(enumerate_quandles(task))``, with the search spread over worker processes.
 
-    More than one job splits the task's own search by its first column,
-    one unit per permutation fixing 1, or per column-1 representative with
-    ``up_to_iso``, and starts at most one worker per CPU. The workers
-    return raw rows; the parent takes them in search order and validates,
-    filters and reduces each table once, so the result equals one job's,
-    order included.
+    More than one job splits the search by its first column, one unit per
+    column-1 representative, and starts at most one worker per CPU. The
+    workers return raw rows; the parent takes them in search order and
+    validates, filters and reduces each table once, and without
+    ``up_to_iso`` builds and validates the labeled tables, so the result
+    equals one job's, order included.
     """
     if jobs <= 1:
         return list(enumerate_quandles(task))
@@ -499,10 +552,10 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     from concurrent.futures import ProcessPoolExecutor
 
     n = task.order
-    units = _column1_representatives(n) if task.up_to_iso else _candidate_columns(n)[0]
+    units = _column1_representatives(n)
     workers = min(jobs, len(units), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        tables = pool.map(functools.partial(_first_column_tables, n, task.up_to_iso), units)
+        tables = pool.map(functools.partial(_first_column_tables, n), units)
         return [q for q, _ in _pipeline(task, chain.from_iterable(tables))]
 
 

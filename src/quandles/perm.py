@@ -99,6 +99,16 @@ class Permutation:
                     or not 1 <= v <= n or seen[v]):
                 raise ValueError(f"images are not a bijection of 1..{n}: {images}")
             seen[v] = True
+        self._set(images)
+
+    @classmethod
+    def _of_bijection(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, which the caller has shown to be a bijection of 1..n."""
+        p = cls.__new__(cls)
+        p._set(images)
+        return p
+
+    def _set(self, images: tuple[int, ...]) -> None:
         self.images = images
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None

@@ -268,13 +268,17 @@ class Quandle:
         return self._right_translation(j)
 
     def _right_translation(self, j: int) -> Permutation:
-        """``right_translation`` without the range check, for loops over 1..n."""
+        """``right_translation`` without the range check, for loops over 1..n.
+
+        Validation has shown every column to be a bijection of 1..n, so the
+        permutation is built without walking its images again.
+        """
         p = self._translations[j - 1]
         if p is None:
             col = self._cols[j - 1]
             p = self._pool.get(col)
             if p is None:
-                p = self._pool[col] = Permutation(col)
+                p = self._pool[col] = Permutation._of_bijection(col)
             self._translations[j - 1] = p
         return p
 

@@ -15,10 +15,10 @@ from quandles.enumeration import (
     PREDICATES,
     EnumerationTask,
     OrderTooLargeError,
-    _candidate_columns,
     _column1_representatives,
     _iso_reduce,
     _least_relabeling,
+    _pipeline,
     _raw_tables,
     _weighted_quandles,
     are_isomorphic,
@@ -66,6 +66,25 @@ def _cycle_type(p: bytes):
     return Permutation([v + 1 for v in p]).cycle_structure()
 
 
+def column_major(rows):
+    return tuple(zip(*rows))
+
+
+def labeled_stream(n, enumerated):
+    """The labeled tables of order n in column-major lex order.
+
+    Up to order 5 they are the generate-and-test oracle's tables, sorted;
+    at order 6 the enumerated stream, whose printed tables must hash to
+    the pinned sha256.
+    """
+    if n <= 5:
+        return sorted(column_search_quandles(n), key=column_major)
+    tables = enumerated(n, False)
+    printed = "".join(serialize_table(q, "plain") + "\n" for q in tables)
+    assert hashlib.sha256(printed.encode()).hexdigest() == ORDER6_TABLES_SHA256[False]
+    return [q.rows for q in tables]
+
+
 class TestRawEnumeration:
     def test_order3_equals_naive_filter(self, enumerated):
         assert {q.rows for q in enumerated(3, False)} == naive_all_quandles(3)
@@ -73,6 +92,17 @@ class TestRawEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_column_search(self, n, enumerated):
         assert {q.rows for q in enumerated(n, False)} == column_search_quandles(n)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("predicate", [None, *sorted(PREDICATES)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stream_is_the_sorted_column_search(self, n, predicate, jobs, enumerated):
+        # The labeled tables are the relabelings of the orderly classes; in
+        # column-major lex order they are what a search without pruning finds.
+        keep = PREDICATES[predicate] if predicate else (lambda q: True)
+        expected = [t for t in labeled_stream(n, enumerated) if keep(Quandle(t))]
+        task = EnumerationTask(n, predicate_filter=predicate)
+        assert [q.rows for q in enumerate_parallel(task, jobs)] == expected
 
     @pytest.mark.parametrize("n", sorted(RAW_COUNTS))
     def test_raw_counts(self, n, enumerated):
@@ -138,6 +168,9 @@ class TestColumn1Representatives:
         assert all(sorted(p) == list(range(n)) and p[0] == 0 for p in reps)
         assert len({_cycle_type(p) for p in reps}) == len(reps)
         assert reps == sorted(reps)
+        # Sorted by ascending cycle lengths too, the order the search cuts by.
+        assert reps == sorted(reps, key=_cycle_type)
+        assert [enumeration._cycle_type(p) for p in reps] == [_cycle_type(p).lengths() for p in reps]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_lex_least_of_its_type(self, n):
@@ -160,7 +193,7 @@ class TestSymmetryBreaking:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stream_equals_reduction_of_full_search(self, n, predicate, enumerated):
         keep = PREDICATES[predicate] if predicate else (lambda q: True)
-        full = _iso_reduce(q for q in enumerated(n, False) if keep(q))
+        full = _iso_reduce(q for q in map(Quandle, labeled_stream(n, enumerated)) if keep(q))
         broken = enumerate_quandles(EnumerationTask(n, up_to_iso=True, predicate_filter=predicate))
         assert [q.rows for q in broken] == [q.rows for q, _ in full]
 
@@ -168,10 +201,10 @@ class TestSymmetryBreaking:
         full = _iso_reduce(iter(enumerated(6, False)))
         assert [q.rows for q in enumerated(6, True)] == [q.rows for q, _ in full]
 
-    def test_searches_a_subsequence(self):
+    def test_searches_a_subsequence(self, enumerated):
         for n in range(1, 7):
-            full = iter(_raw_tables(n))
-            pruned = list(_raw_tables(n, orderly=True))
+            full = iter(labeled_stream(n, enumerated))
+            pruned = list(_raw_tables(n))
             # in order: each pruned table is found in what is left of the full search
             assert all(any(t == u for u in full) for t in pruned)
             reps = {tuple(v + 1 for v in p) for p in _column1_representatives(n)}
@@ -179,14 +212,14 @@ class TestSymmetryBreaking:
             assert len(pruned) == ORDERLY_COUNTS[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_keeps_exactly_the_tables_meeting_the_rule(self, n):
-        pruned = list(_raw_tables(n, orderly=True))
-        assert pruned == [t for t in _raw_tables(n) if meets_orderly_rule(t)]
+    def test_keeps_exactly_the_tables_meeting_the_rule(self, n, enumerated):
+        pruned = list(_raw_tables(n))
+        assert pruned == [t for t in labeled_stream(n, enumerated) if meets_orderly_rule(t)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_first_table_of_each_class_is_its_least_labeling(self, n):
         first: dict = {}
-        for t in _raw_tables(n, orderly=True):
+        for t in _raw_tables(n):
             first.setdefault(column_major_least_labeling(t), t)
         assert len(first) == ISO_COUNTS[n]
         assert all(least == t for least, t in first.items())
@@ -328,16 +361,17 @@ class TestPredicatesAndFilters:
 
 class TestPartitioning:
     @pytest.mark.parametrize(
-        "n, orderly",
-        [(n, orderly) for orderly in (False, True) for n in range(1, 7)],
-        ids=[f"{n}-orderly" if orderly else str(n) for orderly in (False, True) for n in range(1, 7)],
+        "n, up_to_iso",
+        [(n, up_to_iso) for up_to_iso in (False, True) for n in range(1, 7)],
+        ids=[f"{n}-orderly" if up_to_iso else str(n) for up_to_iso in (False, True) for n in range(1, 7)],
     )
-    def test_first_columns_concatenate_to_the_search(self, n, orderly):
-        # The labeled units are the permutations fixing 1, the orderly ones
-        # the column-1 representatives, one per cycle type.
-        units = _column1_representatives(n) if orderly else _candidate_columns(n)[0]
-        split = [t for p in units for t in _raw_tables(n, orderly, first=p)]
-        assert split == list(_raw_tables(n, orderly))
+    def test_first_columns_concatenate_to_the_search(self, n, up_to_iso, enumerated):
+        # Every task's units are the column-1 representatives, one per cycle
+        # type; the pipeline turns their concatenation into the task's stream.
+        split = [t for p in _column1_representatives(n) for t in _raw_tables(n, first=p)]
+        assert split == list(_raw_tables(n))
+        task = EnumerationTask(n, up_to_iso=up_to_iso)
+        assert [q.rows for q, _ in _pipeline(task, split)] == [q.rows for q in enumerated(n, up_to_iso)]
 
     @pytest.mark.parametrize("n, cpus, workers", [(3, 64, 2), (4, 4, 3), (5, 4, 4), (4, None, 1)])
     def test_workers_are_bounded_by_units_and_cpus(self, n, cpus, workers, monkeypatch):
@@ -403,28 +437,20 @@ class TestSharedTranslations:
 
     def test_verify_builds_one_translation_per_distinct_column(self, enumerated, monkeypatch, capsys):
         distinct = {col for n in range(1, 6) for q in enumerated(n, False) for col in q.columns()}
-        depth = [0]
-        built = [0]
-        # Every read of a right translation, range-checked or not, goes through here.
+        # Every read of a right translation, range-checked or not, goes through
+        # here; each translation read is kept alive, so ids are not reused.
+        built = {}
         right_translation = Quandle._right_translation
-        init = Permutation.__init__
 
-        def counting_right_translation(self, j):
-            depth[0] += 1
-            try:
-                return right_translation(self, j)
-            finally:
-                depth[0] -= 1
+        def recording_right_translation(self, j):
+            p = right_translation(self, j)
+            built[id(p)] = p
+            return p
 
-        def counting_init(self, images):
-            built[0] += depth[0] > 0
-            init(self, images)
-
-        monkeypatch.setattr(Quandle, "_right_translation", counting_right_translation)
-        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        monkeypatch.setattr(Quandle, "_right_translation", recording_right_translation)
         assert main(["verify", "5"]) == 0
         assert "order 5: 404 quandles" in capsys.readouterr().out
-        assert 0 < built[0] <= len(distinct)
+        assert 0 < len(built) <= len(distinct)
 
 
 class TestFalsify:

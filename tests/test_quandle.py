@@ -264,6 +264,23 @@ class TestTranslations:
         q = Quandle([[1]])
         assert q.right_translation(1) == Permutation.identity(1)
 
+    def test_translations_equal_the_checked_permutations(self, enumerated):
+        # Right translations skip the bijection check that validation has done;
+        # one table here is validated point by point, its entries an int subclass.
+        from enum import IntEnum
+
+        Element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
+        walked = Quandle([[Element(v) for v in row] for row in dihedral(8).rows])
+        assert walked._col_bytes is None
+        tables = [q for n in range(1, 6) for q in enumerated(n, False)] + [walked]
+        for q in tables:
+            for j in range(1, q.n + 1):
+                checked = Permutation(q.column(j))
+                assert q.right_translation(j) == checked
+                assert q.right_translation(j).cycles() == checked.cycles()
+        with pytest.raises(ValueError):
+            Permutation((1, 1))
+
     def test_out_of_range(self, q62):
         with pytest.raises(ElementOutOfRangeError):
             q62.right_translation(7)

@@ -20,9 +20,9 @@ def test_iso_orders_measures_the_orderly_search():
 
 
 def test_labeled_orders_measures_the_labeled_search():
-    result = load("labeled_orders").measure(6, float("inf"))
+    result = load("labeled_orders").measure(6)
     assert result["tables"] == 6658
-    assert result["complete"]
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
 
 
 def test_verify_orders_measures_verify():
