@@ -1,13 +1,15 @@
-"""Time ``quandles verify N`` at orders 6 and 7.
+"""Time ``quandles verify N`` at orders 6 and 7, or up to 8.
 
     python3 scripts/verify_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
 Runs ``cli.main(["verify", N])`` in process, stdlib only, one order after
-the other, and records its wall time, exit code, the counts of its last
-order line and the sha256 of its standard output. The output must be the
-per-order lines of the labeled counts (1, 1, 5, 36, 404, 6658, 152,900
-tables; 5 + 2n reports per table; nothing inconsistent); a mismatch
-exits 1.
+the other, and records its wall time, the process's peak resident set
+(``ru_maxrss``, which only grows, so a later order's covers the earlier
+ones), exit code, the counts of its last order line and the sha256 of its
+standard output. The output must be the per-order lines of the labeled
+counts (1, 1, 5, 36, 404, 6658, 152,900 and 5,225,916 tables; 5 + 2n
+reports per table; nothing inconsistent); a mismatch exits 1. Order 8
+takes about 2 minutes.
 
 Results are merged into FILE (default ``BENCH_verify.json`` at the
 repository root) under NAME (default ``current``), so runs of two
@@ -15,8 +17,9 @@ checkouts, chosen with ``--src``, sit side by side. The committed file
 holds, on 2 vCPUs with Python 3.11.7: ``labeled``, the checkout in which
 ``verify`` checked every labeled table; ``orbit-counting``, which
 checks one table per isomorphism class and counts it n!/|Aut(Q)| times;
-and ``screened-scan``, the same with the faster canonical-form scan that
-gives |Aut(Q)|.
+``screened-scan``, the same with the faster canonical-form scan that
+gives |Aut(Q)|; and ``iso-guard``, a ``verify 8`` run, which the
+``--iso`` guard that ``verify`` takes admits by default.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LABELED_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404, 6: 6658, 7: 152900}
+LABELED_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404, 6: 6658, 7: 152900, 8: 5225916}
 
 
 def expected_lines(n: int) -> list[str]:
@@ -59,6 +63,8 @@ def measure(n: int) -> dict:
     return {
         "exit_code": code,
         "wall_s": round(elapsed, 3),
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "tables": int(last[2]),
         "reports": int(last[4]),
         "inconsistent": int(last[6]),

@@ -99,9 +99,7 @@ def cmd_analyze(args) -> int:
         "theorem-consistent": _yn(sufficiency.consistent),
     }
     if args.format == "records":
-        record = {"command": "analyze", **fields}
-        record["order"] = q.n
-        _emit_record(record)
+        _emit_record({"command": "analyze", **fields})
     else:
         _emit(" ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
@@ -146,39 +144,41 @@ def cmd_verify(args) -> int:
     Every printed count is a sum over labeled tables of something that
     relabeling does not change, so each order checks one table per
     isomorphism class, from the orderly search, and counts it n!/|Aut(Q)|
-    times. An order with an inconsistent report is enumerated again labeled,
-    to name its inconsistent tables on stderr in labeled search order.
+    times. The classes with an inconsistent report are kept, and their
+    labeled tables, merged in labeled search order, name the inconsistent
+    tables on stderr; relabeling keeps a report's consistency, so these are
+    all of them.
     """
     from . import checks
 
     inconsistencies = 0
     candidates = 0
     # Every task is made first, so an order above the guard stops the run
-    # before any order is searched. The labeled guard admits the rerun.
-    guard = args.guard or enumeration.LABELED_ORDER_GUARD
-    tasks = [enumeration.EnumerationTask(order=n, up_to_iso=True, order_guard=guard)
+    # before any order is searched.
+    tasks = [enumeration.EnumerationTask(order=n, up_to_iso=True, order_guard=args.guard)
              for n in range(1, args.max_order + 1)]
     for task in tasks:
         n = task.order
         tables = 0
         reports = 0
         bad = 0
-        # One class at a time: its table is checked and screened, then dropped.
+        bad_classes = []
+        # One class at a time: its table is checked and screened, then
+        # dropped unless it has an inconsistent report.
         for q, labelings in enumeration._weighted_quandles(task):
             class_reports = checks.all_checks(q)
+            class_bad = sum(not report.consistent for report in class_reports)
             tables += labelings
             reports += labelings * len(class_reports)
-            bad += labelings * sum(not report.consistent for report in class_reports)
+            bad += labelings * class_bad
             candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
-        if bad:
-            labeled = enumeration.EnumerationTask(order=n, order_guard=guard)
-            for q in enumeration.enumerate_quandles(labeled):
-                for report in checks.all_checks(q):
-                    if not report.consistent:
-                        print(
-                            f"INCONSISTENT {report.name} on order-{n} table {q.rows}",
-                            file=sys.stderr,
-                        )
+            if class_bad:
+                bad_classes.append(q)
+        for rows in enumeration._labeled_tables(n, bad_classes):
+            q = Quandle(rows)
+            for report in checks.all_checks(q):
+                if not report.consistent:
+                    print(f"INCONSISTENT {report.name} on order-{n} table {q.rows}", file=sys.stderr)
         inconsistencies += bad
         if args.format == "records":
             _emit_record({
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every checker on every quandle up to an order")
     p.add_argument("max_order", type=_positive_int)
     p.add_argument("--guard", type=_positive_int, default=None,
-                   help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD})")
+                   help=f"largest order the search will accept (default {enumeration.ISO_ORDER_GUARD})")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

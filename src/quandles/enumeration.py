@@ -373,20 +373,21 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]
     """Every labeled table of the given classes of order n, once each, in column-major lex order.
 
     Column c of the table relabeled by sigma is sigma R_x sigma^-1 for
-    x = sigma^-1(c), two ``bytes.translate`` calls on 0-based columns; the
-    second is done once on the joined columns. The relabelings of a class
-    are gathered in a set, as column-major bytes, and sorted; the classes
-    are disjoint, so a merge of their sorted lists holds each table once.
-    Rows are yielded as 1-based bytes.
+    x = sigma^-1(c), two ``bytes.translate`` calls on the 0-based columns
+    the table keeps (``_col_bytes``); the second is done once on the joined
+    columns. The relabelings of a class are gathered in a set, as
+    column-major bytes, and sorted; the classes are disjoint, so a merge of
+    their sorted lists holds each table once. Rows are yielded as 1-based
+    bytes.
     """
-    # Imported here, its only use, as --iso and verify do not need it.
+    # Imported here, its only use, as --iso does not need it.
     import heapq
 
     tail = bytes(range(n, 256))
     per_class = []
     for q in classes:
         relabelings = _relabeling_table(n) if n <= ISO_ORDER_GUARD else _relabelings(n)
-        maps = [bytes([v - 1 for v in col]) + tail for col in q.columns()]
+        maps = [col + tail for col in q._col_bytes]
         tables = {b"".join(map(inv.translate, map(maps.__getitem__, inv))).translate(tab)
                   for _, tab, inv in relabelings}
         per_class.append(sorted(tables))
@@ -568,7 +569,9 @@ def falsify(
 
     Searches isomorphism-class representatives, which is exhaustive because
     both predicates are isomorphism-invariant. Returns None when every
-    order up to max_order is clean.
+    order up to max_order is clean. Every order's task is made first, so
+    a max_order above the guard raises ``OrderTooLargeError`` before any
+    order is searched.
     """
     hyp_name, concl_name = property_pair
     for name in (hyp_name, concl_name):
@@ -576,8 +579,9 @@ def falsify(
             raise ValueError(f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}")
     hyp = PREDICATES[hyp_name]
     concl = PREDICATES[concl_name]
-    for n in range(1, max_order + 1):
-        task = EnumerationTask(order=n, up_to_iso=True, order_guard=order_guard)
+    tasks = [EnumerationTask(order=n, up_to_iso=True, order_guard=order_guard)
+             for n in range(1, max_order + 1)]
+    for task in tasks:
         for q in enumerate_quandles(task):
             if hyp(q) and not concl(q):
                 return q

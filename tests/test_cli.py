@@ -13,6 +13,7 @@ import quandles
 from quandles import checks, constructions, enumeration
 from quandles.catalog import serialize_table
 from quandles.cli import main
+from quandles.orbits import orbits
 from quandles.quandle import MAX_TABLE_ORDER
 
 # The child process imports the same package as this one, installed or not.
@@ -28,6 +29,28 @@ VERIFY6_SHA256 = {
 }
 # sha256 of the standard output of `quandles verify 7`, recorded the same way.
 VERIFY7_SHA256 = "4426d366d244b23b5d236134cadac24b1db8422b51d08ee48a3ea80f6afd81e5"
+
+
+def _inconsistent_on_latin(monkeypatch):
+    # Inconsistent on exactly the latin tables, a property relabeling keeps.
+    def check(q):
+        return checks.CheckReport(name="latin-sufficiency", hypothesis_holds=True,
+                                  conclusion_holds=not q.is_latin, counted_instances=1)
+
+    monkeypatch.setattr(checks, "check_latin_sufficiency", check)
+
+
+def _inconsistent_on_two_orbits(monkeypatch):
+    # Inconsistent on the tables with exactly two orbits: 0, 1, 1, 3 and 5
+    # classes at orders 1-5, against 1, 0, 1, 1 and 3 latin ones.
+    def check(q):
+        return checks.CheckReport(name="regular-cycle", hypothesis_holds=True,
+                                  conclusion_holds=len(orbits(q)) != 2, counted_instances=1)
+
+    monkeypatch.setattr(checks, "check_regular_cycle", check)
+
+
+INCONSISTENT_ON = {"latin": _inconsistent_on_latin, "two-orbits": _inconsistent_on_two_orbits}
 
 
 def run_cli(*args, stdin=""):
@@ -193,16 +216,12 @@ class TestVerify:
         ]
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY7_SHA256
 
-    def test_an_inconsistent_class_prints_what_a_labeled_loop_prints(self, monkeypatch, capsys):
-        # Inconsistent on exactly the latin tables, a property relabeling keeps.
-        def latin_is_inconsistent(q):
-            return checks.CheckReport(name="latin-sufficiency", hypothesis_holds=True,
-                                      conclusion_holds=not q.is_latin, counted_instances=1)
-
-        monkeypatch.setattr(checks, "check_latin_sufficiency", latin_is_inconsistent)
+    @pytest.mark.parametrize("patch", sorted(INCONSISTENT_ON))
+    def test_an_inconsistent_class_prints_what_a_labeled_loop_prints(self, patch, monkeypatch, capsys):
+        INCONSISTENT_ON[patch](monkeypatch)
         out, err = [], []
         total = candidates = 0
-        for n in range(1, 5):
+        for n in range(1, 6):
             tables = reports = bad = 0
             for q in enumeration.enumerate_quandles(enumeration.EnumerationTask(n)):
                 tables += 1
@@ -218,9 +237,18 @@ class TestVerify:
         out.append(f"{total} INCONSISTENT reports\n")
         assert total > 0
 
-        assert main(["verify", "4"]) == 1
+        assert main(["verify", "5"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("".join(out), "".join(err))
+
+    def test_an_inconsistent_run_searches_each_order_once(self, monkeypatch, capsys):
+        INCONSISTENT_ON["latin"](monkeypatch)
+        calls = []
+        raw_tables = enumeration._raw_tables
+        monkeypatch.setattr(enumeration, "_raw_tables", lambda *a: calls.append(a) or raw_tables(*a))
+        assert main(["verify", "5"]) == 1
+        assert "INCONSISTENT" in capsys.readouterr().err
+        assert calls == [(n,) for n in range(1, 6)]
 
 
 class TestReport:
@@ -320,6 +348,18 @@ class TestOrderGuards:
         out, err = capsys.readouterr()
         assert out == ""
         assert "guard" in err
+
+    def test_verify_takes_the_iso_guard(self, monkeypatch, capsys):
+        # With no classes to check, the run is the guard and the printing.
+        monkeypatch.setattr(enumeration, "_weighted_quandles", lambda task: iter(()))
+        start = time.perf_counter()
+        assert main(["verify", str(enumeration.ISO_ORDER_GUARD)]) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[enumeration.ISO_ORDER_GUARD - 1] == (
+            f"order {enumeration.ISO_ORDER_GUARD}: 0 quandles, 0 reports, 0 inconsistent"
+        )
+        assert out[-1] == "all checks consistent"
 
 
 class TestUsage:

@@ -472,6 +472,17 @@ class TestFalsify:
         with pytest.raises(ValueError):
             falsify(("latin", "nope"), 3)
 
+    def test_an_order_above_the_guard_stops_before_any_search(self, monkeypatch):
+        calls = []
+        raw_tables = enumeration._raw_tables
+        monkeypatch.setattr(enumeration, "_raw_tables", lambda *a: calls.append(a) or raw_tables(*a))
+        with pytest.raises(OrderTooLargeError):
+            falsify(("distinct-lengths", "latin"), 5, order_guard=3)
+        # the default guard holds too, though order 5 has a witness
+        with pytest.raises(OrderTooLargeError):
+            falsify(("latin", "distinct-lengths"), ISO_ORDER_GUARD + 1)
+        assert calls == []
+
     @pytest.mark.parametrize("hypothesis", ["latin", "connected", "unique-fixed-point"])
     def test_witness_table_is_unchanged(self, hypothesis):
         # the table falsify returned before column 1 was restricted
