@@ -3,11 +3,14 @@
     python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
 Runs in process, stdlib only, and takes about 3 s (``--orders 8`` about
-2 min, a fifth of it the canonical-form scan). For each order it runs
+80 s, three quarters of it the search). For each order it runs
 the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
 after the other: the orderly search (``_raw_tables``), validation of every searched table, and the isomorphism
-reduction, of which it also reports the share of the canonical-form scan
-(``_least_relabeling``, reported as ``canonical_form_s``). The
+reduction, of which it also reports the shares of the class test, which
+keeps a table iff it is its own column-major least labeling
+(``_column_major_ties``, reported as ``class_test_s``), and of the
+canonical-form scan (``_least_relabeling``, reported as
+``canonical_form_s``). The
 reduced stream must hash to the sha256 recorded for it before the orderly
 search; a mismatch exits 1.
 
@@ -18,9 +21,12 @@ with ``--src``, sit side by side. The committed file holds, all on
 orderly search; ``orderly``, which prunes by the relabelings that fix the
 branching column; ``orderly-moves``, which also prunes by those that
 move a set column onto it; ``levels``, the same pruning with the
-relabelings of each level kept in one list; and ``screened-scan``, with
+relabelings of each level kept in one list; ``screened-scan``, with
 the canonical-form scan reading a cached relabeling table and dropping a
-relabeling after its first row, at orders 6, 7 and 8.
+relabeling after its first row, at orders 6, 7 and 8; ``parent-5cdc964``,
+the checkout that reduced by signature buckets and ``are_isomorphic``;
+and ``least-labelings``, which keeps a table iff it is its own
+column-major least labeling, both at orders 6, 7 and 8.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ STREAM_SHA256 = {
     8: "19e7ce656a6598f120f73fab50f47f9be802721f9aeed8563d73f69dbdf61218",
 }
 CLASS_COUNTS = {6: 73, 7: 298, 8: 1581}
+SCANS = ("_column_major_ties", "_least_relabeling")
 
 
 def measure(n: int) -> dict:
@@ -58,21 +65,28 @@ def measure(n: int) -> dict:
     tables = [Quandle(rows, _pool=pool) for rows in raw]
     validated = perf_counter()
 
-    scan = enumeration._least_relabeling
-    spent = [0.0]
+    # The scans inside the reduction, each timed by a wrapper; a checkout
+    # without the class test (``_column_major_ties``) reports 0 for it.
+    scans = {name: getattr(enumeration, name) for name in SCANS if hasattr(enumeration, name)}
+    spent = dict.fromkeys(SCANS, 0.0)
 
-    def timed_scan(q):
-        t = perf_counter()
-        try:
-            return scan(q)
-        finally:
-            spent[0] += perf_counter() - t
+    def timed(name, scan):
+        def timed_scan(q):
+            t = perf_counter()
+            try:
+                return scan(q)
+            finally:
+                spent[name] += perf_counter() - t
+        return timed_scan
 
-    enumeration._least_relabeling = timed_scan
+    for name, scan in scans.items():
+        setattr(enumeration, name, timed(name, scan))
     try:
-        reps = [q for q, _ in enumeration._iso_reduce(iter(tables), pool)]
+        # Older checkouts yield (canonical form, n!/|Aut(Q)|) pairs.
+        reps = [r if isinstance(r, Quandle) else r[0] for r in enumeration._iso_reduce(iter(tables), pool)]
     finally:
-        enumeration._least_relabeling = scan
+        for name, scan in scans.items():
+            setattr(enumeration, name, scan)
     reduced = perf_counter()
 
     digest = hashlib.sha256(repr([q.rows for q in reps]).encode()).hexdigest()
@@ -82,7 +96,8 @@ def measure(n: int) -> dict:
         "search_s": round(searched - start, 3),
         "validation_s": round(validated - searched, 3),
         "iso_s": round(reduced - validated, 3),
-        "canonical_form_s": round(spent[0], 3),
+        "class_test_s": round(spent["_column_major_ties"], 3),
+        "canonical_form_s": round(spent["_least_relabeling"], 3),
         "total_s": round(reduced - start, 3),
         "stream_sha256": digest,
         "stream_unchanged": digest == STREAM_SHA256.get(n) and len(reps) == CLASS_COUNTS.get(n),

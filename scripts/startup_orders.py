@@ -22,7 +22,9 @@ their exit codes and digests match. Results are merged into FILE (default
 ``current``). The committed file holds, on 2 vCPUs with Python 3.11.7,
 ``eager-imports``, the checkout whose package imported every module and
 whose value classes were dataclasses, against ``lazy-imports``, where each
-command imports only the modules it runs.
+command imports only the modules it runs; and ``parent-5cdc964``, whose
+argument parser imported ``enumeration``, against ``least-labelings``,
+where only ``enumerate`` and ``verify`` load it.
 """
 
 from __future__ import annotations

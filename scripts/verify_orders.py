@@ -18,8 +18,11 @@ holds, on 2 vCPUs with Python 3.11.7: ``labeled``, the checkout in which
 ``verify`` checked every labeled table; ``orbit-counting``, which
 checks one table per isomorphism class and counts it n!/|Aut(Q)| times;
 ``screened-scan``, the same with the faster canonical-form scan that
-gives |Aut(Q)|; and ``iso-guard``, a ``verify 8`` run, which the
-``--iso`` guard that ``verify`` takes admits by default.
+gives |Aut(Q)|; ``iso-guard``, a ``verify 8`` run, which the
+``--iso`` guard that ``verify`` takes admits by default; and, at orders
+6, 7 and 8, ``parent-5cdc964``, which took |Aut(Q)| from a canonical
+form per class, against ``least-labelings``, which takes it from the
+class test and builds no canonical form.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ including a malformed or unknown construction spec.
 Each command imports the modules it runs when it runs, so a process loads
 only those: ``constructions`` for spec inputs and ``construct``,
 ``catalog`` for file and standard-input tables, ``--tables`` and
-``report``, ``checks`` for ``analyze`` and ``verify``, and ``json`` for
-``--format records``.
+``report``, ``enumeration`` for ``enumerate`` and ``verify``, ``checks``
+for ``analyze`` and ``verify``, and ``json`` for ``--format records``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,15 @@ import os
 import sys
 from typing import Optional
 
-from . import enumeration
 from .orbits import is_connected
 from .quandle import Quandle
 
 _SPEC_KINDS = ("dihedral", "affine", "example", "conjugation")
+# The names of ``enumeration.PREDICATES`` and its two default guards, as
+# literals, so that building the parser does not import ``enumeration``.
+_FILTERS = ("connected", "distinct-lengths", "latin", "unique-fixed-point")
+_LABELED_ORDER_GUARD = 7
+_ISO_ORDER_GUARD = 8
 
 
 def _load_input(arg: str) -> Quandle:
@@ -106,6 +110,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import enumeration
+
     task = enumeration.EnumerationTask(
         order=args.order,
         up_to_iso=args.iso,
@@ -113,8 +119,7 @@ def cmd_enumerate(args) -> int:
         order_guard=args.guard,
     )
     if args.jobs > 1:
-        results = enumeration.enumerate_parallel(task, args.jobs)
-        stream = iter(results)
+        stream = enumeration._parallel_quandles(task, args.jobs)
     else:
         stream = enumeration.enumerate_quandles(task)
     if args.tables:
@@ -143,13 +148,14 @@ def cmd_verify(args) -> int:
 
     Every printed count is a sum over labeled tables of something that
     relabeling does not change, so each order checks one table per
-    isomorphism class, from the orderly search, and counts it n!/|Aut(Q)|
-    times. The classes with an inconsistent report are kept, and their
-    labeled tables, merged in labeled search order, name the inconsistent
-    tables on stderr; relabeling keeps a report's consistency, so these are
-    all of them.
+    isomorphism class and counts it n!/|Aut(Q)| times: the searched table
+    that is its class's column-major least labeling, whose test counts
+    |Aut(Q)| too, so no canonical form is built. The classes with an
+    inconsistent report are kept, and their labeled tables, merged in
+    labeled search order, name the inconsistent tables on stderr;
+    relabeling keeps a report's consistency, so these are all of them.
     """
-    from . import checks
+    from . import checks, enumeration
 
     inconsistencies = 0
     candidates = 0
@@ -165,7 +171,7 @@ def cmd_verify(args) -> int:
         bad_classes = []
         # One class at a time: its table is checked and screened, then
         # dropped unless it has an inconsistent report.
-        for q, labelings in enumeration._weighted_quandles(task):
+        for q, labelings in enumeration._class_tables(task):
             class_reports = checks.all_checks(q)
             class_bad = sum(not report.consistent for report in class_reports)
             tables += labelings
@@ -265,21 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all quandles of one order")
     p.add_argument("order", type=_positive_int)
     p.add_argument("--iso", action="store_true", help="one canonical table per isomorphism class")
-    p.add_argument("--filter", choices=sorted(enumeration.PREDICATES), default=None)
+    p.add_argument("--filter", choices=_FILTERS, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, at most one per CPU; >1 splits the search by its"
                         " first column and prints what one job prints")
     p.add_argument("--tables", action="store_true", help="print the tables instead of a count")
     p.add_argument("--guard", type=_positive_int, default=None,
-                   help=f"largest order the search will accept (default {enumeration.LABELED_ORDER_GUARD},"
-                        f" or {enumeration.ISO_ORDER_GUARD} with --iso)")
+                   help=f"largest order the search will accept (default {_LABELED_ORDER_GUARD},"
+                        f" or {_ISO_ORDER_GUARD} with --iso)")
     add_format(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every checker on every quandle up to an order")
     p.add_argument("max_order", type=_positive_int)
     p.add_argument("--guard", type=_positive_int, default=None,
-                   help=f"largest order the search will accept (default {enumeration.ISO_ORDER_GUARD})")
+                   help=f"largest order the search will accept (default {_ISO_ORDER_GUARD})")
     add_format(p)
     p.set_defaults(fn=cmd_verify)
 

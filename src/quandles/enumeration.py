@@ -6,26 +6,34 @@ right-invertibility makes columns permutations), tried in lex order, and
 right self-distributivity is enforced incrementally through its equivalent
 translation form R_k R_j R_k^-1 = R_{j*k}: whenever two columns are known,
 the column of their product is forced, so each guess propagates. The
-search is orderly: it emits a subsequence of the tables that holds every
-isomorphism class. With ``up_to_iso`` each class gives one canonical
-representative, the canonical form of its first table in the stream;
-without, each class gives all its labeled tables. The canonical form is
-the least of all n! relabelings, and the relabelings that give it form
-one coset of Aut(Q); counting them in the same scan gives |Aut(Q)|, so
-each class comes with its size n!/|Aut(Q)|, the number of labeled tables
-it stands for. ``verify`` checks one table per class
-and counts its reports that many times.
+search is orderly: it emits, in the lex order of the columns, a
+subsequence of the tables that holds the column-major least labeling of
+every isomorphism class. A searched table is kept iff it is that
+labeling, and the same test counts the relabelings that give the table
+itself, |Aut(Q)|, so each class is kept once, with its size
+n!/|Aut(Q)|, the number of labeled tables it stands for. With
+``up_to_iso`` each class gives its canonical form, the row-major least
+of its n! relabelings; without, it gives all its labeled tables.
+``verify`` checks the kept table of each class and counts its reports
+that many times.
 
-The scan reads the relabelings of order n from one table, built once per
-order: (sigma, translate table, inverse) for every sigma, in
-``itertools.permutations`` order (1 ms to build at order 6; 0.05 s and
-about 18 MB at order 8; above ``ISO_ORDER_GUARD`` no table is kept and
-the relabelings are built as the scan goes). Each sigma builds the first
-row of its table first and is dropped if that row is above the best
-first row: its table is then above the best table. That is exact: a
-sigma whose first row ties is still compared row by row to the end, so
-every sigma giving the least table is counted, and the first of them in
-``permutations`` order stays the witness. Most sigma cost two
+Both scans read the relabelings of order n from one table, built once
+per order: (sigma, translate table, inverse) for every sigma, split by
+sigma^-1(1), each part in ``itertools.permutations`` order (1 ms to
+build at order 6; 0.05 s and about 18 MB at order 8; above
+``ISO_ORDER_GUARD`` no table is kept and the relabelings are built as
+the scan goes). The canonical-form scan (``_least_relabeling``) visits
+only the parts x = sigma^-1(1) whose row x has the most entries equal to
+x, as only they give the least first row. The class test
+(``_column_major_ties``) visits only the relabelings that keep column 1:
+for each column x of R_1's cycle type, a fixed relabeling moving R_x
+onto R_1 composed with each member of the centraliser of R_1 that fixes
+1, read once per first column from the part x = 1 of the table. Each
+sigma builds one column or row first and is dropped if it is above the
+target's: its table is then above the target. That is exact: a sigma
+that ties is compared to the end, so every sigma giving the least table
+is counted, and for the canonical form the first of them in
+``permutations`` order is the witness. Most sigma cost two
 ``bytes.translate`` calls, not 2n.
 
 Columns are held 0-based as ``bytes`` together with their inverses and
@@ -64,21 +72,22 @@ own. The order-6 search visits 277 tables, not the 6658 labeled ones,
 and order 7 1,996, not 152,900.
 
 One pipeline validates, filters and reduces the searched tables of a
-task, for one job and for many: it keeps the first table of each
-isomorphism class. With ``up_to_iso`` a class gives its canonical form.
-Without, it gives its n!/|Aut(Q)| distinct relabelings, each class
-sorted by column-major bytes, and the classes are merged; they are
-disjoint, so every labeled table comes out once, in the lex order of its
-columns, the order the unpruned search would emit them in. The filter
-runs before the reduction: every predicate is isomorphism-invariant, so
-it keeps whole classes. An order's labeled tables are held, as bytes,
-until the merge starts: about 20 MB at order 7. The tables the pipeline
-validates, and the canonical forms it builds, take their right
-translations from one dict owned by that call: equal columns in
-different tables share one ``Permutation``, so its cycles, cycle
-structure and order are computed once (order 6 has 6658 tables with
-39,948 columns but 455 distinct ones). Every table is still validated in
-full. Nothing is shared between calls.
+task, for one job and for many: it keeps the tables that are their own
+column-major least labeling, one per isomorphism class, with no
+isomorphism test between tables. With ``up_to_iso`` a class gives its
+canonical form. Without, it gives its n!/|Aut(Q)| distinct relabelings,
+each class sorted by column-major bytes, and the classes are merged;
+they are disjoint, so every labeled table comes out once, in the lex
+order of its columns, the order the unpruned search would emit them in.
+The filter runs before the reduction: every predicate is
+isomorphism-invariant, so it keeps whole classes. An order's labeled
+tables are held, as bytes, until the merge starts: about 20 MB at order
+7. The tables the pipeline validates, and the canonical forms it builds,
+take their right translations from one dict owned by that call: equal
+columns in different tables share one ``Permutation``, so its cycles,
+cycle structure and order are computed once (order 6 has 6658 tables
+with 39,948 columns but 455 distinct ones). Every table is still
+validated in full. Nothing is shared between calls.
 
 Column 1 is always the search's first branch and is never forced, so
 the search splits by its first column into share-nothing units, one per
@@ -88,7 +97,8 @@ orderly rule needs nothing from another unit: G_1 and the cycle types of
 the representatives are built before the unit's first column is fixed.
 ``enumerate_parallel`` runs the units in worker processes, for every
 task, and feeds their raw rows, in that order, to the same pipeline, so
-any jobs count gives what one job gives.
+any jobs count gives what one job gives; ``enumerate --jobs`` prints the
+pipeline's tables as they come, while the pool is open.
 """
 
 from __future__ import annotations
@@ -105,7 +115,7 @@ from .perm import Permutation
 from .quandle import Quandle
 
 # The largest orders searched without an explicit guard, from measured
-# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in about 2 min. The
+# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in about 80 s. The
 # labeled order-7 stream of 152,900 tables takes 7-11 s and peaks
 # at about 36 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
 # order 8 would hold its 5,225,916 tables, about 0.5 GB as bytes alone,
@@ -181,16 +191,36 @@ def _cycle_type(p: bytes) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
+@functools.lru_cache(maxsize=None)
+def _least_of_type(lengths: tuple[int, ...]) -> bytes:
+    """The lex-least permutation with these ascending cycle lengths, which fixes 0, as 0-based bytes.
+
+    It fixes the smallest points and then closes cycles of increasing length
+    on consecutive points, e.g. (0)(1)(2 3)(4 5 6) for the lengths 1, 1, 2, 3.
+    """
+    images: list[int] = []
+    for length in lengths:
+        start = len(images)
+        images += range(start + 1, start + length)
+        images.append(start)
+    return bytes(images)
+
+
+def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of total into parts of at least ``least``, each ascending, in lex order."""
+    if total == 0:
+        yield ()
+    for part in range(least, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
 def _column1_representatives(n: int) -> list[bytes]:
     """The lex-least permutation fixing 0 of each cycle type, as 0-based bytes, in lex order.
 
-    It fixes the smallest points and then closes cycles of increasing length
-    on consecutive points, e.g. (0)(1)(2 3)(4 5 6) for the type 1+2+3 at n=7.
+    One per partition of n - 1, the cycle type on the points other than 0.
     """
-    reps: dict[tuple[int, ...], bytes] = {}
-    for p in _candidate_columns(n)[0]:
-        reps.setdefault(_cycle_type(p), p)
-    return list(reps.values())
+    return [_least_of_type((1,) + lengths) for lengths in _partitions(n - 1)]
 
 
 # x -> x + 1 on bytes, to turn 0-based columns into 1-based table entries.
@@ -321,52 +351,176 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
 
 def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
     """Stream the quandles described by the task; deterministic for a fixed task."""
-    return (q for q, _ in _weighted_quandles(task))
-
-
-def _weighted_quandles(task: EnumerationTask) -> Iterator[tuple[Quandle, int]]:
-    """``enumerate_quandles(task)``, each quandle with the number of labeled tables it stands for."""
     return _pipeline(task, _raw_tables(task.order))
 
 
-def _pipeline(
+def _class_tables(task: EnumerationTask) -> Iterator[tuple[Quandle, int]]:
+    """One searched table per isomorphism class of the task, with the n!/|Aut(Q)| labeled tables it stands for.
+
+    Each is the class's column-major least labeling, in search order; no
+    canonical form is built.
+    """
+    return _least_labelings(_validated(task, _raw_tables(task.order), {}))
+
+
+def _validated(
     task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]],
-) -> Iterator[tuple[Quandle, int]]:
+    pool: dict[tuple[int, ...], Permutation],
+) -> Iterator[Quandle]:
+    """The searched tables validated against one translation pool, those the task's filter keeps."""
+    stream = (Quandle(rows, _pool=pool) for rows in raw)
+    if task.predicate_filter is None:
+        return stream
+    return filter(PREDICATES[task.predicate_filter], stream)
+
+
+def _pipeline(task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]]) -> Iterator[Quandle]:
     """Validate the searched tables against one translation pool, filter them and reduce them to classes.
 
-    With ``up_to_iso`` each class gives its canonical form, with the
-    number of labeled tables it stands for, n!/|Aut(Q)|. Without, each
-    class gives its labeled tables, each validated against the same pool
-    and standing for 1, all in column-major lex order.
+    With ``up_to_iso`` each class gives its canonical form. Without, each
+    class gives its labeled tables, each validated against the same pool,
+    all in column-major lex order.
     """
-    predicate = PREDICATES[task.predicate_filter] if task.predicate_filter else None
     translations: dict[tuple[int, ...], Permutation] = {}
-    stream = (Quandle(rows, _pool=translations) for rows in raw)
-    if predicate is not None:
-        stream = (q for q in stream if predicate(q))
+    stream = _validated(task, raw, translations)
     if task.up_to_iso:
         return _iso_reduce(stream, translations)
-    labeled = _labeled_tables(task.order, _first_of_each_class(stream))
-    return ((Quandle(rows, _pool=translations), 1) for rows in labeled)
+    labeled = _labeled_tables(task.order, (q for q, _ in _least_labelings(stream)))
+    return (Quandle(rows, _pool=translations) for rows in labeled)
 
 
-def _first_of_each_class(stream: Iterator[Quandle]) -> Iterator[Quandle]:
-    """The first table of each isomorphism class in the stream, in stream order."""
-    buckets: dict[tuple, list[Quandle]] = {}
+def _least_labelings(stream: Iterable[Quandle]) -> Iterator[tuple[Quandle, int]]:
+    """The tables of the stream that are their own column-major least labeling, each with n!/|Aut(Q)|."""
     for q in stream:
-        reps = buckets.setdefault(q.iso_signature(), [])
-        if all(are_isomorphic(rep, q) is None for rep in reps):
-            reps.append(q)
-            yield q
+        automorphisms = _column_major_ties(q)
+        if automorphisms:
+            yield q, math.factorial(q.n) // automorphisms
 
 
 def _iso_reduce(
-    stream: Iterator[Quandle], pool: Optional[dict[tuple[int, ...], Permutation]] = None,
-) -> Iterator[tuple[Quandle, int]]:
-    """One (canonical form, n!/|Aut(Q)|) per isomorphism class; the forms take translations from pool."""
-    for q in _first_of_each_class(stream):
-        rows, _, automorphisms = _least_relabeling(q)
-        yield Quandle(rows, _pool=pool), math.factorial(q.n) // automorphisms
+    stream: Iterable[Quandle], pool: Optional[dict[tuple[int, ...], Permutation]] = None,
+) -> Iterator[Quandle]:
+    """The canonical form of each class whose least labeling is in the stream; the forms use pool."""
+    for q, _ in _least_labelings(stream):
+        yield Quandle(_least_relabeling(q)[0], _pool=pool)
+
+
+def _column_major_ties(q: Quandle) -> int:
+    """|Aut(Q)| if no relabeling gives the table a smaller column-major table, else 0.
+
+    Column c of the table relabeled by sigma is sigma R_x sigma^-1 for
+    x = sigma^-1(c); as 0-based bytes, ``inv.translate(R_x).translate(sigma)``.
+
+    Column 0 has R_x's cycle type and fixes 0, so it is at least the least
+    permutation of that type (``_least_of_type``), and those compare as
+    their types do: if R_0 is not the least of its type, or some column has
+    a smaller type, a relabeling puts a smaller column 0 and the answer is
+    0 at once. Otherwise the sigma that tie at column 0 are, for each x
+    with R_x of R_0's type, tau rho_x: rho_x (``_cycle_order``) maps x to 0
+    and R_x onto R_0, and tau fixes 0 and commutes with R_0
+    (``_centralizer_parts``). Only they are scanned.
+
+    Column 1 is then tau R'_y tau^-1, R' the table relabeled by rho_x and
+    y = tau^-1(1), so each part y is screened first. Column 1 starts with
+    0 iff R'_y fixes 0: a part whose R'_y fixes 0 beats a table whose R_1
+    does not, so the answer is 0, and a part whose R'_y does not fix 0
+    cannot tie a table whose R_1 does, so it is skipped. If both fix 0,
+    column 1 fixes 0 and 1 and is at least the least permutation of R'_y's
+    type: a part with that above R_1 is skipped, and if it is below R_1
+    and R_0 = id, every tau fixing 0 commutes with R_0, one of them gives
+    it, and the answer is 0.
+
+    Each sigma left is compared column by column from column 1. The sigma
+    that give the table itself are its automorphisms.
+    """
+    n = q.n
+    if n == 1:
+        return 1
+    cols = q._col_bytes
+    first_type = _cycle_type(cols[0])
+    if cols[0] != _least_of_type(first_type):
+        return 0
+    types = [_cycle_type(col) for col in cols]
+    if min(types) < first_type:
+        return 0
+    fixes_0 = cols[1][0] == 0
+    first_is_identity = first_type[-1] == 1
+    parts = _centralizer_parts(cols[0])
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    maps = [col + tail for col in cols]
+    ties = 0
+    for x in range(n):
+        if types[x] != first_type:
+            continue
+        # The columns relabeled by rho_x, whose inverse is order.
+        order = _cycle_order(cols[x], x)
+        rho = bytes.maketrans(order, identity)
+        moved = [order.translate(maps[v]).translate(rho) + tail for v in order]
+        for y, part in parts.items():
+            y_fixes_0 = moved[y][0] == 0
+            if y_fixes_0 != fixes_0:
+                if y_fixes_0:
+                    return 0
+                continue
+            if fixes_0:
+                least = _least_of_type(types[order[y]])
+                if least != cols[1]:
+                    if least < cols[1] and first_is_identity:
+                        return 0
+                    if least > cols[1]:
+                        continue
+            for tab, inv in part:
+                for c in range(1, n):
+                    col = inv.translate(moved[inv[c]]).translate(tab)
+                    if col != cols[c]:
+                        if col < cols[c]:
+                            return 0
+                        break
+                else:
+                    ties += 1
+    return ties
+
+
+def _cycle_order(p: bytes, x: int) -> bytes:
+    """x, the other fixed points of p, then its cycles by ascending length, each walked along p.
+
+    As the inverse of a relabeling rho, it maps x to 0 and p onto the least
+    permutation of p's type, which fixes the first points and closes cycles
+    on consecutive points: rho p rho^-1 = ``_least_of_type`` of p's type.
+    x must be a fixed point of p.
+    """
+    seen = bytearray(len(p))
+    seen[x] = 1
+    cycles = [[x]]
+    for start in range(len(p)):
+        cycle = []
+        y = start
+        while not seen[y]:
+            seen[y] = 1
+            cycle.append(y)
+            y = p[y]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=len)
+    return bytes(chain.from_iterable(cycles))
+
+
+@functools.lru_cache(maxsize=None)
+def _centralizer_parts(p: bytes) -> dict[int, list[tuple[bytes, bytes]]]:
+    """The relabelings tau that fix 0 and commute with p, split by tau^-1(1), as (translate table, inverse).
+
+    Kept for the life of the process, one per first column the class test
+    meets: at most one per cycle type, and all (n-1)! relabelings fixing 0
+    for the identity. Needs n > 1.
+    """
+    n = len(p)
+    ptab = p + bytes(range(n, 256))
+    parts: dict[int, list[tuple[bytes, bytes]]] = {}
+    for _, tab, inv in _relabelings_from(n, (0,)):
+        if inv.translate(ptab).translate(tab) == p:
+            parts.setdefault(inv[1], []).append((tab, inv))
+    return parts
 
 
 def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]:
@@ -386,10 +540,9 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]
     tail = bytes(range(n, 256))
     per_class = []
     for q in classes:
-        relabelings = _relabeling_table(n) if n <= ISO_ORDER_GUARD else _relabelings(n)
         maps = [col + tail for col in q._col_bytes]
         tables = {b"".join(map(inv.translate, map(maps.__getitem__, inv))).translate(tab)
-                  for _, tab, inv in relabelings}
+                  for _, tab, inv in _relabelings_from(n, range(n))}
         per_class.append(sorted(tables))
     for table in heapq.merge(*per_class):
         table = table.translate(_ONE_BASED)
@@ -464,11 +617,11 @@ def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
 def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     """The lexicographically minimal relabeling of the table, with a witnessing map.
 
-    Scans all n! relabelings, read from a table cached per order up to
-    ``ISO_ORDER_GUARD``; a relabeling whose first row is above the best
-    first row is dropped after that row. Meant for the small orders this
-    package targets; the witness is the first least relabeling in
-    ``itertools.permutations`` order.
+    Scans the relabelings that can give the least first row, read from a
+    table cached per order up to ``ISO_ORDER_GUARD``; a relabeling whose
+    first row is above the best first row is dropped after that row.
+    Meant for the small orders this package targets; the witness is the
+    first least relabeling in ``itertools.permutations`` order.
     """
     rows, sigma, _ = _least_relabeling(q)
     return Quandle(rows), Permutation(sigma)
@@ -483,9 +636,28 @@ def _relabelings(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _relabeling_table(n: int) -> tuple[tuple[bytes, bytes, bytes], ...]:
-    """``_relabelings(n)`` kept for the life of the process; for n up to ``ISO_ORDER_GUARD``."""
-    return tuple(_relabelings(n))
+def _relabeling_table(n: int) -> tuple[tuple[tuple[bytes, bytes, bytes], ...], ...]:
+    """``_relabelings(n)`` kept for the life of the process, split by sigma^-1(0); for n up to ``ISO_ORDER_GUARD``.
+
+    Part x holds the sigma with sigma(x) = 0, in ``permutations`` order.
+    """
+    parts: list[list[tuple[bytes, bytes, bytes]]] = [[] for _ in range(n)]
+    for relabeling in _relabelings(n):
+        parts[relabeling[2][0]].append(relabeling)
+    return tuple(map(tuple, parts))
+
+
+def _relabelings_from(n: int, starts: Iterable[int]) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """The relabelings sigma with sigma^-1(0) in starts, read from ``_relabeling_table(n)``.
+
+    Above ``ISO_ORDER_GUARD`` they are built as the scan goes: the table
+    would hold about 160 MB at order 9 and ten times that at order 10.
+    """
+    if n > ISO_ORDER_GUARD:
+        starts = set(starts)
+        return (relabeling for relabeling in _relabelings(n) if relabeling[2][0] in starts)
+    table = _relabeling_table(n)
+    return chain.from_iterable(table[x] for x in starts)
 
 
 def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
@@ -493,40 +665,41 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
 
     Row r of the relabeled table is sigma L_x sigma^-1 with x = sigma^-1(r),
     two ``bytes.translate`` calls on 0-based rows, which compare like the
-    1-based ones. Each sigma builds row 0 first and is dropped if that row
-    is above the best row 0: its table is then above the best table. A
-    sigma whose row 0 ties is compared row by row to the end, so every
-    sigma that gives the least table is counted. They form one coset of
-    Aut(Q), so the count is |Aut(Q)|.
-
-    Up to ``ISO_ORDER_GUARD`` the relabelings are read from a table kept
-    per order. Above it they are built as the scan goes: the table would
-    hold about 160 MB at order 9 and ten times that at order 10.
+    1-based ones. Row 0 has as many 0s as row x has entries x, and puts
+    them first when it is least, so only the sigma whose x = sigma^-1(0)
+    has the most such entries are scanned. Each builds row 0 first and is
+    dropped if that row is above the best row 0: its table is then above
+    the best table. A sigma whose row 0 ties is compared row by row to the
+    end, so every sigma that gives the least table is counted, and the
+    least of them in ``permutations`` order is the witness. They form one
+    coset of Aut(Q), so the count is |Aut(Q)|.
     """
     n = q.n
     tail = bytes(range(n, 256))
     left = [bytes([v - 1 for v in row]) + tail for row in q.rows]
-    best = [row[:n] for row in left]
-    best0 = best[0]
-    best_sigma = bytes(range(n))
+    fixes = [row.count(x) for x, row in enumerate(left)]
+    most = max(fixes)
+    starts = {x for x in range(n) if fixes[x] == most}
+    best: list[bytes] = []
+    best_sigma = b""
     ties = 0
-    relabelings = _relabeling_table(n) if n <= ISO_ORDER_GUARD else _relabelings(n)
-    for sigma, tab, inv in relabelings:
+    for sigma, tab, inv in _relabelings_from(n, starts):
         new_row = inv.translate(left[inv[0]]).translate(tab)
-        if new_row > best0:
-            continue
-        if new_row == best0:
-            for r in range(1, n):
-                new_row = inv.translate(left[inv[r]]).translate(tab)
-                if new_row != best[r]:
-                    break
-            else:
-                ties += 1  # the same table: the first witness stays
+        if best:
+            if new_row > best[0]:
                 continue
-            if new_row > best[r]:
-                continue
+            if new_row == best[0]:
+                for r in range(1, n):
+                    new_row = inv.translate(left[inv[r]]).translate(tab)
+                    if new_row != best[r]:
+                        break
+                else:
+                    ties += 1  # the same table: the least witness stays
+                    best_sigma = min(best_sigma, sigma)
+                    continue
+                if new_row > best[r]:
+                    continue
         best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
-        best0 = best[0]
         best_sigma = sigma
         ties = 1
     return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
@@ -546,8 +719,14 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     ``up_to_iso`` builds and validates the labeled tables, so the result
     equals one job's, order included.
     """
+    return list(_parallel_quandles(task, jobs))
+
+
+def _parallel_quandles(task: EnumerationTask, jobs: int) -> Iterator[Quandle]:
+    """``enumerate_parallel(task, jobs)`` as a stream: each quandle is yielded while the pool is open."""
     if jobs <= 1:
-        return list(enumerate_quandles(task))
+        yield from enumerate_quandles(task)
+        return
     # Imported here, its only use: it loads multiprocessing, which a
     # one-job run does not need.
     from concurrent.futures import ProcessPoolExecutor
@@ -557,7 +736,7 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     workers = min(jobs, len(units), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tables = pool.map(functools.partial(_first_column_tables, n), units)
-        return [q for q, _ in _pipeline(task, chain.from_iterable(tables))]
+        yield from _pipeline(task, chain.from_iterable(tables))
 
 
 def falsify(

@@ -14,7 +14,7 @@ from quandles import checks, constructions, enumeration
 from quandles.catalog import serialize_table
 from quandles.cli import main
 from quandles.orbits import orbits
-from quandles.quandle import MAX_TABLE_ORDER
+from quandles.quandle import MAX_TABLE_ORDER, Quandle
 
 # The child process imports the same package as this one, installed or not.
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -184,16 +184,16 @@ class TestVerify:
     def test_one_table_alive_at_a_time(self, monkeypatch, capsys):
         refs = []
         most_alive = 0
-        weighted_quandles = enumeration._weighted_quandles
+        class_tables = enumeration._class_tables
 
         def watched(task):
             nonlocal most_alive
-            for q, labelings in weighted_quandles(task):
+            for q, labelings in class_tables(task):
                 refs.append(weakref.ref(q))
                 most_alive = max(most_alive, sum(r() is not None for r in refs))
                 yield q, labelings
 
-        monkeypatch.setattr(enumeration, "_weighted_quandles", watched)
+        monkeypatch.setattr(enumeration, "_class_tables", watched)
         assert main(["verify", "5"]) == 0
         assert "all checks consistent" in capsys.readouterr().out
         # one class representative per isomorphism class
@@ -205,6 +205,16 @@ class TestVerify:
     def test_order6_output_is_unchanged(self, fmt, capsys):
         assert main(["verify", "6", "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256[fmt]
+
+    def test_verify_builds_no_canonical_form_and_tests_no_isomorphism(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(enumeration, "_least_relabeling", refuse)
+        monkeypatch.setattr(enumeration, "are_isomorphic", refuse)
+        monkeypatch.setattr(Quandle, "iso_signature", refuse)
+        assert main(["verify", "6"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256["text"]
 
     def test_order7_counts_every_labeled_table(self, capsys):
         assert main(["verify", "7"]) == 0
@@ -351,7 +361,7 @@ class TestOrderGuards:
 
     def test_verify_takes_the_iso_guard(self, monkeypatch, capsys):
         # With no classes to check, the run is the guard and the printing.
-        monkeypatch.setattr(enumeration, "_weighted_quandles", lambda task: iter(()))
+        monkeypatch.setattr(enumeration, "_class_tables", lambda task: iter(()))
         start = time.perf_counter()
         assert main(["verify", str(enumeration.ISO_ORDER_GUARD)]) == 0
         assert time.perf_counter() - start < 1
@@ -427,8 +437,18 @@ def loaded_modules(*argv) -> set[str]:
 class TestStartup:
     def test_the_cli_import_loads_no_command_module(self):
         loaded = loaded_modules()
-        assert "quandles.enumeration" in loaded
-        assert not loaded & {"dataclasses", "json", "quandles.catalog", "quandles.constructions", "quandles.checks"}
+        assert not loaded & {"dataclasses", "json", "quandles.catalog", "quandles.constructions", "quandles.checks",
+                             "quandles.enumeration"}
+
+    def test_the_parser_names_the_enumeration_filters_and_guards(self, capsys):
+        for argv in (["enumerate", "--help"], ["verify", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        labeled, iso = enumeration.LABELED_ORDER_GUARD, enumeration.ISO_ORDER_GUARD
+        assert f"--filter {{{','.join(sorted(enumeration.PREDICATES))}}}" in text
+        assert f"(default {labeled}, or {iso} with --iso)" in text
+        assert f"(default {iso})" in text
 
     def test_the_package_import_loads_only_the_orbits_function(self):
         code = "import sys, quandles; print(*sorted(m for m in sys.modules if m.startswith('quandles.')))"

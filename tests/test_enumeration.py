@@ -15,12 +15,13 @@ from quandles.enumeration import (
     PREDICATES,
     EnumerationTask,
     OrderTooLargeError,
+    _class_tables,
     _column1_representatives,
+    _column_major_ties,
     _iso_reduce,
     _least_relabeling,
     _pipeline,
     _raw_tables,
-    _weighted_quandles,
     are_isomorphic,
     canonical_form,
     enumerate_parallel,
@@ -195,11 +196,11 @@ class TestSymmetryBreaking:
         keep = PREDICATES[predicate] if predicate else (lambda q: True)
         full = _iso_reduce(q for q in map(Quandle, labeled_stream(n, enumerated)) if keep(q))
         broken = enumerate_quandles(EnumerationTask(n, up_to_iso=True, predicate_filter=predicate))
-        assert [q.rows for q in broken] == [q.rows for q, _ in full]
+        assert [q.rows for q in broken] == [q.rows for q in full]
 
     def test_order6_stream_equals_reduction_of_full_search(self, enumerated):
         full = _iso_reduce(iter(enumerated(6, False)))
-        assert [q.rows for q in enumerated(6, True)] == [q.rows for q, _ in full]
+        assert [q.rows for q in enumerated(6, True)] == [q.rows for q in full]
 
     def test_searches_a_subsequence(self, enumerated):
         for n in range(1, 7):
@@ -248,6 +249,37 @@ class TestSymmetryBreaking:
         serial = enumerate_parallel(task, 1)
         assert len(serial) == ISO_COUNTS[6]
         assert [q.rows for q in enumerate_parallel(task, 2)] == [q.rows for q in serial]
+
+
+class TestColumnMajorTies:
+    """A table is kept iff it is its own column-major least labeling, and its ties count Aut(Q)."""
+
+    @staticmethod
+    def assert_matches_the_oracles(tables):
+        for t in tables:
+            ties = _column_major_ties(Quandle(t))
+            assert (ties > 0) == (column_major_least_labeling(t) == t)
+            if ties:
+                assert ties == automorphism_count(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_labeled_table(self, n, enumerated):
+        self.assert_matches_the_oracles(q.rows for q in enumerated(n, False))
+
+    def test_every_orderly_table_of_order_6(self):
+        self.assert_matches_the_oracles(_raw_tables(6))
+
+    @pytest.mark.parametrize("iso", [True, False])
+    def test_the_pipeline_needs_no_isomorphism_test(self, iso, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(enumeration, "are_isomorphic", refuse)
+        monkeypatch.setattr(Quandle, "iso_signature", refuse)
+        argv = ["enumerate", "6", "--tables"] + (["--iso"] if iso else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
 
 
 class TestAreIsomorphic:
@@ -336,7 +368,7 @@ class TestAutomorphismCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_class_sizes_sum_to_the_labeled_count(self, n):
-        weighted = list(_weighted_quandles(EnumerationTask(n, up_to_iso=True)))
+        weighted = list(_class_tables(EnumerationTask(n, up_to_iso=True)))
         assert len(weighted) == ISO_COUNTS[n]
         assert sum(labelings for _, labelings in weighted) == RAW_COUNTS[n]
 
@@ -344,7 +376,7 @@ class TestAutomorphismCounts:
     def test_filtered_class_sizes_sum_to_the_filtered_count(self, predicate, enumerated):
         task = EnumerationTask(5, up_to_iso=True, predicate_filter=predicate)
         labeled = [q for q in enumerated(5, False) if PREDICATES[predicate](q)]
-        assert sum(labelings for _, labelings in _weighted_quandles(task)) == len(labeled)
+        assert sum(labelings for _, labelings in _class_tables(task)) == len(labeled)
 
 
 class TestPredicatesAndFilters:
@@ -359,6 +391,33 @@ class TestPredicatesAndFilters:
             EnumerationTask(3, predicate_filter="nope")
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A process pool that maps in this process, so no worker starts; returns what it records.
+
+    ("open", max_workers) when it is made and "closed" when it exits.
+    """
+    events = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            events.append(("open", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("closed")
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # The parallel enumeration imports the pool class when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return events
+
+
 class TestPartitioning:
     @pytest.mark.parametrize(
         "n, up_to_iso",
@@ -371,32 +430,21 @@ class TestPartitioning:
         split = [t for p in _column1_representatives(n) for t in _raw_tables(n, first=p)]
         assert split == list(_raw_tables(n))
         task = EnumerationTask(n, up_to_iso=up_to_iso)
-        assert [q.rows for q, _ in _pipeline(task, split)] == [q.rows for q in enumerated(n, up_to_iso)]
+        assert [q.rows for q in _pipeline(task, split)] == [q.rows for q in enumerated(n, up_to_iso)]
 
     @pytest.mark.parametrize("n, cpus, workers", [(3, 64, 2), (4, 4, 3), (5, 4, 4), (4, None, 1)])
-    def test_workers_are_bounded_by_units_and_cpus(self, n, cpus, workers, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            # Records the pool size and maps in this process: no worker starts.
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        # enumerate_parallel imports the pool class when it needs one.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_workers_are_bounded_by_units_and_cpus(self, n, cpus, workers, serial_pool, monkeypatch):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
         task = EnumerationTask(n, up_to_iso=True)
         assert enumerate_parallel(task, 5000) == list(enumerate_quandles(task))
-        assert sizes == [workers]
+        assert serial_pool == [("open", workers), "closed"]
+
+    def test_the_parallel_stream_yields_while_the_pool_is_open(self, serial_pool):
+        stream = enumeration._parallel_quandles(EnumerationTask(5), 2)
+        assert next(stream).rows == next(enumerate_quandles(EnumerationTask(5))).rows
+        assert serial_pool == [("open", 2)]
+        assert len(list(stream)) == RAW_COUNTS[5] - 1
+        assert serial_pool == [("open", 2), "closed"]
 
     def test_parallel_matches_serial_raw(self):
         serial = enumerate_parallel(EnumerationTask(4), 1)
