@@ -26,7 +26,9 @@ the canonical-form scan reading a cached relabeling table and dropping a
 relabeling after its first row, at orders 6, 7 and 8; ``parent-5cdc964``,
 the checkout that reduced by signature buckets and ``are_isomorphic``;
 and ``least-labelings``, which keeps a table iff it is its own
-column-major least labeling, both at orders 6, 7 and 8.
+column-major least labeling, both at orders 6, 7 and 8; then
+``parent-ed49345`` against ``one-stabiliser``, whose search and class
+test share one centraliser per first column, at the same orders.
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ gives |Aut(Q)|; ``iso-guard``, a ``verify 8`` run, which the
 ``--iso`` guard that ``verify`` takes admits by default; and, at orders
 6, 7 and 8, ``parent-5cdc964``, which took |Aut(Q)| from a canonical
 form per class, against ``least-labelings``, which takes it from the
-class test and builds no canonical form.
+class test and builds no canonical form; then ``parent-ed49345``, whose
+class test read the n! relabeling table, against ``one-stabiliser``,
+which reads the centraliser from the search's column-1 candidates.
 """
 
 from __future__ import annotations

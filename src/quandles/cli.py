@@ -118,10 +118,7 @@ def cmd_enumerate(args) -> int:
         predicate_filter=args.filter,
         order_guard=args.guard,
     )
-    if args.jobs > 1:
-        stream = enumeration._parallel_quandles(task, args.jobs)
-    else:
-        stream = enumeration.enumerate_quandles(task)
+    stream = enumeration._parallel_quandles(task, args.jobs)
     if args.tables:
         from .catalog import serialize_table
     count = 0

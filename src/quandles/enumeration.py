@@ -17,18 +17,18 @@ of its n! relabelings; without, it gives all its labeled tables.
 ``verify`` checks the kept table of each class and counts its reports
 that many times.
 
-Both scans read the relabelings of order n from one table, built once
-per order: (sigma, translate table, inverse) for every sigma, split by
-sigma^-1(1), each part in ``itertools.permutations`` order (1 ms to
-build at order 6; 0.05 s and about 18 MB at order 8; above
-``ISO_ORDER_GUARD`` no table is kept and the relabelings are built as
-the scan goes). The canonical-form scan (``_least_relabeling``) visits
-only the parts x = sigma^-1(1) whose row x has the most entries equal to
-x, as only they give the least first row. The class test
-(``_column_major_ties``) visits only the relabelings that keep column 1:
-for each column x of R_1's cycle type, a fixed relabeling moving R_x
-onto R_1 composed with each member of the centraliser of R_1 that fixes
-1, read once per first column from the part x = 1 of the table. Each
+The scans over all of S_n (``_least_relabeling``, ``_labeled_tables``)
+read the relabelings of order n from one table, built once per order:
+(sigma, translate table, inverse) for every sigma, split by sigma^-1(1),
+each part in ``itertools.permutations`` order (1 ms to build at order 6;
+0.05 s and about 18 MB at order 8; above ``ISO_ORDER_GUARD`` no table is
+kept and the relabelings are built as the scan goes). The canonical-form
+scan visits only the parts x = sigma^-1(1) whose row x has the most
+entries equal to x, as only they give the least first row. The class
+test (``_column_major_ties``) visits only the relabelings that keep
+column 1: for each column x of R_1's cycle type, a fixed relabeling
+moving R_x onto R_1 composed with each member of the centraliser of R_1
+that fixes 1, which the search lists too (``_centralizer_parts``). Each
 sigma builds one column or row first and is dropped if it is above the
 target's: its table is then above the target. That is exact: a sigma
 that ties is compared to the end, so every sigma giving the least table
@@ -57,18 +57,18 @@ G_j screens each candidate p for a branching column j > 1 before it is
 assigned, and after the assignment every column x the branch set is
 tested against the members listed under x at each level up to j. Level
 j + 1 is the members of G_j that commute with R_j, listed by
-sigma^-1(j + 1). H_1 is all of S_n and is never listed beyond G_1, which
-is kept only to be refined: column 1 tries one permutation per cycle
-type, the lex-least one, e.g. (1)(2)(3 4)(5 6 7) for the type 1+2+3 at
-n = 7, which no member of G_1 conjugates below itself. That permutation
-puts the fixed points first and then cycles of increasing length on
-consecutive points, so two of them compare as their ascending cycle
-lengths do: at the first length that differs, the shorter cycle closes
-first and writes the smaller image. So a set column x cuts the branch iff
-its ascending cycle lengths are below R_1's. Columns set by propagation
-lie in the subquandle generated by the branching columns, which every
-member of the later H_j fixes pointwise, so they need no test of their
-own. The order-6 search visits 277 tables, not the 6658 labeled ones,
+sigma^-1(j + 1). H_1 is all of S_n and is never listed, nor is G_1:
+column 1 tries one permutation per cycle type, the lex-least one, e.g.
+(1)(2)(3 4)(5 6 7) for the type 1+2+3 at n = 7, which no member of G_1
+conjugates below itself, and level 2 is read from R_1's centraliser.
+That permutation puts the fixed points first and then cycles of
+increasing length on consecutive points, so two of them compare as their
+ascending cycle lengths do: at the first length that differs, the
+shorter cycle closes first and writes the smaller image. So a set column
+x cuts the branch iff its ascending cycle lengths are below R_1's.
+Columns set by propagation lie in the subquandle generated by the
+branching columns, which every member of the later H_j fixes pointwise,
+so they need no test of their own. The order-6 search visits 277 tables, not the 6658 labeled ones,
 and order 7 1,996, not 152,900.
 
 One pipeline validates, filters and reduces the searched tables of a
@@ -89,12 +89,11 @@ cycle structure and order are computed once (order 6 has 6658 tables
 with 39,948 columns but 455 distinct ones). Every table is still
 validated in full. Nothing is shared between calls.
 
-Column 1 is always the search's first branch and is never forced, so
-the search splits by its first column into share-nothing units, one per
-column-1 representative, so one per cycle type, whose outputs, in the
-order of their first columns, concatenate to the whole search. The
-orderly rule needs nothing from another unit: G_1 and the cycle types of
-the representatives are built before the unit's first column is fixed.
+Column 1 is set before branching starts, so the search runs as
+share-nothing units, one per column-1 representative, so one per cycle
+type, whose outputs, in the order of their first columns, concatenate to
+the whole search. The orderly rule needs nothing from another unit: a
+unit's level 2 is read from the centraliser of its own R_1.
 ``enumerate_parallel`` runs the units in worker processes, for every
 task, and feeds their raw rows, in that order, to the same pipeline, so
 any jobs count gives what one job gives; ``enumerate --jobs`` prints the
@@ -154,6 +153,11 @@ class EnumerationTask(Value):
 
     def __init__(self, order: int, up_to_iso: bool = False,
                  predicate_filter: Optional[str] = None, order_guard: Optional[int] = None):
+        # A bool is an int subclass, and is refused with the rest.
+        if type(order) is not int:
+            raise ValueError(f"order must be an int, got {order!r}")
+        if order_guard is not None and type(order_guard) is not int:
+            raise ValueError(f"order_guard must be an int or None, got {order_guard!r}")
         if order < 1:
             raise ValueError("order must be positive")
         if predicate_filter is not None and predicate_filter not in PREDICATES:
@@ -230,27 +234,25 @@ _ONE_BASED = bytes(range(1, 256)) + b"\0"
 def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The orderly search's tables of order n in search order, or those whose first column is first.
 
-    first is a column-1 representative, as 0-based bytes. The output is
-    the subsequence of the column search that the orderly rule of the
-    module docstring keeps; it holds the column-major lex-least labeling
-    of every isomorphism class.
+    first is a column-1 representative, as 0-based bytes, and the search
+    is one unit per representative, in lex order. The output is the
+    subsequence of the column search that the orderly rule keeps; it
+    holds the column-major lex-least labeling of every isomorphism class.
     """
     # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
     # bytes.translate table and invs[k] its inverse; both are read only
     # while cols[k] is set.
-    options = list(_candidate_columns(n))
+    options = _candidate_columns(n)
     identity = bytes(range(n))
     tail = bytes(range(n, 256))
+    firsts = _column1_representatives(n) if first is None else [first]
     # levels[j][x] lists the members sigma of H_j other than the identity
     # with sigma^-1(j) = x, as (translate table, inverse) pairs; levels[j][j]
-    # is G_j. Level 0 lists only G_0, the cycle-type rule stands in for the
-    # rest of S_n, and G_{n-1} is trivial, so levels[n] stays empty.
+    # is G_j. The cycle-type rule stands in for H_0 = S_n, so levels[0]
+    # stays empty, and so does levels[n], as G_{n-1} is trivial.
     levels: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n + 1)]
-    levels[0] = {0: [(s + tail, bytes.maketrans(s, identity)[:n])
-                     for s in options[0] if s != identity]}
-    options[0] = _column1_representatives(n) if first is None else [first]
     # A column's cycle type, found once per call.
-    cycle_types = {p: _cycle_type(p) for p in options[0]}
+    cycle_types = {p: _cycle_type(p) for p in firsts}
     cols: list[Optional[bytes]] = [None] * n
     invs: list[Optional[bytes]] = [None] * n
     tabs: list[Optional[bytes]] = [None] * n
@@ -333,9 +335,7 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
         if j == n:
             yield tuple(zip(*(c.translate(_ONE_BASED) for c in cols)))
             return
-        # No member of G_0 conjugates a column-0 candidate below itself, the
-        # least permutation of its cycle type; levels[0] is only refined.
-        group = levels[j].get(j) if j else None
+        group = levels[j].get(j)
         for p in options[j]:
             if group and undercut(group, p + tail, p):
                 continue
@@ -346,7 +346,14 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
             for t in trail:
                 cols[t] = None
 
-    yield from search(0)
+    for p in firsts:
+        # Column 0 forces no other column, as R_0 R_0 R_0^-1 = R_0. Level 1
+        # is R_0's centraliser in G_0, whose part 1 starts with the identity.
+        assign(0, p, [])
+        if n > 1:
+            levels[1] = {x: part[x == 1:] for x, part in _centralizer_parts(p).items()}
+        yield from search(1)
+        cols[0] = None
 
 
 def enumerate_quandles(task: EnumerationTask) -> Iterator[Quandle]:
@@ -510,16 +517,18 @@ def _cycle_order(p: bytes, x: int) -> bytes:
 def _centralizer_parts(p: bytes) -> dict[int, list[tuple[bytes, bytes]]]:
     """The relabelings tau that fix 0 and commute with p, split by tau^-1(1), as (translate table, inverse).
 
-    Kept for the life of the process, one per first column the class test
-    meets: at most one per cycle type, and all (n-1)! relabelings fixing 0
-    for the identity. Needs n > 1.
+    Read from the search's column-0 candidates and kept for the life of
+    the process, one per first column met: at most one per cycle type,
+    and all (n-1)! relabelings fixing 0 for the identity. Needs n > 1.
     """
     n = len(p)
-    ptab = p + bytes(range(n, 256))
+    tail = bytes(range(n, 256))
+    ptab = p + tail
     parts: dict[int, list[tuple[bytes, bytes]]] = {}
-    for _, tab, inv in _relabelings_from(n, (0,)):
-        if inv.translate(ptab).translate(tab) == p:
-            parts.setdefault(inv[1], []).append((tab, inv))
+    for tau in _candidate_columns(n)[0]:
+        tab = tau + tail
+        if p.translate(tab) == tau.translate(ptab):
+            parts.setdefault(tau.index(1), []).append((tab, bytes(map(tau.index, range(n)))))
     return parts
 
 
@@ -712,10 +721,10 @@ def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ..
 def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
     """``list(enumerate_quandles(task))``, with the search spread over worker processes.
 
-    More than one job splits the search by its first column, one unit per
-    column-1 representative, and starts at most one worker per CPU. The
-    workers return raw rows; the parent takes them in search order and
-    validates, filters and reduces each table once, and without
+    The search is split by its first column, one unit per column-1
+    representative, over min(jobs, units, CPUs) workers; one worker opens
+    no pool. The workers return raw rows; the parent takes them in search
+    order and validates, filters and reduces each table once, and without
     ``up_to_iso`` builds and validates the labeled tables, so the result
     equals one job's, order included.
     """
@@ -724,18 +733,17 @@ def enumerate_parallel(task: EnumerationTask, jobs: int) -> list[Quandle]:
 
 def _parallel_quandles(task: EnumerationTask, jobs: int) -> Iterator[Quandle]:
     """``enumerate_parallel(task, jobs)`` as a stream: each quandle is yielded while the pool is open."""
-    if jobs <= 1:
+    units = _column1_representatives(task.order)
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers <= 1:
         yield from enumerate_quandles(task)
         return
     # Imported here, its only use: it loads multiprocessing, which a
-    # one-job run does not need.
+    # one-worker run does not need.
     from concurrent.futures import ProcessPoolExecutor
 
-    n = task.order
-    units = _column1_representatives(n)
-    workers = min(jobs, len(units), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        tables = pool.map(functools.partial(_first_column_tables, n), units)
+        tables = pool.map(functools.partial(_first_column_tables, task.order), units)
         yield from _pipeline(task, chain.from_iterable(tables))
 
 

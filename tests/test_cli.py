@@ -216,6 +216,17 @@ class TestVerify:
         assert main(["verify", "6"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256["text"]
 
+    def test_verify_reads_no_relabeling_table(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        # The class test's centralisers are built again, from the search's columns.
+        enumeration._centralizer_parts.cache_clear()
+        monkeypatch.setattr(enumeration, "_relabelings_from", refuse)
+        monkeypatch.setattr(enumeration, "_relabeling_table", refuse)
+        assert main(["verify", "6"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256["text"]
+
     def test_order7_counts_every_labeled_table(self, capsys):
         assert main(["verify", "7"]) == 0
         out = capsys.readouterr().out

@@ -126,6 +126,14 @@ class TestRawEnumeration:
         # and a raised guard accepts the order
         EnumerationTask(9, order_guard=9)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"order": 2.5}, "order"), ({"order": True}, "order"), ({"order": None}, "order"),
+        ({"order": 3, "order_guard": 2.5}, "order_guard"), ({"order": 3, "order_guard": True}, "order_guard"),
+    ], ids=["float-order", "bool-order", "no-order", "float-guard", "bool-guard"])
+    def test_a_non_int_order_or_guard_is_refused_when_made(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            EnumerationTask(**kwargs)
+
     def test_default_guards_refuse_before_any_search(self):
         # the orderly search has its own guard, for any number of jobs
         EnumerationTask(8, up_to_iso=True)
@@ -185,6 +193,19 @@ class TestColumn1Representatives:
         expected = Permutation.from_cycles(7, [(3, 4), (5, 6, 7)])
         reps = [Permutation([v + 1 for v in p]) for p in _column1_representatives(7)]
         assert [p for p in reps if p.cycle_structure() == expected.cycle_structure()] == [expected]
+
+
+class TestCentralizerParts:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_equal_to_a_brute_force_over_all_permutations(self, n):
+        tail = bytes(range(n, 256))
+        for p in _column1_representatives(n):
+            expected = {}
+            for tau in permutations(range(n)):
+                if tau[0] == 0 and all(tau[p[x]] == p[tau[x]] for x in range(n)):
+                    inverse = bytes(sorted(range(n), key=tau.__getitem__))
+                    expected.setdefault(tau.index(1), []).append((bytes(tau) + tail, inverse))
+            assert enumeration._centralizer_parts(p) == expected
 
 
 class TestSymmetryBreaking:
@@ -437,7 +458,28 @@ class TestPartitioning:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
         task = EnumerationTask(n, up_to_iso=True)
         assert enumerate_parallel(task, 5000) == list(enumerate_quandles(task))
-        assert serial_pool == [("open", workers), "closed"]
+        # one worker opens no pool
+        assert serial_pool == ([("open", workers), "closed"] if workers > 1 else [])
+
+    def test_one_unit_opens_no_pool(self, serial_pool, capsys):
+        # Order 2 has one column-1 representative, so two jobs have one worker.
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["enumerate", "2", "--jobs", jobs, "--tables"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
+        assert serial_pool == []
+
+    def test_the_units_read_no_relabeling_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        expected = list(_raw_tables(6))
+        enumeration._centralizer_parts.cache_clear()
+        monkeypatch.setattr(enumeration, "_relabelings_from", refuse)
+        monkeypatch.setattr(enumeration, "_relabeling_table", refuse)
+        units = _column1_representatives(6)
+        assert [t for p in units for t in enumeration._first_column_tables(6, p)] == expected
 
     def test_the_parallel_stream_yields_while_the_pool_is_open(self, serial_pool):
         stream = enumeration._parallel_quandles(EnumerationTask(5), 2)

@@ -1,7 +1,11 @@
 """The timing scripts under scripts/ call private search functions; run them at small orders."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -53,3 +57,18 @@ def test_startup_orders_runs_each_command_in_a_fresh_process():
     assert "catalog" in loads["enumerate"] and not loads["enumerate"] & {"checks", "constructions"}
     assert "constructions" in loads["analyze"] and "catalog" not in loads["analyze"]
     assert not loads["check"] & {"checks", "constructions"}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("iso_orders", ["--orders", "6"]),
+    ("verify_orders", ["--orders", "4"]),
+    ("catalog_orders", ["--max-order", "11", "--rounds", "1"]),
+])
+def test_main_merges_each_label_into_the_file(name, argv, tmp_path, monkeypatch):
+    # main() puts --src on sys.path; the copy is restored afterwards.
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    out = tmp_path / "bench.json"
+    main = load(name).main
+    for label in ("parent", "change"):
+        assert main(argv + ["--label", label, "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())) == ["change", "parent"]
