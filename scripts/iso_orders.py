@@ -2,8 +2,8 @@
 
     python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
-Runs in process, stdlib only, and takes about 3 s (``--orders 8`` about
-80 s, three quarters of it the search). For each order it runs
+Runs in process, stdlib only, and takes about 1.5 s (``--orders 8``
+30-40 s, a third of it the search). For each order it runs
 the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
 after the other: the orderly search (``_raw_tables``), validation of every searched table, and the isomorphism
 reduction, of which it also reports the shares of the class test, which
@@ -28,7 +28,10 @@ the checkout that reduced by signature buckets and ``are_isomorphic``;
 and ``least-labelings``, which keeps a table iff it is its own
 column-major least labeling, both at orders 6, 7 and 8; then
 ``parent-ed49345`` against ``one-stabiliser``, whose search and class
-test share one centraliser per first column, at the same orders.
+test share one centraliser per first column, at the same orders; then
+``parent-0aaa07a`` against ``stabiliser-screen``, whose search tries for
+each branching column only the candidates that commute with the
+stabiliser of its index, at the same orders.
 """
 
 from __future__ import annotations

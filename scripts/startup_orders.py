@@ -24,7 +24,9 @@ their exit codes and digests match. Results are merged into FILE (default
 whose value classes were dataclasses, against ``lazy-imports``, where each
 command imports only the modules it runs; and ``parent-5cdc964``, whose
 argument parser imported ``enumeration``, against ``least-labelings``,
-where only ``enumerate`` and ``verify`` load it.
+where only ``enumerate`` and ``verify`` load it; then ``parent-0aaa07a``,
+whose ``enumerate --tables`` and ``construct`` loaded ``catalog`` to print
+tables, against ``stabiliser-screen``, where they load no ``catalog``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ ones), exit code, the counts of its last order line and the sha256 of its
 standard output. The output must be the per-order lines of the labeled
 counts (1, 1, 5, 36, 404, 6658, 152,900 and 5,225,916 tables; 5 + 2n
 reports per table; nothing inconsistent); a mismatch exits 1. Order 8
-takes about 2 minutes.
+takes about 25 s.
 
 Results are merged into FILE (default ``BENCH_verify.json`` at the
 repository root) under NAME (default ``current``), so runs of two
@@ -24,7 +24,10 @@ gives |Aut(Q)|; ``iso-guard``, a ``verify 8`` run, which the
 form per class, against ``least-labelings``, which takes it from the
 class test and builds no canonical form; then ``parent-ed49345``, whose
 class test read the n! relabeling table, against ``one-stabiliser``,
-which reads the centraliser from the search's column-1 candidates.
+which reads the centraliser from the search's column-1 candidates; then
+``parent-0aaa07a`` against ``stabiliser-screen``, whose search tries for
+each branching column only the candidates that commute with the
+stabiliser of its index.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ _SUBMODULE_NAMES = {
     "quandle": (
         "ColumnNotPermutationError", "ElementOutOfRangeError", "EmptyTableError",
         "EntryOutOfRangeError", "NotIdempotentError", "NotRightDistributiveError", "Profile",
-        "Quandle", "TableError", "TableTooLargeError",
+        "Quandle", "TableError", "TableTooLargeError", "serialize_table",
     ),
     "orbits": ("NotConnectedError", "connected_profile", "is_connected", "orbits"),
     "checks": (
@@ -47,7 +47,7 @@ _SUBMODULE_NAMES = {
     "catalog": (
         "CatalogEntry", "IllegalOmissionError", "MissingCatalogNameError", "StatsReport",
         "TableParseError", "appendix_tables", "catalog_stats", "load_catalog", "parse_structure",
-        "parse_table", "render_structure", "serialize_table",
+        "parse_table", "render_structure",
     ),
 }
 # Each public name -> the submodule that defines it.

@@ -1,4 +1,4 @@
-"""Table parsing and serialization, profile notation, catalog reports.
+"""Table parsing, profile notation, catalog reports.
 
 Two text formats for tables:
 
@@ -8,7 +8,9 @@ Two text formats for tables:
   integers with arbitrary whitespace, e.g. ``[[1,3,2],[3,2,1],[2,1,3]]``,
   as printed by GAP for an integer matrix.
 
-In both formats row i, column j of the text is i*j.
+In both formats row i, column j of the text is i*j. ``serialize_table``,
+which writes them, lives in ``quandle``, so that printing tables loads no
+parser, and is re-exported here.
 
 A catalog directory holds one table per file; the filename stem encodes
 catalog names as ``Q_<n>_<m>.qdl``. Free-form stems are accepted for user
@@ -25,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from ._value import Value
 from .orbits import is_connected
 from .perm import CycleStructure
-from .quandle import Profile, Quandle
+from .quandle import Profile, Quandle, serialize_table  # noqa: F401  (re-exported)
 
 
 class TableParseError(ValueError):
@@ -117,17 +119,6 @@ def _parse_gap_matrix(text: str) -> Quandle:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise TableParseError(1, 1, f"non-integer entry: {v!r}")
     return Quandle(data)
-
-
-def serialize_table(q: Quandle, fmt: str = "plain") -> str:
-    """Render a table; round-trips bit-exactly through parse_table."""
-    if fmt == "plain":
-        lines = [str(q.n)]
-        lines.extend(" ".join(map(str, row)) for row in q.rows)
-        return "\n".join(lines) + "\n"
-    if fmt == "gap_matrix":
-        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in q.rows) + "]"
-    raise ValueError(f"unknown table format {fmt!r}")
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")

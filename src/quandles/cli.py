@@ -9,9 +9,9 @@ including a malformed or unknown construction spec.
 
 Each command imports the modules it runs when it runs, so a process loads
 only those: ``constructions`` for spec inputs and ``construct``,
-``catalog`` for file and standard-input tables, ``--tables`` and
-``report``, ``enumeration`` for ``enumerate`` and ``verify``, ``checks``
-for ``analyze`` and ``verify``, and ``json`` for ``--format records``.
+``catalog`` for file and standard-input tables and ``report``,
+``enumeration`` for ``enumerate`` and ``verify``, ``checks`` for
+``analyze`` and ``verify``, and ``json`` for ``--format records``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from .orbits import is_connected
-from .quandle import Quandle
+from .quandle import Quandle, serialize_table
 
 _SPEC_KINDS = ("dihedral", "affine", "example", "conjugation")
 # The names of ``enumeration.PREDICATES`` and its two default guards, as
@@ -119,8 +119,6 @@ def cmd_enumerate(args) -> int:
         order_guard=args.guard,
     )
     stream = enumeration._parallel_quandles(task, args.jobs)
-    if args.tables:
-        from .catalog import serialize_table
     count = 0
     for q in stream:
         count += 1
@@ -228,8 +226,6 @@ def cmd_construct(args) -> int:
         _emit_record({"command": "construct", "order": q.n,
                       "rows": [list(r) for r in q.rows]})
     else:
-        from .catalog import serialize_table
-
         _emit(serialize_table(q, "plain").rstrip("\n"))
     return 0
 

@@ -68,8 +68,28 @@ shorter cycle closes first and writes the smaller image. So a set column
 x cuts the branch iff its ascending cycle lengths are below R_1's.
 Columns set by propagation lie in the subquandle generated by the
 branching columns, which every member of the later H_j fixes pointwise,
-so they need no test of their own. The order-6 search visits 277 tables, not the 6658 labeled ones,
-and order 7 1,996, not 152,900.
+so they need no test of their own. The order-6 search visits 277 tables,
+not the 6658 labeled ones, and order 7 1,996, not 152,900.
+
+Before those tests, the quandle's own symmetry screens each branching
+column. Conjugation by a right translation permutes the translations,
+R_k R_j R_k^-1 = R_{j*k}, so g R_j g^-1 = R_{g(j)} for every g in the
+group the right translations generate. The set columns always form a
+subquandle S, as propagation sets every product of two of them, so every
+g in the stabiliser of j in <R_m : m in S> must commute with R_j. Every
+table the search emits is a quandle, all pairs of its columns checked, so
+a candidate for column j that does not commute with that stabiliser has
+a subtree that emits nothing; dropping it leaves the output the same
+stream. Schreier's lemma (Sims 1970; Seress, *Permutation Group
+Algorithms*, 2003) gives generators of the stabiliser from the orbit of
+j: u_{g(x)}^-1 g u_x for x in the orbit, g a set column and u_x a
+transversal, O(n |S|) ``bytes.translate`` calls per branching node
+(``_stabiliser_generators``). The candidates kept are those commuting
+with every generator: the intersection of one set per generator, read
+from a dict owned by the search call, keyed by (j, generator)
+(``_screened_options``), and sorted, which is their lex order. Order 6
+makes 3,596 ``assign`` calls, not the 11,725 of the unscreened search,
+and order 7 52,932, not 372,670.
 
 One pipeline validates, filters and reduces the searched tables of a
 task, for one job and for many: it keeps the tables that are their own
@@ -106,7 +126,7 @@ import functools
 import math
 import os
 from itertools import chain, permutations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._value import Value
 from .orbits import is_connected
@@ -114,9 +134,10 @@ from .perm import Permutation
 from .quandle import Quandle
 
 # The largest orders searched without an explicit guard, from measured
-# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in about 80 s. The
-# labeled order-7 stream of 152,900 tables takes 7-11 s and peaks
-# at about 36 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
+# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in 30-40 s, a third
+# of it the search (scripts/iso_orders.py writes BENCH_iso.json). The
+# labeled order-7 stream of 152,900 tables takes about 9 s and peaks
+# at about 34 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
 # order 8 would hold its 5,225,916 tables, about 0.5 GB as bytes alone,
 # before yielding the first.
 LABELED_ORDER_GUARD = 7
@@ -227,6 +248,63 @@ def _column1_representatives(n: int) -> list[bytes]:
     return [_least_of_type((1,) + lengths) for lengths in _partitions(n - 1)]
 
 
+def _stabiliser_generators(gens: list[bytes], j: int) -> set[bytes]:
+    """Generators of the stabiliser of j in the group gens generate, as 0-based bytes, less the identity.
+
+    gens are permutations of one degree, at least one. By Schreier's
+    lemma the u_{g(x)}^-1 g u_x generate it, for x in the orbit of j, g in
+    gens and u_x a transversal (u_x(j) = x), here built breadth first.
+    """
+    n = len(gens[0])
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    tabs = [g + tail for g in dict.fromkeys(gens) if g != identity]
+    # x -> u_x^-1 as a translate table, for x in the orbit found so far.
+    inverses = {j: identity + tail}
+    transversal = [(j, identity)]
+    found = set()
+    for x, u in transversal:
+        for tab in tabs:
+            gu = u.translate(tab)
+            y = tab[x]
+            inverse = inverses.get(y)
+            if inverse is None:
+                inverses[y] = bytes.maketrans(gu, identity)
+                transversal.append((y, gu))
+            else:
+                s = gu.translate(inverse)
+                if s != identity:
+                    found.add(s)
+    return found
+
+
+def _screened_options(
+    columns: list[bytes], j: int, commuting: dict[tuple[int, bytes], set[bytes]],
+) -> Sequence[bytes]:
+    """The candidates for column j, in lex order, that commute with the stabiliser of j in the group of the columns.
+
+    columns are 0-based bytes, at least one. Each generator s of the
+    stabiliser (``_stabiliser_generators``) keeps the candidates that commute
+    with it, read from commuting, keyed by (j, s), or found and stored there.
+    With no generator the candidates are ``_candidate_columns(n)[j]``.
+    """
+    n = len(columns[0])
+    options = _candidate_columns(n)[j]
+    generators = _stabiliser_generators(columns, j)
+    if not generators:
+        return options
+    tail = bytes(range(n, 256))
+    sets = []
+    for s in generators:
+        members = commuting.get((j, s))
+        if members is None:
+            tab = s + tail
+            members = commuting[j, s] = {p for p in options if p.translate(tab) == s.translate(p + tail)}
+        sets.append(members)
+    # Sorted bytes of one length are in lex order, the order of options.
+    return sorted(min(sets, key=len).intersection(*sets))
+
+
 # x -> x + 1 on bytes, to turn 0-based columns into 1-based table entries.
 _ONE_BASED = bytes(range(1, 256)) + b"\0"
 
@@ -238,11 +316,19 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
     is one unit per representative, in lex order. The output is the
     subsequence of the column search that the orderly rule keeps; it
     holds the column-major lex-least labeling of every isomorphism class.
+
+    A branching column j tries only the candidates that commute with the
+    stabiliser of j in the group the set columns generate, given by its
+    Schreier generators (``_screened_options``). In a quandle
+    g R_j g^-1 = R_{g(j)} for every g in that group, so no completion of
+    another candidate is a quandle and its subtree emits nothing: the
+    output is the stream the unscreened search emits. The sets of
+    candidates commuting with each generator live in a dict owned by the
+    call, like the cycle types.
     """
     # Columns are 0-based bytes: cols[k][x] is x*k. tabs[k] is cols[k] as a
     # bytes.translate table and invs[k] its inverse; both are read only
     # while cols[k] is set.
-    options = _candidate_columns(n)
     identity = bytes(range(n))
     tail = bytes(range(n, 256))
     firsts = _column1_representatives(n) if first is None else [first]
@@ -253,6 +339,8 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
     levels: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n + 1)]
     # A column's cycle type, found once per call.
     cycle_types = {p: _cycle_type(p) for p in firsts}
+    # (j, s) -> the candidates for column j that commute with s, found once per call.
+    commuting: dict[tuple[int, bytes], set[bytes]] = {}
     cols: list[Optional[bytes]] = [None] * n
     invs: list[Optional[bytes]] = [None] * n
     tabs: list[Optional[bytes]] = [None] * n
@@ -336,7 +424,7 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
             yield tuple(zip(*(c.translate(_ONE_BASED) for c in cols)))
             return
         group = levels[j].get(j)
-        for p in options[j]:
+        for p in _screened_options([c for c in cols if c is not None], j, commuting):
             if group and undercut(group, p + tail, p):
                 continue
             trail: list[int] = []

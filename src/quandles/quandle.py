@@ -378,6 +378,17 @@ class Quandle:
         return f"Quandle({[list(r) for r in self.rows]!r})"
 
 
+def serialize_table(q: Quandle, fmt: str = "plain") -> str:
+    """Render a table; round-trips bit-exactly through ``catalog.parse_table``."""
+    if fmt == "plain":
+        lines = [str(q.n)]
+        lines.extend(" ".join(map(str, row)) for row in q.rows)
+        return "\n".join(lines) + "\n"
+    if fmt == "gap_matrix":
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in q.rows) + "]"
+    raise ValueError(f"unknown table format {fmt!r}")
+
+
 class Profile(Value):
     """The sorted list of cycle structures of all right translations.
 

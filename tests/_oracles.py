@@ -86,6 +86,20 @@ def compose_images(p, q):
     return tuple(p[v - 1] for v in q)
 
 
+def generated_group(generators):
+    """Every product of the image tuples, by closure under composition; generators must be non-empty."""
+    group = {tuple(range(1, len(generators[0]) + 1))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = compose_images(g, h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
 def brute_force_order(images):
     """Least k >= 1 with the k-fold composition equal to the identity."""
     images = tuple(images)

@@ -473,8 +473,8 @@ class TestStartup:
 
     def test_enumerate_loads_no_checker_or_construction(self):
         loaded = loaded_modules("enumerate", "6", "--iso", "--tables")
-        assert "quandles.catalog" in loaded
-        assert not loaded & {"dataclasses", "quandles.checks", "quandles.constructions"}
+        assert "quandles.enumeration" in loaded
+        assert not loaded & {"dataclasses", "quandles.catalog", "quandles.checks", "quandles.constructions"}
 
     def test_verify_loads_no_catalog_or_construction(self):
         loaded = loaded_modules("verify", "6")

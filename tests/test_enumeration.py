@@ -37,6 +37,7 @@ from _oracles import (
     canonical_labeling,
     column_major_least_labeling,
     column_search_quandles,
+    generated_group,
     meets_orderly_rule,
     naive_all_quandles,
     naive_isomorphic,
@@ -206,6 +207,69 @@ class TestCentralizerParts:
                     inverse = bytes(sorted(range(n), key=tau.__getitem__))
                     expected.setdefault(tau.index(1), []).append((bytes(tau) + tail, inverse))
             assert enumeration._centralizer_parts(p) == expected
+
+
+def subquandles(rows):
+    """Every non-empty set of elements (0-based) closed under *, by brute force over subsets."""
+    n = len(rows)
+    for mask in range(1, 1 << n):
+        members = [x for x in range(n) if mask >> x & 1]
+        if all(mask >> (rows[x][y] - 1) & 1 for x in members for y in members):
+            yield members
+
+
+class TestStabiliserScreen:
+    """Column j commutes with the stabiliser of j in the group of the set columns."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_generators_and_candidates_on_every_subquandle(self, n, enumerated):
+        # Classes suffice: a relabeling carries each case onto one of a class representative.
+        options = enumeration._candidate_columns(n)
+        identity = tuple(range(1, n + 1))
+        for q in enumerated(n, True):
+            columns = [bytes(row[k] - 1 for row in q.rows) for k in range(n)]
+            for members in subquandles(q.rows):
+                gens = [columns[m] for m in members]
+                group = generated_group([tuple(v + 1 for v in g) for g in gens])
+                for j in range(n):
+                    stabiliser = {g for g in group if g[j] == j + 1}
+                    found = enumeration._stabiliser_generators(gens, j)
+                    assert identity not in {tuple(v + 1 for v in s) for s in found}
+                    assert generated_group([identity, *(tuple(v + 1 for v in s) for s in found)]) == stabiliser
+                    expected = [p for p in options[j]
+                                if all(p[g[x] - 1] == g[p[x]] - 1 for g in stabiliser for x in range(n))]
+                    assert list(enumeration._screened_options(gens, j, {})) == expected
+
+    def test_the_cache_is_keyed_by_column_and_generator(self):
+        # R_0 = (1 2) on 0-based points fixes 2 and 3: the stabiliser of 2 is <R_0>.
+        swap = bytes([1, 0, 2, 3])
+        commuting: dict = {}
+        for j in (2, 3):
+            assert list(enumeration._screened_options([swap], j, commuting)) == [bytes([0, 1, 2, 3]), swap]
+        assert list(commuting) == [(2, swap), (3, swap)]
+        # A stored set is read, not found again.
+        commuting[2, swap] = {swap}
+        assert list(enumeration._screened_options([swap], 2, commuting)) == [swap]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_unscreened_search_emits_the_same_stream(self, n, monkeypatch):
+        offered = []
+        screened_options = enumeration._screened_options
+
+        def counted(*args):
+            candidates = screened_options(*args)
+            offered.append(len(candidates))
+            return candidates
+
+        monkeypatch.setattr(enumeration, "_screened_options", counted)
+        units = _column1_representatives(n)
+        screened = [list(_raw_tables(n, p)) for p in units]
+        screened_offered = sum(offered)
+        offered.clear()
+        monkeypatch.setattr(enumeration, "_stabiliser_generators", lambda gens, j: set())
+        assert [list(_raw_tables(n, p)) for p in units] == screened
+        # From order 4 the screen drops candidates.
+        assert screened_offered < sum(offered) if n >= 4 else screened_offered == sum(offered)
 
 
 class TestSymmetryBreaking:

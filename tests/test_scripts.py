@@ -54,7 +54,7 @@ def test_startup_orders_runs_each_command_in_a_fresh_process():
     assert not any("dataclasses" in row["modules"] for row in result.values())
     loads = {name: {m.removeprefix("quandles.") for m in row["modules"]} for name, row in result.items()}
     assert loads["verify"] >= {"checks", "enumeration"} and not loads["verify"] & {"catalog", "constructions"}
-    assert "catalog" in loads["enumerate"] and not loads["enumerate"] & {"checks", "constructions"}
+    assert "enumeration" in loads["enumerate"] and not loads["enumerate"] & {"catalog", "checks", "constructions"}
     assert "constructions" in loads["analyze"] and "catalog" not in loads["analyze"]
     assert not loads["check"] & {"checks", "constructions"}
 
