@@ -29,7 +29,10 @@ three alternating runs a side: ``point-loops``, the checkout that
 validated tables and decided left refinement point by point, against
 ``byte-screens``, which screens them with ``bytes`` and ``set``
 operations; then ``fixed-sets``, which checks cycle-length division as
-the closure of each Fix(f^m), against a fresh ``byte-screens`` run.
+the closure of each Fix(f^m), against a fresh ``byte-screens`` run; then
+``orbit-screen``, which tests distributivity in full only at columns 1
+and 2 and at the columns outside their orbit, against its parent
+``parent-3851f07``, which tested every column.
 """
 
 from __future__ import annotations

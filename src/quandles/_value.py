@@ -26,8 +26,7 @@ class Value:
 
     def _init(self, *values: object) -> None:
         """Set the fields, in order, to the values, past ``__setattr__``."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -47,11 +47,13 @@ lengths, so failures keep their (k, x, y) order. Above order 256
 The other checkers that can fail point by point screen the same way, on
 the 0-based byte rows and columns the table keeps from validation:
 conjugation identity is one pass of the validation's distributivity
-screen, and left refinement is decided by one ``translate`` of row i by
-the R_i-cycle labels cached on the permutation. Their point-by-point
-loops run only to name witnesses: when a screen fails, and for left
-refinement only when the hypothesis holds too, or above order 256 (a
-non-bijective row is scanned to its first repeat).
+screen (R_k tested in full only for k = 1, 2 and the k outside their
+orbit under R_1 and R_2, which implies the rest), and left refinement is
+decided by one ``translate`` of row i by the R_i-cycle labels cached on
+the permutation. Their point-by-point loops run only to name witnesses:
+when a screen fails, and for left refinement only when the hypothesis
+holds too, or above order 256 (a non-bijective row is scanned to its
+first repeat).
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from quandles.enumeration import (
     _column1_representatives,
     _column_major_ties,
     _iso_reduce,
+    _labeled_tables,
+    _least_labelings,
     _least_relabeling,
     _pipeline,
     _raw_tables,
@@ -462,6 +464,14 @@ class TestAutomorphismCounts:
         task = EnumerationTask(5, up_to_iso=True, predicate_filter=predicate)
         labeled = [q for q in enumerated(5, False) if PREDICATES[predicate](q)]
         assert sum(labelings for _, labelings in _class_tables(task)) == len(labeled)
+
+    # Every order-7 unit but the identity's (about 4 s) finishes within about a second.
+    @pytest.mark.parametrize("first", _column1_representatives(7)[1:],
+                             ids=lambda p: "".join(str(v + 1) for v in p))
+    def test_order7_units_relabel_to_their_class_sizes(self, first):
+        classes = list(_least_labelings(Quandle(rows) for rows in _raw_tables(7, first)))
+        tables = [b"".join(rows) for rows in _labeled_tables(7, [q for q, _ in classes])]
+        assert len(set(tables)) == len(tables) == sum(labelings for _, labelings in classes)
 
 
 class TestPredicatesAndFilters:

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,39 @@ class TestDistributivityKernel:
                 accepted = False
                 assert (err.i, err.j, err.k) == triples[0]
             assert accepted == axioms_hold(rows)
+
+    @pytest.mark.parametrize("n, tables", [(1, 1), (2, 1), (3, 8), (4, 1296)])
+    def test_every_table_of_index_fixing_columns(self, n, tables):
+        # each column a permutation fixing its own index: 1, 1, 8 and 1296 tables
+        options = [[p for p in permutations(range(n)) if p[j] == j] for j in range(n)]
+        seen = 0
+        for cols in product(*options):
+            rows = [[col[i] + 1 for col in cols] for i in range(n)]
+            assert _distributive([bytes(col) for col in cols]) == axioms_hold(rows)
+            seen += 1
+        assert seen == tables
+
+    @pytest.mark.parametrize("blocks, orbit, swaps", [((2, 3), 2, 18), ((3, 3), 3, 30)])
+    def test_a_broken_column_outside_the_orbit_of_1_and_2(self, blocks, orbit, swaps):
+        # A disjoint union of blocks, each acting trivially on the others: a
+        # block of 2 is trivial and one of 3 dihedral, so the orbit of {1, 2}
+        # is the first block and the columns after it are tested in full.
+        starts = [sum(blocks[:b]) for b in range(len(blocks))]
+        block = [b for b, size in enumerate(blocks) for _ in range(size)]
+
+        def op(i, j):
+            if block[i] != block[j] or blocks[block[i]] == 2:
+                return i + 1
+            start = starts[block[i]]
+            return (2 * j - i - start) % 3 + start + 1
+
+        n = len(block)
+        rows = [[op(i, j) for j in range(n)] for i in range(n)]
+        assert _distributive([bytes(v - 1 for v in col) for col in zip(*rows)]) is axioms_hold(rows) is True
+        broken = [t for t in column_swaps(rows) if all(t[i][j] == rows[i][j] for i in range(n) for j in range(orbit))]
+        assert len(broken) == swaps
+        for t in broken:
+            assert _distributive([bytes(v - 1 for v in col) for col in zip(*t)]) is axioms_hold(t) is False
 
     def test_list_path_above_256(self):
         # the dihedral(257) table, built directly to skip validating it twice
