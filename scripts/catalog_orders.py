@@ -16,10 +16,12 @@ in the order ``all_checks`` runs them, so each one pays for the per-table
 caches it fills first. ``report`` runs last, through ``cli.main`` over a
 directory holding the texts. Every stage is timed with ``perf_counter``;
 the median over the rounds is recorded. Every report must be consistent
-and ``report`` must exit 0; otherwise the script exits 1. The sha256 of
-the rendered reports of all tables and of ``report``'s standard output
-are recorded, so two checkouts can be seen to answer alike; at the
-default order they must equal the values recorded in ``DIGESTS``.
+and ``report`` must exit 0; otherwise the script exits 1. Three sha256
+are recorded, so two checkouts can be seen to answer alike: of the
+rendered reports of all tables, of their ``report_record`` JSON, which
+holds every detail too (the cycle-shift relabelings, the regular-cycle
+orders), and of ``report``'s standard output. At the default order they
+must equal the values recorded in ``DIGESTS``.
 
 Results are merged into FILE (default ``BENCH_catalog.json`` at the
 repository root) under NAME (default ``current``), so runs of two
@@ -32,7 +34,10 @@ operations; then ``fixed-sets``, which checks cycle-length division as
 the closure of each Fix(f^m), against a fresh ``byte-screens`` run; then
 ``orbit-screen``, which tests distributivity in full only at columns 1
 and 2 and at the columns outside their orbit, against its parent
-``parent-3851f07``, which tested every column.
+``parent-3851f07``, which tested every column; then ``orbit-links``,
+which walks the cycles of one column per orbit and fills the others'
+cycle data by conjugation, against its parent ``parent-466854b``, which
+walked every column.
 """
 
 from __future__ import annotations
@@ -55,9 +60,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DEFAULT_MAX_ORDER = 47
 # sha256 of the rendered reports and of `report`'s stdout at the default
-# order, recorded before the byte screens were added.
+# order, recorded before the byte screens were added, and of the report
+# records, recorded before one column per orbit was walked.
 DIGESTS = {
     "reports_sha256": "516ef6261543d7a7545deeaaf0cf16fe314a63fba3c8a6a7c01a70dceef0821e",
+    "records_sha256": "51024ba16af4b0e0c218197d0076b438b2abdd685987ab6945c88570532db835",
     "report_stdout_sha256": "d39fe7d55ad1c35c81e42ad0a2f353ab95fc8810b8f397ba6e2b3d7f4e397cb9",
 }
 
@@ -95,8 +102,9 @@ def catalog_texts(max_order: int) -> list[tuple[str, str]]:
             for i, (name, q) in enumerate(tables)]
 
 
-def one_round(texts: list[tuple[str, str]], directory: Path) -> tuple[dict[str, float], list[str], str, int]:
-    """(seconds per stage, rendered reports, report stdout, report exit code) of one round."""
+def one_round(texts: list[tuple[str, str]],
+              directory: Path) -> tuple[dict[str, float], list[str], list[str], str, int]:
+    """(seconds per stage, rendered reports, report records as JSON, report stdout, exit code) of one round."""
     from quandles import checks
     from quandles.catalog import parse_table
     from quandles.cli import main
@@ -134,8 +142,9 @@ def one_round(texts: list[tuple[str, str]], directory: Path) -> tuple[dict[str, 
     times["total_s"] = times["parse_s"] + times["checkers_s"] + times["report_s"]
 
     rendered = [checks.render_report(r) for out in reports for r in out]
+    records = [json.dumps(checks.report_record(r), sort_keys=True) for out in reports for r in out]
     inconsistent = sum(not r.consistent for out in reports for r in out)
-    return times, rendered, stdout.getvalue(), code if inconsistent == 0 else 1
+    return times, rendered, records, stdout.getvalue(), code if inconsistent == 0 else 1
 
 
 def measure(max_order: int = DEFAULT_MAX_ORDER, rounds: int = 7) -> dict:
@@ -145,13 +154,14 @@ def measure(max_order: int = DEFAULT_MAX_ORDER, rounds: int = 7) -> dict:
         for name, text in texts:
             (directory / f"{name}.qdl").write_text(text)
         runs = [one_round(texts, directory) for _ in range(rounds)]
-    times, rendered, stdout, code = runs[-1]
+    times, rendered, records, stdout, code = runs[-1]
     result = {
         "tables": len(texts),
         "rounds": rounds,
-        "exit_code": max(run[3] for run in runs),
+        "exit_code": max(run[-1] for run in runs),
         "reports": len(rendered),
         "reports_sha256": hashlib.sha256("\n".join(rendered).encode()).hexdigest(),
+        "records_sha256": hashlib.sha256("\n".join(records).encode()).hexdigest(),
         "report_stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
     }
     for stage in times:

@@ -26,10 +26,16 @@ The statements covered:
 
 Work that depends only on a permutation is cached on it, and work that
 depends only on a table on the table (orbits, latinity), so the checkers
-share it. Cycle shift on the relabeled f depends only on the cycle
-structure: ``all_checks`` checks its pairs once per structure in the table,
-while each column's report keeps its own relabeling. A direct call
-of ``check_cycle_shift`` still checks every pair.
+share it. The columns of one orbit are conjugate, so a translation's cycle
+structure, order, cycle labels and division screen are walked on one
+column per orbit and conjugated onto the others
+(``Quandle._shared_translations``); only the cycle-shift relabeling walks
+each column's own cycles, as it lists them in canonical order.
+
+Cycle shift on the relabeled f depends only on the cycle structure:
+``all_checks`` checks its pairs once per structure in the table, while
+each column's report keeps its own relabeling. A direct call of
+``check_cycle_shift`` still checks every pair.
 
 Cycle length division is checked as a closure rule, not over the n^3
 triples (k, x, y). Under f = R_k, l_{x*y} divides lcm(l_x, l_y) for all
@@ -269,7 +275,7 @@ def check_cycle_length_division(q: Quandle) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
     failures = cycle_length_division_failures(
-        q.rows, [q._right_translation(k) for k in range(1, n + 1)], _row_bytes=q._row_bytes
+        q.rows, q._shared_translations(detail=True), _row_bytes=q._row_bytes
     )
     witnesses, count = _capped(failures)
     return CheckReport(
@@ -313,6 +319,7 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     walked only to name witnesses, which a report shows only when the
     hypothesis holds; a non-bijective row is scanned to its first repeat.
     """
+    q._shared_translations(detail=True)  # R_i's structure and labels, from its orbit's walked column
     right = q.right_translation(i)  # checks i once for both translations
     hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
     is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
@@ -391,8 +398,7 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
     column_orders = []
     column_longest = []
     failures = []
-    for j in range(1, q.n + 1):
-        p = q._right_translation(j)
+    for j, p in enumerate(q._shared_translations(), 1):
         column_orders.append(p.order)
         column_longest.append(p.longest_cycle_length)
         if not p.has_regular_cycle:
@@ -427,9 +433,9 @@ def all_checks(q: Quandle) -> list[CheckReport]:
         check_regular_cycle(q),
     ]
     verdicts: dict[CycleStructure, tuple[int, list[tuple[int, int]]]] = {}
-    for i in range(1, q.n + 1):
+    for i, p in enumerate(q._shared_translations(), 1):
         reports.append(check_left_refinement(q, i))
-        reports.append(check_cycle_shift(q._right_translation(i), _verdicts=verdicts))
+        reports.append(check_cycle_shift(p, _verdicts=verdicts))
     return reports
 
 

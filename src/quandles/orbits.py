@@ -7,7 +7,7 @@ partition has a single block.
 
 from __future__ import annotations
 
-from .perm import CycleStructure
+from .perm import CycleStructure, Permutation
 from .quandle import Quandle
 
 
@@ -20,33 +20,16 @@ class NotConnectedError(ValueError):
 def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
     """Orbit partition of {1..n} under the group generated by the right translations.
 
-    Only the translations themselves are walked. On a finite set each one
-    has finite order, so its inverse is one of its powers, and a set closed
-    under the translations is closed under the whole group. The partition is
-    computed once per table and kept on it.
+    Each orbit is grown from its least point by set operations on rows,
+    as row x is {x*s : s}, the points one right translation away from x.
+    On a finite set each translation has finite order, so its inverse is
+    one of its powers, and a set closed under the translations is closed
+    under the whole group. The partition is computed once per table and
+    kept on it, with the links along which the table shares the cycle
+    data of conjugate translations (``Quandle._find_orbits``).
     """
-    if q._orbits is not None:
-        return q._orbits
-    n = q.n
-    cols = q.columns()
-    seen = [False] * (n + 1)
-    blocks = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        block = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            block.append(x)
-            for col in cols:
-                y = col[x - 1]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        blocks.append(frozenset(block))
-    q._orbits = tuple(blocks)
+    if q._orbits is None:
+        q._find_orbits()
     return q._orbits
 
 
@@ -57,14 +40,15 @@ def is_connected(q: Quandle) -> bool:
 def connected_profile(q: Quandle) -> CycleStructure:
     """The common cycle structure of all right translations of a connected quandle.
 
-    All n structures are recomputed and compared instead of trusting that
-    they agree; a disagreement on a connected quandle indicates a bug in
-    table validation and raises RuntimeError.
+    All n structures are recomputed from each column's own cycles and
+    compared instead of trusting that they agree (``column_structures``
+    walks one column per orbit); a disagreement on a connected quandle
+    indicates a bug in table validation and raises RuntimeError.
     """
     blocks = orbits(q)
     if len(blocks) != 1:
         raise NotConnectedError(len(blocks))
-    structures = q.column_structures()
+    structures = [Permutation._of_bijection(col).cycle_structure() for col in q.columns()]
     first = structures[0]
     for j, cs in enumerate(structures, 1):
         if cs != first:

@@ -67,7 +67,11 @@ class CycleStructure(Value):
         return self.entries[0][1] if self.entries and self.entries[0][0] == 1 else 0
 
     def lengths(self) -> tuple[int, ...]:
-        """Every cycle length, repeated with multiplicity, ascending."""
+        """Every cycle length, repeated with multiplicity, ascending; computed once per structure."""
+        return self._lengths
+
+    @functools.cached_property
+    def _lengths(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable((length,) * mult for length, mult in self.entries))
 
     def __lt__(self, other: "CycleStructure") -> bool:
@@ -217,9 +221,13 @@ class Permutation:
         return self._relabeling
 
     def _cycle_labels(self) -> bytes:
-        """A 256-byte translate table sending each 0-based point to the index of its cycle; cached.
+        """A 256-byte translate table sending each 0-based point to a label of its cycle; cached.
 
-        For degree at most 256 only. Bytes past the degree are zero.
+        The labels are constant on each cycle and distinct across cycles;
+        nothing else about them is promised. Walked, a cycle's label is its
+        index among ``cycles()``; a table fills a translation's labels from
+        a conjugate's (``Quandle._share_cycle_data``). For degree at most
+        256 only. Bytes past the degree are zero.
         """
         if self._labels is None:
             labels = bytearray(256)

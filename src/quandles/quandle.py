@@ -30,6 +30,14 @@ columns, distributivity), only to raise the first failure with its
 witness; so is every table above order 256, composing 0-based lists n^2
 times, and a valid table whose entries are of an int subclass, which
 keeps no bytes.
+
+The cycles of the right translations are walked on one column per orbit.
+The orbits are grown from the rows, as row x is {x*s : s}, and every other
+point y is linked to a point x reached before it, with y = x*s. Since
+R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure and order are R_x's, and on
+a table kept as bytes so are its cycle labels and cycle-length division
+screen, moved by R_s (``_shared_translations``). A connected table walks
+one column's cycles for all n.
 """
 
 from __future__ import annotations
@@ -237,8 +245,8 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_pool", "_translations",
-                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free", "_orbits",
-                 "_invariants", "_iso_sig", "__weakref__")
+                 "_shared", "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free",
+                 "_orbits", "_links", "_invariants", "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]], *,
                  _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
@@ -261,12 +269,15 @@ class Quandle:
         # Right translations by column, from ``_pool`` when one is given.
         self._pool = {} if _pool is None else _pool
         self._translations: list[Optional[Permutation]] = [None] * n
+        # 0: no cycle data shared yet; 1: structures and orders; 2: also labels and screens.
+        self._shared = 0
         self._structures: Optional[tuple[CycleStructure, ...]] = None
         self._profile: Optional[Profile] = None
         self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
         self._repeat_free: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
+        self._links: Optional[tuple[tuple[int, int, int], ...]] = None
         self._invariants: Optional[tuple[tuple, ...]] = None
         self._iso_sig = None
 
@@ -311,6 +322,88 @@ class Quandle:
             self._translations[j - 1] = p
         return p
 
+    def _find_orbits(self) -> None:
+        """Set the orbit partition and the links along which cycle data is shared.
+
+        Row x is {x*s : s}, every point one right translation away from x,
+        so each orbit is grown breadth first from its least point by set
+        operations on rows; once every point is reached no row is read
+        again. Each point y that a row x adds is linked as (y, x, s), 1-based,
+        with y = x*s; x was reached before y, so its link comes first.
+        """
+        n = self.n
+        rows = self.rows
+        seen: set[int] = set()
+        blocks = []
+        links = []
+        for start in range(1, n + 1):
+            if start in seen:
+                continue
+            seen.add(start)
+            block = [start]
+            for x in block:
+                if len(seen) == n:
+                    break
+                row = rows[x - 1]
+                new = set(row).difference(seen)
+                if new:
+                    column = dict(zip(row, range(1, n + 1)))
+                    links.extend([(y, x, column[y]) for y in new])
+                    block.extend(new)
+                    seen.update(new)
+            blocks.append(frozenset(block))
+        self._orbits = tuple(blocks)
+        self._links = tuple(links)
+
+    def _shared_translations(self, detail: bool = False) -> list[Permutation]:
+        """Every right translation, in column order, with its cycle structure and order.
+
+        With ``detail`` each also gets its cycle labels and cycle-length
+        division screen, on a table kept as bytes. The data is walked only
+        on the first column of each orbit and shared along the orbit links
+        (``_share_cycle_data``), once per table and level of detail.
+        """
+        level = 2 if detail and self._col_bytes is not None else 1
+        if self._shared < level:
+            translations = list(map(self._right_translation, range(1, self.n + 1)))
+            self._share_cycle_data(translations, self._col_bytes if level == 2 else None)
+            self._shared = level
+        return self._translations
+
+    def _share_cycle_data(self, translations: list[Permutation], cols: Optional[tuple[bytes, ...]]) -> None:
+        """Fill each linked column's empty cache slots from the column it is linked to.
+
+        For a link y = x*s, R_y = R_s R_x R_s^-1 (Joyce, J. Pure Appl. Algebra
+        23, 1982): R_s sends each cycle of R_x onto a cycle of R_y. So R_y has
+        the same cycle structure (the same object) and order, and, given the
+        0-based byte columns ``cols``, its cycle labels are R_x's read through
+        R_s^-1, and each of its Fix(f^m) sets and tested rows is R_x's moved
+        by R_s. No cycle of R_y is walked. A slot already filled, as on a
+        translation that another table of the pool has filled, is kept.
+        """
+        if self._links is None:
+            self._find_orbits()
+        if cols is not None:
+            n = self.n
+            points, pad = _IDENTITY_BYTES[:n], _IDENTITY_BYTES[n:]
+        for y, x, s in self._links:
+            px, py = translations[x - 1], translations[y - 1]
+            if py._structure is None:
+                py._structure = px.cycle_structure()
+            if py._order is None:
+                py._order = px.order
+            if cols is not None:
+                col = cols[s - 1]
+                if py._labels is None:
+                    py._labels = bytes.maketrans(col, points).translate(px._cycle_labels())
+                if py._screen is None:
+                    move = col + pad
+                    screen = []
+                    for fixed, tested in px._division_screen():
+                        moved = fixed.translate(move)
+                        screen.append((moved, moved if tested is fixed else tested.translate(move)))
+                    py._screen = tuple(screen)
+
     def left_translation(self, i: int) -> Optional[Permutation]:
         """The permutation x -> i*x (row i), or None when the row is not a bijection."""
         self._check_element(i)
@@ -349,11 +442,13 @@ class Quandle:
         return self._unique_fp
 
     def column_structures(self) -> tuple[CycleStructure, ...]:
-        """Cycle structure of each right translation, in column order."""
+        """Cycle structure of each right translation, in column order.
+
+        Only the first column of each orbit has its cycles walked; the
+        columns of one orbit are conjugate and share its structure.
+        """
         if self._structures is None:
-            self._structures = tuple(
-                self._right_translation(j).cycle_structure() for j in range(1, self.n + 1)
-            )
+            self._structures = tuple([p.cycle_structure() for p in self._shared_translations()])
         return self._structures
 
     def profile(self) -> "Profile":

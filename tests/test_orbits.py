@@ -60,6 +60,12 @@ class TestExhaustiveSmallOrders:
                 if is_connected(q):
                     connected_profile(q)
 
+    def test_connected_profile_walks_every_column(self, monkeypatch):
+        # column_structures shares one walked structure per orbit; the lemma's
+        # check must not read it
+        monkeypatch.setattr(Quandle, "column_structures", lambda self: pytest.fail("read column_structures"))
+        assert str(connected_profile(dihedral(5))) == "(1,2^2)"
+
     def test_latin_implies_connected_and_unique_fixed_points(self, enumerated):
         for n in range(1, 7):
             for q in enumerated(n, False):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from itertools import permutations
 
 import pytest
@@ -183,6 +184,15 @@ class TestCycleStructure:
             # cached on the object, and invisible to equality and hashing
             assert "has_distinct_lengths" in vars(cs)
             assert cs == fresh and hash(cs) == hash(fresh)
+
+    def test_lengths_once_per_structure(self):
+        cs = CycleStructure(((1, 2), (3, 1), (4, 2)))
+        assert cs.lengths() == (1, 1, 3, 4, 4)
+        # cached on the object, and invisible to equality, hashing and pickling
+        assert cs.lengths() is cs.lengths()
+        fresh = CycleStructure(cs.entries)
+        assert cs == fresh and hash(cs) == hash(fresh)
+        assert pickle.loads(pickle.dumps(cs)) == fresh
 
     def test_sort_order_uses_expanded_lengths(self):
         # (1^3) < (1,2) because the length sequences (1,1,1) < (1,2)

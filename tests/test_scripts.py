@@ -43,6 +43,8 @@ def test_catalog_orders_times_every_stage():
     # the digests of the point-by-point checkout at this order
     assert result["reports_sha256"].startswith("21c5fe34a218")
     assert result["report_stdout_sha256"].startswith("d23c2e753ae5")
+    # the report records, details included, of the checkout that walked every column
+    assert result["records_sha256"].startswith("a83fe3527823")
     stages = ("parse_s", "conjugation_identity_s", "left_refinement_s", "cycle_shift_s", "report_s")
     assert all(result[stage] > 0 for stage in stages)
 
