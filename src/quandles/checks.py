@@ -29,13 +29,17 @@ depends only on a table on the table (orbits, latinity), so the checkers
 share it. The columns of one orbit are conjugate, so a translation's cycle
 structure, order, cycle labels and division screen are walked on one
 column per orbit and conjugated onto the others
-(``Quandle._shared_translations``); only the cycle-shift relabeling walks
-each column's own cycles, as it lists them in canonical order.
+(``Quandle._shared_translations``). Only the cycle-shift relabeling walks
+each column's own cycles, as it lists them in canonical order, and only
+a read of a report's details builds it.
 
 Cycle shift on the relabeled f depends only on the cycle structure:
-``all_checks`` checks its pairs once per structure in the table, while
-each column's report keeps its own relabeling. A direct call of
-``check_cycle_shift`` still checks every pair.
+``all_checks`` keeps one capped verdict per structure in the table, while
+each column's report reads its own relabeling. A direct call of
+``check_cycle_shift`` still computes the verdict. On a cycle of length m
+it is screened by one slice compare per distance d = j - i, 2m - 1 in
+all; only a cycle that fails the screen is walked pair by pair, to name
+its failing pairs.
 
 Cycle length division is checked as a closure rule, not over the n^3
 triples (k, x, y). Under f = R_k, l_{x*y} divides lcm(l_x, l_y) for all
@@ -65,7 +69,9 @@ first repeat).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from ._value import Value
 from .orbits import is_connected, orbits
@@ -178,52 +184,88 @@ def _cycle_shift_failures(f: Permutation) -> tuple[int, list[tuple[int, int]]]:
     """(pairs counted, failing pairs (i, j)) of the cycle-shift check on a consecutive form f.
 
     The power f^d depends only on the distance d = j - i, so each one is
-    built once: at most 2m - 1 powers for a longest cycle of length m,
-    instead of one per pair of points.
+    built once, in the order the pairs first need it: at most 2m - 1
+    powers for a longest cycle of length m, instead of one per pair of
+    points. The pairs of a cycle c = (b+1, .., b+m) at distance d are
+    screened by one compare: f^d sends the points of c that have a point
+    d further on in c to those points, a slice of its images against a
+    slice of c. Only a cycle where some compare fails is walked pair by
+    pair, in (i, j) order.
     """
     failures = []
     counted = 0
-    powers: dict[int, Permutation] = {}
+    powers: dict[int, tuple[int, ...]] = {}
     for cycle in f.cycles():
-        for i in cycle:
-            for j in cycle:
-                counted += 1
-                d = j - i
-                power = powers.get(d)
-                if power is None:
-                    power = powers[d] = f ** d
-                if power.images[i - 1] != j:
-                    failures.append((i, j))
+        m = len(cycle)
+        base = cycle[0] - 1
+        counted += m * m
+        shifted = True
+        for d in chain(range(m), range(-1, -m, -1)):
+            images = powers.get(d)
+            if images is None:
+                images = powers[d] = (f ** d).images
+            if d >= 0:
+                shifted &= images[base:base + m - d] == cycle[d:]
+            else:
+                shifted &= images[base - d:base + m] == cycle[:m + d]
+        if not shifted:
+            failures.extend((i, j) for i in cycle for j in cycle if powers[j - i][i - 1] != j)
     return counted, failures
+
+
+class _RelabelingDetails(Mapping):
+    """A cycle-shift report's details ``{"relabeling": ...}``, reading p's relabeling when asked.
+
+    The relabeling walks p's cycles (cached on p), and nothing in the
+    checkers reads it. The mapping equals, prints, pickles and copies as
+    that dict; a pickle or copy of it is the dict itself.
+    """
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: Permutation):
+        self._p = p
+
+    def __getitem__(self, key: str) -> tuple[int, ...]:
+        if key == "relabeling":
+            return self._p._consecutive_relabeling()
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(("relabeling",))
+
+    def __len__(self) -> int:
+        return 1
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def check_cycle_shift(
     p: Permutation,
     *,
-    _verdicts: Optional[dict[CycleStructure, tuple[int, list[tuple[int, int]]]]] = None,
+    _verdicts: Optional[dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]] = None,
 ) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
     f depends only on the cycle structure of p. ``all_checks`` passes a
-    ``_verdicts`` dict of its own, so the pairs are checked once per cycle
-    structure in the table; a call without it checks them all.
+    ``_verdicts`` dict of its own, which keeps the capped verdict of each
+    cycle structure in the table; a call without it computes the verdict.
+    The details read p's relabeling only when they are read, so the
+    report walks no cycle of p that p has not cached.
     """
-    verdicts = {} if _verdicts is None else _verdicts
     structure = p.cycle_structure()
-    verdict = verdicts.get(structure)
+    verdict = None if _verdicts is None else _verdicts.get(structure)
     if verdict is None:
-        verdict = verdicts[structure] = _cycle_shift_failures(_consecutive_form(structure))
-    counted, failures = verdict
-    witnesses, count = _capped(failures)
-    return CheckReport(
-        name="cycle-shift",
-        hypothesis_holds=True,
-        conclusion_holds=count == 0,
-        counted_instances=counted,
-        witnesses=witnesses,
-        failure_count=count,
-        details={"relabeling": p._consecutive_relabeling()},
-    )
+        counted, failures = _cycle_shift_failures(_consecutive_form(structure))
+        verdict = (counted, *_capped(failures))
+        if _verdicts is not None:
+            _verdicts[structure] = verdict
+    counted, witnesses, count = verdict
+    return CheckReport("cycle-shift", True, count == 0, counted, witnesses, count, _RelabelingDetails(p))
 
 
 def _row_division_failures(k: int, x: int, row: Sequence[int],
@@ -422,8 +464,8 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
 def all_checks(q: Quandle) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Cycle-shift verdicts go to a dict of this call's own, so the pairs are
-    checked once per cycle structure in the table.
+    Cycle-shift verdicts go to a dict of this call's own, so each cycle
+    structure in the table is checked once.
     """
     reports = [
         check_conjugation_identity(q),
@@ -432,7 +474,7 @@ def all_checks(q: Quandle) -> list[CheckReport]:
         check_latin_necessary_conditions(q),
         check_regular_cycle(q),
     ]
-    verdicts: dict[CycleStructure, tuple[int, list[tuple[int, int]]]] = {}
+    verdicts: dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]] = {}
     for i, p in enumerate(q._shared_translations(), 1):
         reports.append(check_left_refinement(q, i))
         reports.append(check_cycle_shift(p, _verdicts=verdicts))

@@ -152,17 +152,21 @@ class Permutation:
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition (self * other)(x) = self(other(x))."""
+        """Composition (self * other)(x) = self(other(x)).
+
+        A product, an inverse or a power of bijections is one, so these
+        build their result without checking its images again.
+        """
         if len(self.images) != len(other.images):
             raise DegreeMismatchError(f"degree {self.n} != {other.n}")
         s = self.images
-        return Permutation(s[v - 1] for v in other.images)
+        return Permutation._of_bijection(tuple([s[v - 1] for v in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images, 1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._of_bijection(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         """k-fold composition; negative k uses the inverse."""
@@ -172,7 +176,7 @@ class Permutation:
             m = len(cycle)
             for pos, a in enumerate(cycle):
                 images[a - 1] = cycle[(pos + k) % m]
-        return Permutation(images)
+        return Permutation._of_bijection(tuple(images))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

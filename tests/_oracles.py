@@ -86,6 +86,21 @@ def compose_images(p, q):
     return tuple(p[v - 1] for v in q)
 
 
+def inverse_images(images):
+    """The inverse as an image tuple: y -> the x with images[x] = y, found by search."""
+    images = list(images)
+    return tuple(images.index(y) + 1 for y in range(1, len(images) + 1))
+
+
+def power_images(images, k):
+    """The k-fold composition as an image tuple, composed one step at a time; k < 0 steps the inverse."""
+    step = tuple(images) if k >= 0 else inverse_images(images)
+    acc = tuple(range(1, len(step) + 1))
+    for _ in range(abs(k)):
+        acc = compose_images(step, acc)
+    return acc
+
+
 def generated_group(generators):
     """Every product of the image tuples, by closure under composition; generators must be non-empty."""
     group = {tuple(range(1, len(generators[0]) + 1))}

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 from itertools import permutations
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ from _oracles import relabeled
 from quandles import checks
 from quandles.checks import (
     DEFAULT_WITNESS_CAP,
+    CheckReport,
     all_checks,
     check_conjugation_identity,
     check_cycle_length_division,
@@ -29,6 +32,7 @@ from quandles.checks import (
     search_nonconnected_refinement,
 )
 from quandles.constructions import affine, conjugation, dihedral
+from quandles.orbits import orbits
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
@@ -87,8 +91,8 @@ class TestCycleShift:
             base += len(cycle)
 
 
-def per_pair_cycle_shift(p):
-    """(counted, witnesses, consistent) with one power built per pair of points."""
+def per_pair_failures(p):
+    """(counted, every failing pair (i, j)) with one power built per pair of points."""
     f, _ = consecutive_cycle_form(p)
     counted = 0
     failures = []
@@ -98,11 +102,37 @@ def per_pair_cycle_shift(p):
                 counted += 1
                 if (f ** (j - i))(i) != j:
                     failures.append((i, j))
-    return counted, tuple(failures[:DEFAULT_WITNESS_CAP]), not failures
+    return counted, failures
+
+
+def per_pair_cycle_shift(p):
+    """(counted, witnesses, failure count) with one power built per pair of points."""
+    counted, failures = per_pair_failures(p)
+    return counted, tuple(failures[:DEFAULT_WITNESS_CAP]), len(failures)
 
 
 def shift_summary(report):
-    return report.counted_instances, report.witnesses, report.consistent
+    assert report.consistent == (report.failure_count == 0)
+    return report.counted_instances, report.witnesses, report.failure_count
+
+
+def skewed_power(wrong):
+    """A ``__pow__`` one step too far on each cycle c of f^k where ``wrong(c, k)``; right elsewhere."""
+    power = Permutation.__pow__
+
+    def skewed(self, k):
+        images = list(power(self, k).images)
+        for cycle in self.cycles():
+            if wrong(cycle, k):
+                for a in cycle:
+                    images[a - 1] = self.images[images[a - 1] - 1]
+        return Permutation(images)
+
+    return skewed
+
+
+# Cycles of lengths 1, 2, 3 and 7, on the points 1, 2-3, 4-6 and 7-13 once relabeled.
+MIXED = Permutation.from_cycles(13, [(13,), (1, 12), (2, 11, 3), (4, 10, 5, 9, 6, 8, 7)])
 
 
 class TestCycleShiftAgainstPerPairFormula:
@@ -128,7 +158,36 @@ class TestCycleShiftAgainstPerPairFormula:
         p = Permutation.from_cycles(9, [(1, 2), (3, 4, 5, 6, 7, 8, 9)])
         summary = shift_summary(check_cycle_shift(p))
         assert summary == per_pair_cycle_shift(p)
-        assert not summary[2] and summary[1]
+        assert summary[2] and summary[1]
+
+    @pytest.mark.parametrize("wrong, failing", [
+        # one distance only, on every cycle it reaches
+        (lambda cycle, k: k == -1, {2, 3, 7}),
+        (lambda cycle, k: k == 2, {3, 7}),
+        # the long cycle only, at k >= 3: the shorter cycles pass their screens
+        (lambda cycle, k: k >= 3 and len(cycle) == 7, {7}),
+        # one cycle before others that pass
+        (lambda cycle, k: len(cycle) == 2 and k == 1, {2}),
+        (lambda cycle, k: len(cycle) == 3, {3}),
+    ])
+    def test_a_power_wrong_at_some_distances_or_cycles(self, wrong, failing, monkeypatch):
+        monkeypatch.setattr(Permutation, "__pow__", skewed_power(wrong))
+        f = checks._consecutive_form(MIXED.cycle_structure())
+        counted, failures = checks._cycle_shift_failures(f)
+        assert (counted, failures) == per_pair_failures(MIXED)
+        # each failing pair lies in a cycle the power is wrong on, and pairs keep their (i, j) order
+        lengths = {x: len(c) for c in f.cycles() for x in c}
+        assert {lengths[i] for i, _ in failures} == failing
+        assert failures == sorted(failures)
+        assert shift_summary(check_cycle_shift(MIXED)) == per_pair_cycle_shift(MIXED)
+
+    def test_powers_are_built_in_the_order_the_pairs_first_need_them(self, monkeypatch):
+        calls = []
+        power = Permutation.__pow__
+        monkeypatch.setattr(Permutation, "__pow__", lambda self, k: calls.append(k) or power(self, k))
+        check_cycle_shift(MIXED)
+        f = checks._consecutive_form(MIXED.cycle_structure())
+        assert calls == list(dict.fromkeys(j - i for c in f.cycles() for i in c for j in c))
 
     def test_one_power_per_distance(self, monkeypatch):
         calls = []
@@ -378,13 +437,84 @@ class TestVerdictsAcrossTables:
     def test_relabeling_is_cached_and_equals_a_recomputation(self, enumerated):
         for q in enumerated(5, False):
             for p in translations_of(q):
-                order = sorted(p.cycles(), key=lambda c: (len(c), c[0]))
-                expected = [0] * p.n
-                for label, x in enumerate((x for c in order for x in c), 1):
-                    expected[x - 1] = label
-                assert p._consecutive_relabeling() == tuple(expected)
+                expected = recomputed_relabeling(p)
+                assert p._consecutive_relabeling() == expected
                 assert p._consecutive_relabeling() is p._consecutive_relabeling()
-                assert consecutive_cycle_form(p)[1] == tuple(expected)
+                assert consecutive_cycle_form(p)[1] == expected
+
+
+def recomputed_relabeling(p):
+    order = sorted(p.cycles(), key=lambda c: (len(c), c[0]))
+    expected = [0] * p.n
+    for label, x in enumerate((x for c in order for x in c), 1):
+        expected[x - 1] = label
+    return tuple(expected)
+
+
+def transposition_quandle(k):
+    swap = Permutation.from_cycles(k, [(1, 2)])
+    return conjugation([swap, Permutation.from_cycles(k, [tuple(range(1, k + 1))])], swap)
+
+
+class TestRelabelingWaitsToBeRead:
+    """A cycle-shift report builds its relabeling only when its details are read."""
+
+    @pytest.fixture
+    def fresh_tables(self, enumerated):
+        # Each table gets a pool of its own, so no other test has read a relabeling from it.
+        return ([affine(47, 5)] + [transposition_quandle(k) for k in range(4, 8)]
+                + [Quandle(q.rows) for q in enumerated(5, False)])
+
+    def test_all_checks_walks_no_relabeling_and_no_linked_column(self, fresh_tables):
+        unwalked = 0
+        for q in fresh_tables:
+            shifts = [r for r in all_checks(q) if r.name == "cycle-shift"]
+            translations = q._shared_translations()
+            assert not any(p._relabeling for p in translations)
+            # a linked column equal to a walked one is the same pooled translation
+            walked = {id(translations[min(block) - 1]) for block in orbits(q)}
+            linked = [p for p in (translations[y - 1] for y, _, _ in q._links) if id(p) not in walked]
+            assert all(p._cycles is None for p in linked)
+            unwalked += len(linked)
+            for p, report in zip(translations, shifts):
+                relabeling = report.details["relabeling"]
+                assert relabeling is p._relabeling
+                assert relabeling == recomputed_relabeling(p)
+                eager = CheckReport(*report_fields(report))
+                assert repr(report) == repr(eager) and report_record(report) == report_record(eager)
+        assert unwalked > 200  # Aff(Z_47, 5) alone has 46 linked columns, all distinct
+
+    def test_details_keep_the_contract_of_a_dict(self, q94):
+        for p in translations_of(Quandle(q94.rows)):
+            details = check_cycle_shift(p).details
+            expected = {"relabeling": recomputed_relabeling(p)}
+            assert details == expected and expected == details and not details != expected
+            assert details != {"relabeling": ()} and details != {}
+            assert dict(details) == expected and type(dict(details)) is dict
+            assert list(details) == ["relabeling"] and len(details) == 1
+            assert list(details.items()) == list(expected.items())
+            assert "relabeling" in details and "element" not in details
+            assert details.get("element") is None
+            with pytest.raises(KeyError):
+                details["element"]
+            assert repr(details) == repr(expected)
+            for restored in (pickle.loads(pickle.dumps(details)), copy.copy(details), copy.deepcopy(details)):
+                assert restored == expected and type(restored) is dict
+
+    def test_reports_round_trip_through_pickle_and_copy(self, q94):
+        for report in all_checks(Quandle(q94.rows)):
+            for restored in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+                assert repr(restored) == repr(report)
+                assert report_fields(restored) == report_fields(report)
+
+    def test_repr_is_the_eager_one(self, q94):
+        report = [r for r in all_checks(Quandle(q94.rows)) if r.name == "cycle-shift"][1]
+        assert repr(report) == (
+            "CheckReport(name='cycle-shift', hypothesis_holds=True, conclusion_holds=True,"
+            " counted_instances=41, witnesses=(), failure_count=0,"
+            " details={'relabeling': (2, 1, 3, 4, 6, 8, 9, 7, 5)})"
+        )
+        assert report_record(report)["details"] == {"relabeling": (2, 1, 3, 4, 6, 8, 9, 7, 5)}
 
 
 class TestLeftRefinement:

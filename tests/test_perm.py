@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quandles.perm import CycleStructure, DegreeMismatchError, Permutation
 
-from _oracles import brute_force_order, compose_images
+from _oracles import brute_force_order, compose_images, inverse_images, power_images
 
 
 def perm_images(max_degree=8):
@@ -267,3 +267,14 @@ def test_composition_matches_tuple_oracle(a, b):
     if len(a) != len(b):
         return
     assert (Permutation(a) * Permutation(b)).images == compose_images(a, b)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))), st.integers(-10, 10))
+def test_products_inverses_and_powers_equal_checked_permutations(pair, k):
+    # These build their results unchecked; each must equal the checked build of the oracle's images.
+    a, b = pair
+    p = Permutation(a)
+    assert p * Permutation(b) == Permutation(compose_images(a, b))
+    assert p.inverse() == Permutation(inverse_images(a))
+    assert p ** k == Permutation(power_images(a, k))

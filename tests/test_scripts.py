@@ -45,7 +45,7 @@ def test_catalog_orders_times_every_stage():
     assert result["report_stdout_sha256"].startswith("d23c2e753ae5")
     # the report records, details included, of the checkout that walked every column
     assert result["records_sha256"].startswith("a83fe3527823")
-    stages = ("parse_s", "conjugation_identity_s", "left_refinement_s", "cycle_shift_s", "report_s")
+    stages = ("parse_s", "conjugation_identity_s", "left_refinement_s", "cycle_shift_s", "records_s", "report_s")
     assert all(result[stage] > 0 for stage in stages)
 
 
