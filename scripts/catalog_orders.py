@@ -44,7 +44,12 @@ walked every column; then ``lazy-relabeling``, whose cycle-shift reports
 build their relabelings only when their details are read and screen
 each verdict a cycle at a time, against its parent ``parent-709cf1e``,
 which built every relabeling in ``check_cycle_shift`` and tested every
-pair.
+pair; then ``byte-entries``, which decodes each text once into the bytes
+of its entries, hands them to the table's screen without an ``int()``
+per token, reads the table predicates from the byte rows and builds the
+column structures from one translation per orbit, against its parent
+``parent-67ca651``, which read every entry with ``int()`` and scanned
+its type before the screen.
 """
 
 from __future__ import annotations

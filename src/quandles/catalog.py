@@ -12,6 +12,16 @@ In both formats row i, column j of the text is i*j. ``serialize_table``,
 which writes them, lives in ``quandle``, so that printing tables loads no
 parser, and is re-exported here.
 
+Below order 256 a table is decoded once into bytes of its entries and
+handed to the table's screen as such (``Quandle._of_entries``): a plain
+row is read through a lookup of the canonical spellings "0" .. "255", and
+a gap matrix, once its entries are known to be ints, goes to bytes
+whole. A token the lookup misses ("07", "+2", "256", "x"), a row of the
+wrong width, an entry outside 0 .. 255 or a larger table takes the int
+path instead, which reads each row with ``int()``; so every error keeps
+its line, column and message, and an entry out of range is named by the
+table's validation either way.
+
 A catalog directory holds one table per file; the filename stem encodes
 catalog names as ``Q_<n>_<m>.qdl``. Free-form stems are accepted for user
 tables, which then stay out of the per-index survey table.
@@ -65,6 +75,10 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
+# The canonical decimal spelling of each byte value, for the entries of plain tables.
+_ENTRY_BYTES = {str(v): v for v in range(256)}
+
+
 def _parse_plain(text: str) -> Quandle:
     data_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -82,8 +96,19 @@ def _parse_plain(text: str) -> Quandle:
         raise TableParseError(lineno, 1, f"expected a positive order, got {n}")
     if len(data_lines) - 1 != n:
         raise TableParseError(lineno, 1, f"expected {n} table rows, found {len(data_lines) - 1}")
+    body = data_lines[1:]
+    if 0 < n < 256:
+        # Every token a canonical spelling of a byte and every row n wide:
+        # the rows go to the table as entry bytes. Anything else takes the
+        # int() path below, which names the first bad token or row.
+        try:
+            decoded = [bytes(map(_ENTRY_BYTES.__getitem__, line.split())) for _, line in body]
+        except KeyError:
+            decoded = None
+        if decoded is not None and set(map(len, decoded)) == {n}:
+            return Quandle._of_entries(b"".join(decoded), n)
     rows = []
-    for lineno, line in data_lines[1:]:
+    for lineno, line in body:
         try:
             row = list(map(int, line.split()))
         except ValueError:
@@ -118,6 +143,15 @@ def _parse_gap_matrix(text: str) -> Quandle:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise TableParseError(1, 1, f"non-integer entry: {v!r}")
+    n = len(data)
+    if 0 < n < 256 and set(map(len, data)) == {n}:
+        # A square matrix of ints that all fit in a byte goes to the table as entry bytes.
+        try:
+            entries = bytes(chain.from_iterable(data))
+        except ValueError:
+            pass
+        else:
+            return Quandle._of_entries(entries, n)
     return Quandle(data)
 
 

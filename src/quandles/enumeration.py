@@ -480,8 +480,9 @@ def _pipeline(task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]])
     stream = _validated(task, raw, translations)
     if task.up_to_iso:
         return _iso_reduce(stream, translations)
-    labeled = _labeled_tables(task.order, (q for q, _ in _least_labelings(stream)))
-    return (Quandle(rows, _pool=translations) for rows in labeled)
+    n = task.order
+    labeled = _labeled_tables(n, (q for q, _ in _least_labelings(stream)))
+    return (Quandle._of_entries(b"".join(rows), n, _pool=translations) for rows in labeled)
 
 
 def _least_labelings(stream: Iterable[Quandle]) -> Iterator[tuple[Quandle, int]]:

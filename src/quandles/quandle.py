@@ -14,22 +14,29 @@ Axiom (iii) says R_k R_j = R_{j*k} R_k for every pair of columns j, k, so
 validation composes columns instead of looping over n^3 triples.
 
 For n <= 256 validation is a screen of whole rows and columns at C level:
-one ``set`` of entry types, one ``bytes`` of the 0-based entries, a
-``translate`` that deletes the values in range, the diagonal as one slice,
-one ``set`` per column, and for each tested k all n compositions on both
-sides of (iii) at once. Only k = 1, k = 2 and the k outside the orbit of
-{1, 2} under R_1 and R_2 are tested: once R_s and R_x are automorphisms so
-is R_{x*s} = R_s R_x R_s^-1, so (iii) holds on that whole orbit
-(``_distributive``). On the bench's seed-1 catalog the orbit is every
-point in 82 of the 99 tables, and the screen takes a quarter of the time
-that testing every k took. The 0-based rows and columns it builds are kept
-on the table (``_row_bytes``, ``_col_bytes``) for the checkers' byte
-kernels. A table that fails the screen is walked again point by point,
-in the documented order (shape and entries row by row, idempotency,
-columns, distributivity), only to raise the first failure with its
-witness; so is every table above order 256, composing 0-based lists n^2
-times, and a valid table whose entries are of an int subclass, which
-keeps no bytes.
+one ``set`` of entry types, one ``bytes`` of the 0-based entries
+(``_entry_bytes``), then, on those bytes (``_screened``), a ``translate``
+that deletes the values in range, the diagonal as one slice, one
+``translate`` per column that is the identity iff the column repeats no
+value, and for each tested k all n compositions on both sides of (iii) at
+once. Callers that hold the 1-based entries as bytes already, the table
+parsers and the labeled tables of an enumeration, hand them to the screen
+directly (``Quandle._of_entries``, below order 256): no entry is walked as
+an int, and the rows are built from the bytes. Only k = 1, k = 2 and the k
+outside the orbit of {1, 2} under R_1 and R_2 are tested: once R_s and R_x
+are automorphisms so is R_{x*s} = R_s R_x R_s^-1, so (iii) holds on that
+whole orbit (``_distributive``). On the bench's seed-1 catalog the orbit
+is every point in 82 of the 99 tables, and the screen takes a quarter of
+the time that testing every k took. The 0-based rows and columns it builds
+are kept on the table (``_row_bytes``, ``_col_bytes``) for the checkers'
+byte kernels and the predicates: a table has unique fixed points iff its
+row bytes hold their own index n times in all (each column fixes its own
+index), and a row is a bijection iff its ``translate`` test passes. A
+table that fails the screen is walked again point by point, in the
+documented order (shape and entries row by row, idempotency, columns,
+distributivity), only to raise the first failure with its witness; so is
+every table above order 256, composing 0-based lists n^2 times, and a
+valid table whose entries are of an int subclass, which keeps no bytes.
 
 The cycles of the right translations are walked on one column per orbit.
 The orbits are grown from the rows, as row x is {x*s : s}, and every other
@@ -37,7 +44,8 @@ point y is linked to a point x reached before it, with y = x*s. Since
 R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure and order are R_x's, and on
 a table kept as bytes so are its cycle labels and cycle-length division
 screen, moved by R_s (``_shared_translations``). A connected table walks
-one column's cycles for all n.
+one column's cycles for all n, and ``column_structures`` builds the
+translation of that column only.
 """
 
 from __future__ import annotations
@@ -187,25 +195,38 @@ def _distributive(cols: Sequence[bytes]) -> bool:
     return True
 
 
-def _screened_bytes(rows: tuple[tuple, ...], n: int) -> Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
-    """(rows, columns) as 0-based bytes if the table passes every axiom, else None; n <= 256.
+def _entry_bytes(rows: tuple[tuple, ...], n: int) -> Optional[bytes]:
+    """The 0-based entries, row-major, as bytes if the table is square with plain int entries that fit; n <= 256.
 
-    Whole rows and columns are screened by C-level ``set`` and ``bytes``
-    operations. None says only that some screen failed (an entry of an
-    int subclass fails one too); ``_validate_point_by_point`` names the failure.
+    One ``set`` of row widths, one of entry types and one ``bytes`` of the
+    entries. None says only that the scan failed (an entry of an int
+    subclass fails it too); ``_validate_point_by_point`` names the failure.
     """
     if set(map(len, rows)) != {n} or set(map(type, chain.from_iterable(rows))) != {int}:
         return None
     entries = chain.from_iterable(rows)
     try:
         # Below 256 the 1-based entries fit in bytes; the translate makes them 0-based.
-        table = bytes(entries).translate(_PREDECESSOR) if n < 256 else bytes(map(_DECREMENT, entries))
+        return bytes(entries).translate(_PREDECESSOR) if n < 256 else bytes(map(_DECREMENT, entries))
     except ValueError:
         return None
-    if table.translate(None, _IDENTITY_BYTES[:n]) or table[::n + 1] != _IDENTITY_BYTES[:n]:
+
+
+def _screened(table: bytes, n: int) -> Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
+    """(rows, columns) as 0-based bytes if the row-major 0-based n x n ``table`` passes every axiom, else None.
+
+    Entries in range by one deleting ``translate``, the diagonal as one
+    slice, each column a permutation by one ``translate`` (col sends each
+    point to the last index holding its value; that is the identity iff no
+    value repeats), then ``_distributive``. None says only that some screen
+    failed; ``_validate_point_by_point`` names the failure.
+    """
+    points = _IDENTITY_BYTES[:n]
+    if table.translate(None, points) or table[::n + 1] != points:
         return None
     cols = tuple([table[j::n] for j in range(n)])
-    if any(len(set(col)) != n for col in cols) or not _distributive(cols):
+    maketrans = bytes.maketrans
+    if any(col.translate(maketrans(col, points)) != points for col in cols) or not _distributive(cols):
         return None
     return tuple([table[i:i + n] for i in range(0, n * n, n)]), cols
 
@@ -257,7 +278,27 @@ class Quandle:
         if n > MAX_TABLE_ORDER:
             raise TableTooLargeError(n)
         rows = tuple(map(tuple, rows))
-        screened = _screened_bytes(rows, n) if n <= 256 else None
+        table = _entry_bytes(rows, n) if n <= 256 else None
+        self._set(rows, n, None if table is None else _screened(table, n), _pool)
+
+    @classmethod
+    def _of_entries(cls, entries: bytes, n: int, *,
+                    _pool: Optional[dict[tuple[int, ...], Permutation]] = None) -> "Quandle":
+        """The table whose 1-based entries, row-major, are the n * n ``entries``; 1 <= n <= 255.
+
+        For callers that hold the entries as bytes already, as the parsers
+        and the labeled tables do: no shape or type scan, the same screen
+        and the same errors as ``Quandle(rows)``.
+        """
+        q = cls.__new__(cls)
+        rows = tuple([tuple(entries[i:i + n]) for i in range(0, n * n, n)])
+        q._set(rows, n, _screened(entries.translate(_PREDECESSOR), n), _pool)
+        return q
+
+    def _set(self, rows: tuple[tuple[int, ...], ...], n: int,
+             screened: Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]],
+             pool: Optional[dict[tuple[int, ...], Permutation]]) -> None:
+        """Keep the table once the screen has passed, or raise what the point walk finds."""
         if screened is None:
             _validate_point_by_point(rows, n)
         self.rows = rows
@@ -267,7 +308,7 @@ class Quandle:
         # the screen did not run or did not pass, and the kernels walk points.
         self._row_bytes, self._col_bytes = screened or (None, None)
         # Right translations by column, from ``_pool`` when one is given.
-        self._pool = {} if _pool is None else _pool
+        self._pool = {} if pool is None else pool
         self._translations: list[Optional[Permutation]] = [None] * n
         # 0: no cycle data shared yet; 1: structures and orders; 2: also labels and screens.
         self._shared = 0
@@ -375,21 +416,21 @@ class Quandle:
 
         For a link y = x*s, R_y = R_s R_x R_s^-1 (Joyce, J. Pure Appl. Algebra
         23, 1982): R_s sends each cycle of R_x onto a cycle of R_y. So R_y has
-        the same cycle structure (the same object) and order, and, given the
+        the same cycle structure (the same object, read from
+        ``column_structures``) and order, and, given the
         0-based byte columns ``cols``, its cycle labels are R_x's read through
         R_s^-1, and each of its Fix(f^m) sets and tested rows is R_x's moved
         by R_s. No cycle of R_y is walked. A slot already filled, as on a
         translation that another table of the pool has filled, is kept.
         """
-        if self._links is None:
-            self._find_orbits()
+        structures = self.column_structures()
         if cols is not None:
             n = self.n
             points, pad = _IDENTITY_BYTES[:n], _IDENTITY_BYTES[n:]
         for y, x, s in self._links:
             px, py = translations[x - 1], translations[y - 1]
             if py._structure is None:
-                py._structure = px.cycle_structure()
+                py._structure = structures[y - 1]
             if py._order is None:
                 py._order = px.order
             if cols is not None:
@@ -430,25 +471,50 @@ class Quandle:
         """
         if self._row_mask is None:
             n = self.n
-            self._row_mask = sum(1 << i for i, row in enumerate(self.rows) if len(set(row)) == n)
+            if self._row_bytes is None:
+                bijective = [len(set(row)) == n for row in self.rows]
+            else:
+                # As for the columns in ``_screened``: the identity iff no value repeats.
+                points, maketrans = _IDENTITY_BYTES[:n], bytes.maketrans
+                bijective = [row.translate(maketrans(row, points)) == points for row in self._row_bytes]
+            self._row_mask = sum(1 << i for i, b in enumerate(bijective) if b)
         return self._row_mask
 
     @property
     def has_unique_fixed_points(self) -> bool:
-        """True iff every right translation fixes exactly one element (necessarily j)."""
+        """True iff every right translation fixes exactly one element (necessarily j).
+
+        On a table kept as bytes, row x counts the columns that fix x; each
+        column j fixes j, so the counts sum to n exactly when no column
+        fixes anything else.
+        """
         if self._unique_fp is None:
-            points = range(1, self.n + 1)
-            self._unique_fp = all(sum(map(eq, col, points)) == 1 for col in self._cols)
+            n = self.n
+            if self._row_bytes is None:
+                points = range(1, n + 1)
+                self._unique_fp = all(sum(map(eq, col, points)) == 1 for col in self._cols)
+            else:
+                self._unique_fp = sum(map(bytes.count, self._row_bytes, range(n))) == n
         return self._unique_fp
 
     def column_structures(self) -> tuple[CycleStructure, ...]:
         """Cycle structure of each right translation, in column order.
 
-        Only the first column of each orbit has its cycles walked; the
-        columns of one orbit are conjugate and share its structure.
+        Only the first column of each orbit has its cycles walked, and only
+        its translation is built; the columns of one orbit are conjugate,
+        and each linked column takes the structure of the column it is
+        linked to. This is the one place structures follow the links.
         """
         if self._structures is None:
-            self._structures = tuple([p.cycle_structure() for p in self._shared_translations()])
+            if self._links is None:
+                self._find_orbits()
+            structures: list[Optional[CycleStructure]] = [None] * self.n
+            for block in self._orbits:
+                start = min(block)
+                structures[start - 1] = self._right_translation(start).cycle_structure()
+            for y, x, _ in self._links:
+                structures[y - 1] = structures[x - 1]
+            self._structures = tuple(structures)
         return self._structures
 
     def profile(self) -> "Profile":

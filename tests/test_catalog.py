@@ -58,10 +58,11 @@ def per_token_parse(text):
 
 
 def outcome(parse):
+    """The parsed rows, or the error's class, message and attributes (its witness or position)."""
     try:
-        return parse()
+        return parse().rows
     except ValueError as e:
-        return type(e).__name__, str(e)
+        return type(e).__name__, str(e), vars(e)
 
 
 class TestParseTable:
@@ -94,12 +95,42 @@ class TestParseTable:
         assert (err.value.line, err.value.column) == (3, 5)
         assert str(err.value) == "line 3, column 5: not an integer: 'y'"
 
+    # Tokens the byte lookup holds ("0" .. "255", some out of range for the
+    # table) and tokens it misses, valid ints among them ("07", "+2", "256", "\u0663").
     @given(st.lists(st.lists(st.tuples(st.sampled_from([" ", "\t", "  ", "\u00a0", "\u3000"]),
-                                       st.sampled_from(["1", "2", "3", "x", "1.5", "+2", "-1", "1_0", "\u0663"])),
+                                       st.sampled_from(["1", "2", "3", "0", "4", "255", "07", "256", "x",
+                                                        "1.5", "+2", "-1", "1_0", "\u0663"])),
                              min_size=1, max_size=4), min_size=1, max_size=4))
     def test_rows_parse_like_a_per_token_scan(self, lines):
         text = "3\n" + "\n".join("".join(sep + tok for sep, tok in line) for line in lines) + "\n"
         assert outcome(lambda: parse_table(text, "plain")) == outcome(lambda: per_token_parse(text))
+
+    @pytest.mark.parametrize("rows", [
+        ["1 3 2", "3 2 1", "2 1 3"], ["1 3 2", "3 2 1", "02 1 3"], ["1 3 2", "3 +2 1", "2 1 3"],
+        ["1 3 2", "3 2 \u0661", "2 1 3"], ["1 3 2", "3 2 1", "2 1 3 3"], ["1 3 2", "3 2", "2 1 3"],
+        ["1 3 2", "3 2 1", "2 1 0"], ["1 2 3", "3 2 1", "2 1 3"], ["1 3 2", "3 2 1", "2 255 3"],
+    ])
+    def test_lookup_and_int_paths_agree(self, rows):
+        text = "3\n" + "\n".join(rows) + "\n"
+        assert outcome(lambda: parse_table(text, "plain")) == outcome(lambda: per_token_parse(text))
+
+    def test_large_orders_take_the_int_path(self):
+        for n in (255, 256):
+            q = dihedral(n)
+            assert parse_table(serialize_table(q, "plain"), "plain") == q
+
+    def test_which_texts_take_the_entry_bytes(self, monkeypatch):
+        calls = []
+        of_entries = Quandle._of_entries.__func__
+        monkeypatch.setattr(Quandle, "_of_entries",
+                            classmethod(lambda cls, entries, n: calls.append(n) or of_entries(cls, entries, n)))
+        for text in ("3\n1 3 2\n3 2 1\n2 1 3\n", "[[1,3,2],[3,2,1],[2,1,3]]", serialize_table(dihedral(255), "plain")):
+            parse_table(text)
+        assert calls == [3, 3, 255]
+        for text in ("3\n1 3 2\n3 2 1\n2 1 03\n", "[[1,3,2],[3,2,1],[2,1,256]]", "[[1,3,2],[3,2,1],[2,1]]",
+                     serialize_table(dihedral(256), "plain"), serialize_table(dihedral(256), "gap_matrix")):
+            outcome(lambda: parse_table(text))
+        assert calls == [3, 3, 255]
 
     @pytest.mark.parametrize("entry, shown", [
         ("true", "True"), ("false", "False"), ("2.0", "2.0"), ("1e0", "1.0"),
@@ -112,6 +143,17 @@ class TestParseTable:
             parse_table(text, "gap_matrix")
         assert (err.value.line, err.value.column) == (1, 1)
         assert str(err.value) == f"line 1, column 1: non-integer entry: {shown}"
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 3, 2], [3, 2, 1], [2, -1, 3]], [[1, 3, 2], [3, 2, 1], [2, 0, 3]],
+        [[1, 3, 2], [3, 2, 1], [2, 4, 3]], [[1, 3, 2], [3, 256, 1], [2, 1, 3]],
+        [[300, 3, 2], [3, 2, 1], [2, 1, 3]], [[1, 3, 2], [3, 2], [2, 1, 3]],
+        [[1, 3, 2], [3, 2, 1, 0], [2, 1, 3]], [[1, 3, 2], [3, 2, 1]], [[1, 2, 3], [3, 2, 1], [2, 1, 3]],
+    ])
+    def test_gap_matrix_errors_equal_the_int_path(self, rows):
+        text = "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+        assert outcome(lambda: parse_table(text, "gap_matrix")) == outcome(lambda: Quandle(rows))
+        assert isinstance(outcome(lambda: Quandle(rows)), tuple)
 
     def test_gap_matrix_first_non_integer_entry_is_named(self):
         with pytest.raises(TableParseError, match=r"^line 1, column 1: non-integer entry: 'x'$"):

@@ -278,3 +278,13 @@ def test_products_inverses_and_powers_equal_checked_permutations(pair, k):
     assert p * Permutation(b) == Permutation(compose_images(a, b))
     assert p.inverse() == Permutation(inverse_images(a))
     assert p ** k == Permutation(power_images(a, k))
+
+
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=6), st.permutations(range(1, n + 1)))), st.integers(-60, 60))
+def test_powers_of_few_long_cycles_equal_the_oracle(drawn, k):
+    # Few cycles for the degree: below 256 these take the maketrans path, from 256 the point loop.
+    n, cuts, points = drawn
+    bounds = sorted({0, n, *cuts})
+    p = Permutation.from_cycles(n, [points[a:b] for a, b in zip(bounds, bounds[1:])])
+    assert (p ** k).images == power_images(p.images, k)

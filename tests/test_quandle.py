@@ -234,6 +234,30 @@ SCREEN_SOURCES["affine(11,3)"] = affine(11, 3).rows
 SCREEN_SOURCES["dihedral(8)"] = dihedral(8).rows
 
 
+def entries_outcome(rows):
+    """``outcome`` of ``Quandle._of_entries`` on the joined entries, for a square table of
+    byte-sized plain ints below order 256; None for any other table, which cannot take that path."""
+    n = len(rows)
+    if n >= 256 or any(len(row) != n or any(type(v) is not int or not 0 <= v < 256 for v in row)
+                       for row in rows):
+        return None
+    entries = bytes(v for row in rows for v in row)
+    try:
+        q = Quandle._of_entries(entries, n)
+    except TableError as e:
+        return type(e).__name__, str(e)
+    built = Quandle(rows)
+    assert q == built and (q._row_bytes, q._col_bytes) == (built._row_bytes, built._col_bytes)
+    return "valid"
+
+
+def assert_like_the_oracle(rows):
+    """Both constructors name the oracle's first failure, or both accept the table."""
+    expected = first_table_error(rows)
+    assert outcome(rows) == expected
+    assert entries_outcome(rows) in (None, expected or "valid")
+
+
 class TestValidationScreen:
     """The byte screen names the same first failure as the library-free oracle."""
 
@@ -242,9 +266,10 @@ class TestValidationScreen:
         rows = SCREEN_SOURCES[name]
         n = len(rows)
         assert outcome(rows) is None is first_table_error(rows)
+        assert entries_outcome(rows) == "valid"
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for broken in broken_tables(rows, cells):
-            assert outcome(broken) == first_table_error(broken)
+            assert_like_the_oracle(broken)
 
     @pytest.mark.parametrize("name", sorted(SCREEN_SOURCES))
     def test_valid_values_in_every_cell_and_column_swaps(self, name):
@@ -253,7 +278,8 @@ class TestValidationScreen:
         tables = [mutate(rows, i, j, v) for i in range(1, n + 1) for j in range(1, n + 1)
                   for v in range(1, n + 1)]
         for broken in tables + list(column_swaps(rows)):
-            assert outcome(broken) == first_table_error(broken)
+            assert_like_the_oracle(broken)
+            assert entries_outcome(broken) is not None
 
     @pytest.mark.parametrize("n", [255, 256, 257])
     def test_the_byte_bounds(self, n):
@@ -261,7 +287,7 @@ class TestValidationScreen:
         rows = dihedral_rows(n)
         cells = [(1, 1), (1, 2), (2, 1), (n // 2, n // 3), (n, n - 1), (n, n)]
         for broken in broken_tables(rows, cells):
-            assert outcome(broken) == first_table_error(broken)
+            assert_like_the_oracle(broken)
 
     def test_the_largest_byte_table_validates(self):
         rows = dihedral_rows(256)

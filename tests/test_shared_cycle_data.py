@@ -8,6 +8,11 @@ odd n up to 47, on the transposition quandles of S_4 .. S_8 and on two
 disjoint unions, so that latin tables (every link from the first column),
 connected non-latin ones (links two rows deep) and tables of several
 orbits are all covered.
+
+The table predicates read from the byte rows (unique fixed points,
+latinity, the bijective rows) and the structures copied along the links
+are checked the same way against point walks, on tables with bytes and
+on one without.
 """
 
 import math
@@ -18,7 +23,7 @@ import pytest
 from quandles.checks import all_checks, report_record
 from quandles.constructions import affine, conjugation, dihedral
 from quandles.orbits import orbits
-from quandles.perm import Permutation
+from quandles.perm import CycleStructure, Permutation
 from quandles.quandle import Quandle
 
 from _oracles import cycles_of
@@ -111,3 +116,40 @@ class TestSharedCycleData:
         shared = records()
         monkeypatch.setattr(Quandle, "_share_cycle_data", lambda self, translations, cols: None)
         assert records() == shared
+
+
+class TestPredicatesAgainstPointWalks:
+    @pytest.fixture(scope="class")
+    def tables(self, enumerated):
+        element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
+        tables = [q for n in range(1, 6) for q in enumerated(n, False)]
+        tables += [Quandle(rows) for rows in constructed_rows()]
+        tables.append(Quandle([[element(v) for v in row] for row in dihedral(8).rows]))
+        return tables
+
+    def test_every_kind_of_table_is_here(self, tables):
+        assert tables[-1]._row_bytes is None
+        assert all(q._row_bytes is not None for q in tables[:-1])
+
+    def test_predicates_equal_point_walks(self, tables):
+        for q in tables:
+            n = q.n
+            bijective = sum(1 << i for i, row in enumerate(q.rows) if len(set(row)) == n)
+            assert q._bijective_rows() == bijective
+            assert q.is_latin == (bijective == (1 << n) - 1)
+            fixed = [sum(col[x - 1] == x for x in range(1, n + 1)) for col in q.columns()]
+            assert q.has_unique_fixed_points == (fixed == [1] * n)
+            walked = tuple(CycleStructure.from_lengths(map(len, cycles_of(col))) for col in q.columns())
+            assert q.column_structures() == walked
+
+    def test_structures_build_no_linked_translation(self, tables):
+        connected = 0
+        for q in tables[:-1]:
+            fresh = Quandle(q.rows)
+            fresh.column_structures()
+            if len(fresh._orbits) == 1:
+                connected += 1
+                assert fresh._translations[0] is not None
+                assert all(fresh._translations[y - 1] is None for y, _, _ in fresh._links)
+                assert len(fresh._links) == q.n - 1
+        assert connected > 100
