@@ -49,7 +49,11 @@ of its entries, hands them to the table's screen without an ``int()``
 per token, reads the table predicates from the byte rows and builds the
 column structures from one translation per orbit, against its parent
 ``parent-67ca651``, which read every entry with ``int()`` and scanned
-its type before the screen.
+its type before the screen; then ``loop-powers``, whose ``__pow__``
+rotates cycles point by point at every degree and which shares cycle
+labels and division screens whenever it shares cycle data, against its
+parent ``parent-ead7e80``, which took one ``bytes.maketrans`` for a
+power of a permutation with few cycles for its degree.
 """
 
 from __future__ import annotations

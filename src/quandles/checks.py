@@ -317,7 +317,7 @@ def check_cycle_length_division(q: Quandle) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
     n = q.n
     failures = cycle_length_division_failures(
-        q.rows, q._shared_translations(detail=True), _row_bytes=q._row_bytes
+        q.rows, q._shared_translations(), _row_bytes=q._row_bytes
     )
     witnesses, count = _capped(failures)
     return CheckReport(
@@ -361,7 +361,7 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     walked only to name witnesses, which a report shows only when the
     hypothesis holds; a non-bijective row is scanned to its first repeat.
     """
-    q._shared_translations(detail=True)  # R_i's structure and labels, from its orbit's walked column
+    q._shared_translations()  # R_i's structure and labels, from its orbit's walked column
     right = q.right_translation(i)  # checks i once for both translations
     hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
     is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)

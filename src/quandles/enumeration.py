@@ -129,7 +129,7 @@ from itertools import chain, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._value import Value
-from .orbits import is_connected
+from .orbits import is_connected, orbits
 from .perm import Permutation
 from .quandle import Quandle
 
@@ -650,66 +650,64 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]
 def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
     """A relabeling sigma with sigma(x*y) = sigma(x)*'sigma(y), or None.
 
-    Fast-rejects on order, profile and per-element invariant mismatches,
-    then backtracks over invariant-compatible assignments.
+    Sends the least unassigned point x of a to a candidate y, x itself
+    first, and closes the assignment: sigma(u*w) = sigma(u)*'sigma(w) for
+    every assigned u, w. A clash, a repeated image or a change of column
+    cycle structure (R_sigma(x) = sigma R_x sigma^-1) undoes the trail, and
+    the next y is tried. The first x tries one y per orbit of b, as the
+    inner automorphisms of b move y through its orbit. Each pair is closed
+    when its later point is assigned, so a full assignment is an isomorphism.
     """
-    if a.n != b.n:
-        return None
-    if a.profile() != b.profile():
-        return None
-    if a.iso_signature() != b.iso_signature():
+    if a.n != b.n or a.profile() != b.profile():
         return None
     n = a.n
-    inv_a = a.element_invariants()
-    inv_b = b.element_invariants()
-    candidates = [
-        sorted(
-            (y for y in range(1, n + 1) if inv_b[y - 1] == inv_a[x - 1]),
-            key=lambda y: (y != x, y),
-        )
-        for x in range(1, n + 1)
-    ]
-    order = sorted(range(1, n + 1), key=lambda x: len(candidates[x - 1]))
+    rows_a, rows_b = a.rows, b.rows
+    types_a, types_b = a.column_structures(), b.column_structures()
     sigma = [0] * (n + 1)
     used = [False] * (n + 1)
-    rows_a, rows_b = a.rows, b.rows
+    trail: list[int] = []
 
-    def consistent_so_far(x: int, assigned: list[int]) -> bool:
-        # Partial check: products already inside the assigned set must map
-        # compatibly; the leaf check covers everything else.
-        for p in assigned:
-            for u, v in ((x, p), (p, x)):
-                t = rows_a[u - 1][v - 1]
-                st = sigma[t]
-                if st and rows_b[sigma[u] - 1][sigma[v] - 1] != st:
+    def assign(x: int, y: int) -> bool:
+        queue = [(x, y)]
+        while queue:
+            u, v = queue.pop()
+            if sigma[u]:
+                if sigma[u] != v:
                     return False
+                continue
+            if used[v] or types_a[u - 1] != types_b[v - 1]:
+                return False
+            sigma[u] = v
+            used[v] = True
+            trail.append(u)
+            for w in trail:
+                # sigma(u*w) = v*'sigma(w) and sigma(w*u) = sigma(w)*'v; a product
+                # already assigned is compared at once, before the queue grows.
+                sw = sigma[w]
+                for t, st in ((rows_a[u - 1][w - 1], rows_b[v - 1][sw - 1]),
+                              (rows_a[w - 1][u - 1], rows_b[sw - 1][v - 1])):
+                    if not sigma[t]:
+                        queue.append((t, st))
+                    elif sigma[t] != st:
+                        return False
         return True
 
-    def extend(k: int, assigned: list[int]) -> bool:
-        if k == n:
-            return all(
-                sigma[rows_a[x - 1][y - 1]] == rows_b[sigma[x] - 1][sigma[y] - 1]
-                for x in range(1, n + 1)
-                for y in range(1, n + 1)
-            )
-        x = order[k]
-        for y in candidates[x - 1]:
-            if used[y]:
-                continue
-            sigma[x] = y
-            used[y] = True
-            if consistent_so_far(x, assigned):
-                assigned.append(x)
-                if extend(k + 1, assigned):
-                    return True
-                assigned.pop()
-            sigma[x] = 0
-            used[y] = False
+    def extend(x: int) -> bool:
+        while x <= n and sigma[x]:
+            x += 1
+        if x > n:
+            return True
+        for y in chain((x,), range(1, x), range(x + 1, n + 1)) if trail else sorted(map(min, orbits(b))):
+            mark = len(trail)
+            if assign(x, y) and extend(x + 1):
+                return True
+            for u in trail[mark:]:
+                used[sigma[u]] = False
+                sigma[u] = 0
+            del trail[mark:]
         return False
 
-    if extend(0, []):
-        return Permutation(sigma[1:])
-    return None
+    return Permutation._of_bijection(tuple(sigma[1:])) if extend(1) else None
 
 
 def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
@@ -843,11 +841,14 @@ def falsify(
 ) -> Optional[Quandle]:
     """First quandle (by order, then search order) where hypothesis holds but conclusion fails.
 
-    Searches isomorphism-class representatives, which is exhaustive because
-    both predicates are isomorphism-invariant. Returns None when every
-    order up to max_order is clean. Every order's task is made first, so
-    a max_order above the guard raises ``OrderTooLargeError`` before any
-    order is searched.
+    Tests one table per isomorphism class (``_class_tables``), which is
+    exhaustive because both predicates are isomorphism-invariant, and
+    returns the canonical form of the first class that fails, so only the
+    witness's canonical form is built. The classes come in the order of
+    the ``--iso`` stream, so the witness is the first that stream holds.
+    Returns None when every order up to max_order is clean. Every order's
+    task is made first, so a max_order above the guard raises
+    ``OrderTooLargeError`` before any order is searched.
     """
     hyp_name, concl_name = property_pair
     for name in (hyp_name, concl_name):
@@ -858,7 +859,7 @@ def falsify(
     tasks = [EnumerationTask(order=n, up_to_iso=True, order_guard=order_guard)
              for n in range(1, max_order + 1)]
     for task in tasks:
-        for q in enumerate_quandles(task):
+        for q, _ in _class_tables(task):
             if hyp(q) and not concl(q):
-                return q
+                return canonical_form(q)[0]
     return None

@@ -169,22 +169,9 @@ class Permutation:
         return Permutation._of_bijection(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
-        """k-fold composition; negative k uses the inverse.
-
-        Each cycle is rotated by k. With few cycles for the degree (below
-        256) one ``bytes.maketrans`` sends the joined cycles to their joined
-        rotations, so the Python steps are per cycle, not per point; that
-        pays once the degree is 16 more than 8 per cycle (the break-even
-        measured with Python 3.11, from degree 24 for one cycle).
-        """
-        n = len(self.images)
-        cycles = self.cycles()
-        if 16 + 8 * len(cycles) <= n < 256:
-            parts = list(map(bytes, cycles))
-            table = bytes.maketrans(b"".join(parts), b"".join([c[k % len(c):] + c[:k % len(c)] for c in parts]))
-            return Permutation._of_bijection(tuple(table[1:n + 1]))
-        images = [0] * n
-        for cycle in cycles:
+        """k-fold composition; negative k uses the inverse. Each cycle is rotated by k."""
+        images = [0] * len(self.images)
+        for cycle in self.cycles():
             m = len(cycle)
             for pos, a in enumerate(cycle):
                 images[a - 1] = cycle[(pos + k) % m]

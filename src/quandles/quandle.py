@@ -310,8 +310,8 @@ class Quandle:
         # Right translations by column, from ``_pool`` when one is given.
         self._pool = {} if pool is None else pool
         self._translations: list[Optional[Permutation]] = [None] * n
-        # 0: no cycle data shared yet; 1: structures and orders; 2: also labels and screens.
-        self._shared = 0
+        # True once ``_shared_translations`` has shared the cycle data.
+        self._shared = False
         self._structures: Optional[tuple[CycleStructure, ...]] = None
         self._profile: Optional[Profile] = None
         self._row_mask: Optional[int] = None
@@ -396,19 +396,18 @@ class Quandle:
         self._orbits = tuple(blocks)
         self._links = tuple(links)
 
-    def _shared_translations(self, detail: bool = False) -> list[Permutation]:
+    def _shared_translations(self) -> list[Permutation]:
         """Every right translation, in column order, with its cycle structure and order.
 
-        With ``detail`` each also gets its cycle labels and cycle-length
-        division screen, on a table kept as bytes. The data is walked only
-        on the first column of each orbit and shared along the orbit links
-        (``_share_cycle_data``), once per table and level of detail.
+        On a table kept as bytes each also gets its cycle labels and
+        cycle-length division screen. The data is walked only on the first
+        column of each orbit and shared along the orbit links
+        (``_share_cycle_data``), once per table.
         """
-        level = 2 if detail and self._col_bytes is not None else 1
-        if self._shared < level:
+        if not self._shared:
             translations = list(map(self._right_translation, range(1, self.n + 1)))
-            self._share_cycle_data(translations, self._col_bytes if level == 2 else None)
-            self._shared = level
+            self._share_cycle_data(translations, self._col_bytes)
+            self._shared = True
         return self._translations
 
     def _share_cycle_data(self, translations: list[Permutation], cols: Optional[tuple[bytes, ...]]) -> None:

@@ -324,7 +324,7 @@ class TestCycleLengthDivisionKernel:
         assert cycle_length_division_failures(rows, perms) == expected
         if len(perms) == len(rows):
             stand_in = SimpleNamespace(n=len(rows), rows=rows, _row_bytes=None,
-                                       _shared_translations=lambda detail=False: perms)
+                                       _shared_translations=lambda: perms)
             report = check_cycle_length_division(stand_in)
             assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
             assert report.failure_count == len(expected)
@@ -341,7 +341,7 @@ class TestCycleLengthDivisionKernel:
         perms = [Permutation(p) for p in images]
         assert cycle_length_division_failures(rows, perms) == expected
         stand_in = SimpleNamespace(n=n, rows=rows, _row_bytes=None,
-                                   _shared_translations=lambda detail=False: perms)
+                                   _shared_translations=lambda: perms)
         report = check_cycle_length_division(stand_in)
         assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
         assert report.failure_count == len(expected)

@@ -1,5 +1,7 @@
 import concurrent.futures
 import hashlib
+import math
+import random
 import time
 from itertools import permutations
 
@@ -8,7 +10,7 @@ import pytest
 from quandles import enumeration
 from quandles.catalog import parse_table, serialize_table
 from quandles.cli import main
-from quandles.constructions import dihedral
+from quandles.constructions import affine, dihedral
 from quandles.enumeration import (
     ISO_ORDER_GUARD,
     LABELED_ORDER_GUARD,
@@ -369,9 +371,44 @@ class TestColumnMajorTies:
         assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
 
 
+def same_profile_pairs(tables, count, seed):
+    """count random pairs (a, b) of the tables, b drawn from the tables of a's profile."""
+    rng = random.Random(seed)
+    by_profile = {}
+    for q in tables:
+        by_profile.setdefault(q.profile(), []).append(q)
+    pairs = []
+    for _ in range(count):
+        a = rng.choice(tables)
+        pairs.append((a, rng.choice(by_profile[a.profile()])))
+    return pairs
+
+
+def units_by_order(n):
+    """The units t of Z_n, 1 < t < n, grouped by the multiplicative order of t."""
+    groups = {}
+    for t in range(2, n):
+        if math.gcd(t, n) == 1:
+            groups.setdefault(next(e for e in range(1, n) if pow(t, e, n) == 1), []).append(t)
+    return list(groups.values())
+
+
 class TestAreIsomorphic:
-    def test_self_isomorphism_finds_identity(self, q62):
-        assert are_isomorphic(q62, q62) == Permutation.identity(6)
+    @staticmethod
+    def assert_agrees_with_the_oracle(a, b):
+        """Assert that are_isomorphic answers as the oracle does; return whether a and b are isomorphic."""
+        sigma = are_isomorphic(a, b)
+        assert (sigma is None) == (naive_isomorphic(a.rows, b.rows) is None)
+        if sigma is not None:
+            # sigma(x*y) = sigma(x)*sigma(y) for all x, y: a relabeled by sigma is b.
+            assert relabeled(a.rows, sigma.images) == b.rows
+        return sigma is not None
+
+    def test_self_isomorphism_finds_identity(self, q62, q94, nonlatin3, enumerated):
+        tables = [q62, q94, nonlatin3, dihedral(47), affine(23, 5)]
+        tables += [q for n in range(1, 6) for q in enumerated(n, False)]
+        for q in tables:
+            assert are_isomorphic(q, q) == Permutation.identity(q.n)
 
     def test_sigma_is_a_homomorphism(self, q94):
         shuffled = q94.relabel(Permutation.from_cycles(9, [(1, 5, 7), (2, 9)]))
@@ -385,12 +422,52 @@ class TestAreIsomorphic:
         assert are_isomorphic(q62, dihedral(6)) is None
 
     def test_agrees_with_naive_search(self, enumerated):
-        tables = enumerated(4, False)[:12]
-        for a in tables:
-            for b in tables:
-                ours = are_isomorphic(a, b)
-                naive = naive_isomorphic(a.rows, b.rows)
-                assert (ours is None) == (naive is None)
+        # Every ordered pair of labeled tables up to order 4.
+        outcomes = set()
+        for n in range(1, 5):
+            tables = enumerated(n, False)
+            for a in tables:
+                for b in tables:
+                    outcomes.add(self.assert_agrees_with_the_oracle(a, b))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n, count", [(5, 3000), (6, 300)])
+    def test_agrees_with_naive_search_on_random_pairs(self, n, count, enumerated):
+        # Pairs of one profile, as any other pair is rejected by its profile.
+        pairs = same_profile_pairs(enumerated(n, False), count, seed=n)
+        assert {self.assert_agrees_with_the_oracle(a, b) for a, b in pairs} == {True, False}
+
+    def test_affine_pair_of_one_profile_is_rejected_quickly(self):
+        # 5 and 7 both have order 22 mod 23, so every column of both tables is
+        # of type (1,22) and every per-element invariant agrees; backtracking
+        # over those invariants took about 36 s here (2 vCPUs, Python 3.11).
+        a, b = affine(23, 5), affine(23, 7)
+        assert a.profile() == b.profile()
+        start = time.perf_counter()
+        assert are_isomorphic(a, b) is None
+        assert time.perf_counter() - start < 2
+
+    def test_relabeled_affine_tables_are_found(self):
+        rng = random.Random(47)
+        for n in range(3, 48, 2):
+            for group in units_by_order(n):
+                for t in group:
+                    q = affine(n, t)
+                    images = list(range(1, n + 1))
+                    rng.shuffle(images)
+                    shuffled = q.relabel(Permutation(images))
+                    sigma = are_isomorphic(q, shuffled)
+                    assert sigma is not None
+                    assert relabeled(q.rows, sigma.images) == shuffled.rows
+                for t, u in zip(group, group[1:]):
+                    a, b = affine(n, t), affine(n, u)
+                    sigma = are_isomorphic(a, b)
+                    if a.is_latin:
+                        # Latin Aff(Z_n, t) and Aff(Z_n, u) are isomorphic only
+                        # when t = u (Nelson, Topology Proc. 27, 2003).
+                        assert sigma is None
+                    elif sigma is not None:
+                        assert relabeled(a.rows, sigma.images) == b.rows
 
     def test_isomorphic_quandles_share_invariants(self, enumerated):
         reps = {id(q): q for q in enumerated(5, False)[:40]}

@@ -32,3 +32,14 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         exec("from quandles import no_such_name", {})
 
+
+
+@pytest.mark.parametrize("module, cls, method", [
+    ("quandle", "Quandle", "__init__"),
+    ("quandle", "Quandle", "iso_signature"),
+    ("perm", "Permutation", "__pow__"),
+])
+def test_traced_methods_are_defined_on_their_own_class(module, cls, method):
+    # bench/tracer.py METHODS wraps these through vars(cls)[method]; a method
+    # that is deleted or only inherited would make every traced bench run raise.
+    assert method in vars(getattr(importlib.import_module(f"quandles.{module}"), cls))

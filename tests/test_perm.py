@@ -283,7 +283,7 @@ def test_products_inverses_and_powers_equal_checked_permutations(pair, k):
 @given(st.integers(1, 300).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(1, n), max_size=6), st.permutations(range(1, n + 1)))), st.integers(-60, 60))
 def test_powers_of_few_long_cycles_equal_the_oracle(drawn, k):
-    # Few cycles for the degree: below 256 these take the maketrans path, from 256 the point loop.
+    # Few long cycles, across degrees up to 300, against the oracle's repeated composition.
     n, cuts, points = drawn
     bounds = sorted({0, n, *cuts})
     p = Permutation.from_cycles(n, [points[a:b] for a, b in zip(bounds, bounds[1:])])

@@ -85,7 +85,7 @@ class TestSharedCycleData:
             n = len(rows)
             q = Quandle(rows, _pool=pools.setdefault(n, {}))
             structures = q.column_structures()
-            for col, cs, p in zip(q.columns(), structures, q._shared_translations(detail=True)):
+            for col, cs, p in zip(q.columns(), structures, q._shared_translations()):
                 cycles = cycles_of(col)
                 lengths = sorted(map(len, cycles))
                 assert list(cs.lengths()) == lengths and p.order == math.lcm(*lengths)
@@ -101,7 +101,7 @@ class TestSharedCycleData:
         element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
         q = Quandle([[element(v) for v in row] for row in dihedral(8).rows])
         assert q._col_bytes is None
-        for col, cs, p in zip(q.columns(), q.column_structures(), q._shared_translations(detail=True)):
+        for col, cs, p in zip(q.columns(), q.column_structures(), q._shared_translations()):
             lengths = sorted(map(len, cycles_of(col)))
             assert list(cs.lengths()) == lengths and p.order == math.lcm(*lengths)
             assert p._labels is p._screen is None
