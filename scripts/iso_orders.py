@@ -66,8 +66,7 @@ def measure(n: int) -> dict:
     start = perf_counter()
     raw = list(enumeration._raw_tables(n))
     searched = perf_counter()
-    pool: dict = {}
-    tables = [Quandle(rows, _pool=pool) for rows in raw]
+    tables = [Quandle(rows) for rows in raw]
     validated = perf_counter()
 
     # The scans inside the reduction, each timed by a wrapper; a checkout
@@ -88,7 +87,7 @@ def measure(n: int) -> dict:
         setattr(enumeration, name, timed(name, scan))
     try:
         # Older checkouts yield (canonical form, n!/|Aut(Q)|) pairs.
-        reps = [r if isinstance(r, Quandle) else r[0] for r in enumeration._iso_reduce(iter(tables), pool)]
+        reps = [r if isinstance(r, Quandle) else r[0] for r in enumeration._iso_reduce(iter(tables))]
     finally:
         for name, scan in scans.items():
             setattr(enumeration, name, scan)

@@ -27,7 +27,10 @@ class test read the n! relabeling table, against ``one-stabiliser``,
 which reads the centraliser from the search's column-1 candidates; then
 ``parent-0aaa07a`` against ``stabiliser-screen``, whose search tries for
 each branching column only the candidates that commute with the
-stabiliser of its index.
+stabiliser of its index; then, at orders 6 and 7, the last of three
+alternating runs a side, ``parent-453f92b``, whose enumeration shared
+one pool of right translations among its tables, against
+``own-translations``, in which each table builds its own.
 """
 
 from __future__ import annotations

@@ -175,8 +175,8 @@ def cmd_verify(args) -> int:
             candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
             if class_bad:
                 bad_classes.append(q)
-        for rows in enumeration._labeled_tables(n, bad_classes):
-            q = Quandle._of_entries(b"".join(rows), n)
+        for entries in enumeration._labeled_tables(n, bad_classes):
+            q = Quandle._of_entries(entries, n)
             for report in checks.all_checks(q):
                 if not report.consistent:
                     print(f"INCONSISTENT {report.name} on order-{n} table {q.rows}", file=sys.stderr)

@@ -101,13 +101,7 @@ they are disjoint, so every labeled table comes out once, in the lex
 order of its columns, the order the unpruned search would emit them in.
 The filter runs before the reduction: every predicate is
 isomorphism-invariant, so it keeps whole classes. An order's labeled
-tables are held, as bytes, until the merge starts: about 20 MB at order
-7. The tables the pipeline validates, and the canonical forms it builds,
-take their right translations from one dict owned by that call: equal
-columns in different tables share one ``Permutation``, so its cycles,
-cycle structure and order are computed once (order 6 has 6658 tables
-with 39,948 columns but 455 distinct ones). Every table is still
-validated in full. Nothing is shared between calls.
+tables are held, as bytes, until the merge starts: about 20 MB at order 7.
 
 Column 1 is set before branching starts, so the search runs as
 share-nothing units, one per column-1 representative, so one per cycle
@@ -455,34 +449,30 @@ def _class_tables(task: EnumerationTask) -> Iterator[tuple[Quandle, int]]:
     Each is the class's column-major least labeling, in search order; no
     canonical form is built.
     """
-    return _least_labelings(_validated(task, _raw_tables(task.order), {}))
+    return _least_labelings(_validated(task, _raw_tables(task.order)))
 
 
-def _validated(
-    task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]],
-    pool: dict[tuple[int, ...], Permutation],
-) -> Iterator[Quandle]:
-    """The searched tables validated against one translation pool, those the task's filter keeps."""
-    stream = (Quandle(rows, _pool=pool) for rows in raw)
+def _validated(task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]]) -> Iterator[Quandle]:
+    """The searched tables validated, those the task's filter keeps."""
+    stream = map(Quandle, raw)
     if task.predicate_filter is None:
         return stream
     return filter(PREDICATES[task.predicate_filter], stream)
 
 
 def _pipeline(task: EnumerationTask, raw: Iterable[tuple[tuple[int, ...], ...]]) -> Iterator[Quandle]:
-    """Validate the searched tables against one translation pool, filter them and reduce them to classes.
+    """Validate the searched tables, filter them and reduce them to classes.
 
     With ``up_to_iso`` each class gives its canonical form. Without, each
-    class gives its labeled tables, each validated against the same pool,
-    all in column-major lex order.
+    class gives its labeled tables, each validated, all in column-major
+    lex order.
     """
-    translations: dict[tuple[int, ...], Permutation] = {}
-    stream = _validated(task, raw, translations)
+    stream = _validated(task, raw)
     if task.up_to_iso:
-        return _iso_reduce(stream, translations)
+        return _iso_reduce(stream)
     n = task.order
     labeled = _labeled_tables(n, (q for q, _ in _least_labelings(stream)))
-    return (Quandle._of_entries(b"".join(rows), n, _pool=translations) for rows in labeled)
+    return (Quandle._of_entries(entries, n) for entries in labeled)
 
 
 def _least_labelings(stream: Iterable[Quandle]) -> Iterator[tuple[Quandle, int]]:
@@ -493,12 +483,10 @@ def _least_labelings(stream: Iterable[Quandle]) -> Iterator[tuple[Quandle, int]]
             yield q, math.factorial(q.n) // automorphisms
 
 
-def _iso_reduce(
-    stream: Iterable[Quandle], pool: Optional[dict[tuple[int, ...], Permutation]] = None,
-) -> Iterator[Quandle]:
-    """The canonical form of each class whose least labeling is in the stream; the forms use pool."""
+def _iso_reduce(stream: Iterable[Quandle]) -> Iterator[Quandle]:
+    """The canonical form of each class whose least labeling is in the stream."""
     for q, _ in _least_labelings(stream):
-        yield Quandle(_least_relabeling(q)[0], _pool=pool)
+        yield Quandle(_least_relabeling(q)[0])
 
 
 def _column_major_ties(q: Quandle) -> int:
@@ -621,7 +609,7 @@ def _centralizer_parts(p: bytes) -> dict[int, list[tuple[bytes, bytes]]]:
     return parts
 
 
-def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]:
+def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[bytes]:
     """Every labeled table of the given classes of order n, once each, in column-major lex order.
 
     Column c of the table relabeled by sigma is sigma R_x sigma^-1 for
@@ -629,8 +617,8 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]
     the table keeps (``_col_bytes``); the second is done once on the joined
     columns. The relabelings of a class are gathered in a set, as
     column-major bytes, and sorted; the classes are disjoint, so a merge of
-    their sorted lists holds each table once. Rows are yielded as 1-based
-    bytes.
+    their sorted lists holds each table once. Each table is yielded as its
+    1-based entries, row-major, for ``Quandle._of_entries``.
     """
     # Imported here, its only use, as --iso does not need it.
     import heapq
@@ -644,7 +632,7 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[list[bytes]]
         per_class.append(sorted(tables))
     for table in heapq.merge(*per_class):
         table = table.translate(_ONE_BASED)
-        yield [table[i::n] for i in range(n)]
+        yield b"".join([table[i::n] for i in range(n)])
 
 
 def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
@@ -657,12 +645,20 @@ def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
     the next y is tried. The first x tries one y per orbit of b, as the
     inner automorphisms of b move y through its orbit. Each pair is closed
     when its later point is assigned, so a full assignment is an isomorphism.
+
+    A point of b whose row is all itself and whose column is the identity
+    is interchangeable with any other such point: swapping two of them is
+    an automorphism of b that fixes every other point. So x tries one
+    unassigned point of this kind, not each of them.
     """
     if a.n != b.n or a.profile() != b.profile():
         return None
     n = a.n
     rows_a, rows_b = a.rows, b.rows
     types_a, types_b = a.column_structures(), b.column_structures()
+    identity = tuple(range(1, n + 1))
+    trivial = {y for y, (row, col) in enumerate(zip(rows_b, b.columns()), 1)
+               if col == identity and row.count(y) == n}
     sigma = [0] * (n + 1)
     used = [False] * (n + 1)
     trail: list[int] = []
@@ -697,7 +693,12 @@ def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
             x += 1
         if x > n:
             return True
+        trivial_tried = False
         for y in chain((x,), range(1, x), range(x + 1, n + 1)) if trail else sorted(map(min, orbits(b))):
+            if y in trivial and not used[y]:
+                if trivial_tried:
+                    continue
+                trivial_tried = True
             mark = len(trail)
             if assign(x, y) and extend(x + 1):
                 return True

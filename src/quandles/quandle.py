@@ -265,12 +265,11 @@ def _validate_point_by_point(rows: tuple[tuple, ...], n: int) -> None:
 class Quandle:
     """An immutable, fully validated quandle table."""
 
-    __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_pool", "_translations",
+    __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_translations",
                  "_shared", "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free",
                  "_orbits", "_links", "_invariants", "_iso_sig", "__weakref__")
 
-    def __init__(self, rows: Sequence[Sequence[int]], *,
-                 _pool: Optional[dict[tuple[int, ...], Permutation]] = None):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(rows)
         n = len(rows)
         if n == 0:
@@ -279,11 +278,10 @@ class Quandle:
             raise TableTooLargeError(n)
         rows = tuple(map(tuple, rows))
         table = _entry_bytes(rows, n) if n <= 256 else None
-        self._set(rows, n, None if table is None else _screened(table, n), _pool)
+        self._set(rows, n, None if table is None else _screened(table, n))
 
     @classmethod
-    def _of_entries(cls, entries: bytes, n: int, *,
-                    _pool: Optional[dict[tuple[int, ...], Permutation]] = None) -> "Quandle":
+    def _of_entries(cls, entries: bytes, n: int) -> "Quandle":
         """The table whose 1-based entries, row-major, are the n * n ``entries``; 1 <= n <= 255.
 
         For callers that hold the entries as bytes already, as the parsers
@@ -292,12 +290,11 @@ class Quandle:
         """
         q = cls.__new__(cls)
         rows = tuple([tuple(entries[i:i + n]) for i in range(0, n * n, n)])
-        q._set(rows, n, _screened(entries.translate(_PREDECESSOR), n), _pool)
+        q._set(rows, n, _screened(entries.translate(_PREDECESSOR), n))
         return q
 
     def _set(self, rows: tuple[tuple[int, ...], ...], n: int,
-             screened: Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]],
-             pool: Optional[dict[tuple[int, ...], Permutation]]) -> None:
+             screened: Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]) -> None:
         """Keep the table once the screen has passed, or raise what the point walk finds."""
         if screened is None:
             _validate_point_by_point(rows, n)
@@ -307,8 +304,7 @@ class Quandle:
         # 0-based byte rows and columns for the checkers' kernels; None when
         # the screen did not run or did not pass, and the kernels walk points.
         self._row_bytes, self._col_bytes = screened or (None, None)
-        # Right translations by column, from ``_pool`` when one is given.
-        self._pool = {} if pool is None else pool
+        # Right translations by column, built when first read.
         self._translations: list[Optional[Permutation]] = [None] * n
         # True once ``_shared_translations`` has shared the cycle data.
         self._shared = False
@@ -356,11 +352,7 @@ class Quandle:
         """
         p = self._translations[j - 1]
         if p is None:
-            col = self._cols[j - 1]
-            p = self._pool.get(col)
-            if p is None:
-                p = self._pool[col] = Permutation._of_bijection(col)
-            self._translations[j - 1] = p
+            p = self._translations[j - 1] = Permutation._of_bijection(self._cols[j - 1])
         return p
 
     def _find_orbits(self) -> None:
@@ -419,8 +411,7 @@ class Quandle:
         ``column_structures``) and order, and, given the
         0-based byte columns ``cols``, its cycle labels are R_x's read through
         R_s^-1, and each of its Fix(f^m) sets and tested rows is R_x's moved
-        by R_s. No cycle of R_y is walked. A slot already filled, as on a
-        translation that another table of the pool has filled, is kept.
+        by R_s. No cycle of R_y is walked.
         """
         structures = self.column_structures()
         if cols is not None:

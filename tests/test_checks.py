@@ -32,7 +32,6 @@ from quandles.checks import (
     search_nonconnected_refinement,
 )
 from quandles.constructions import affine, conjugation, dihedral
-from quandles.orbits import orbits
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
@@ -206,7 +205,7 @@ def report_fields(report):
 
 class TestSharedWork:
     def test_reports_equal_those_of_fresh_tables_up_to_order_5(self, enumerated):
-        # Enumerated tables share translations; a fresh table builds its own.
+        # An enumerated table and a fresh one each build their own translations.
         for n in range(1, 6):
             for q in enumerated(n, False):
                 ours = [report_fields(r) for r in all_checks(q)]
@@ -461,7 +460,7 @@ class TestRelabelingWaitsToBeRead:
 
     @pytest.fixture
     def fresh_tables(self, enumerated):
-        # Each table gets a pool of its own, so no other test has read a relabeling from it.
+        # Fresh tables, so no other test has read a relabeling from them.
         return ([affine(47, 5)] + [transposition_quandle(k) for k in range(4, 8)]
                 + [Quandle(q.rows) for q in enumerated(5, False)])
 
@@ -471,9 +470,8 @@ class TestRelabelingWaitsToBeRead:
             shifts = [r for r in all_checks(q) if r.name == "cycle-shift"]
             translations = q._shared_translations()
             assert not any(p._relabeling for p in translations)
-            # a linked column equal to a walked one is the same pooled translation
-            walked = {id(translations[min(block) - 1]) for block in orbits(q)}
-            linked = [p for p in (translations[y - 1] for y, _, _ in q._links) if id(p) not in walked]
+            # each column has a translation of its own, so no linked one is walked
+            linked = [translations[y - 1] for y, _, _ in q._links]
             assert all(p._cycles is None for p in linked)
             unwalked += len(linked)
             for p, report in zip(translations, shifts):

@@ -78,12 +78,9 @@ class TestSharedCycleData:
             assert reached == set(range(1, q.n + 1))
 
     def test_cycle_data_equals_a_walk_of_each_column(self, all_rows):
-        # A pool shared by the tables of each order, as the enumeration shares
-        # one, so a slot another table filled is read back too.
-        pools = {}
         for rows in all_rows:
             n = len(rows)
-            q = Quandle(rows, _pool=pools.setdefault(n, {}))
+            q = Quandle(rows)
             structures = q.column_structures()
             for col, cs, p in zip(q.columns(), structures, q._shared_translations()):
                 cycles = cycles_of(col)
@@ -109,9 +106,7 @@ class TestSharedCycleData:
 
     def test_reports_equal_those_with_the_fill_patched_out(self, all_rows, monkeypatch):
         def records():
-            pools = {}
-            return [[report_record(r) for r in all_checks(Quandle(rows, _pool=pools.setdefault(len(rows), {})))]
-                    for rows in all_rows]
+            return [[report_record(r) for r in all_checks(Quandle(rows))] for rows in all_rows]
 
         shared = records()
         monkeypatch.setattr(Quandle, "_share_cycle_data", lambda self, translations, cols: None)
