@@ -13,7 +13,9 @@ plain format and half as gap matrices, alternating.
 Each round parses every text again, so no table keeps what an earlier
 round computed, and then runs the checkers one at a time over all tables,
 in the order ``all_checks`` runs them, so each one pays for the per-table
-caches it fills first. Then every report is rendered as its
+caches it fills first. The left-refinement and cycle-shift stages call
+the private helpers ``all_checks`` calls, which decide left refinement
+once per orbit and cycle shift once per cycle structure. Then every report is rendered as its
 ``report_record`` JSON (``records_s``): reading a cycle-shift report's
 details builds its relabeling, so that cost shows here, not in
 ``cycle_shift_s``. ``report`` runs last, through ``cli.main`` over a
@@ -53,7 +55,11 @@ its type before the screen; then ``loop-powers``, whose ``__pow__``
 rotates cycles point by point at every degree and which shares cycle
 labels and division screens whenever it shares cycle data, against its
 parent ``parent-ead7e80``, which took one ``bytes.maketrans`` for a
-power of a permutation with few cycles for its degree.
+power of a permutation with few cycles for its degree; then
+``orbit-verdicts``, whose checkers decide each per-column verdict on the
+first column of each orbit, against its parent ``parent-799d5a3``, which
+copied cycle data along the orbit links so that each checker could test
+every column.
 """
 
 from __future__ import annotations
@@ -139,12 +145,12 @@ def one_round(texts: list[tuple[str, str]],
         times[f"{stage}_s"] = perf_counter() - start
     start = perf_counter()
     for q, out in zip(tables, reports):
-        out.extend(checks.check_left_refinement(q, i) for i in range(1, q.n + 1))
+        out.extend(checks._left_refinement_reports(q))
     times["left_refinement_s"] = perf_counter() - start
     start = perf_counter()
     for q, out in zip(tables, reports):
-        verdicts: dict = {}
-        out.extend(checks.check_cycle_shift(q._right_translation(i), _verdicts=verdicts)
+        structures, verdicts = q.column_structures(), {}
+        out.extend(checks._cycle_shift_report(q._right_translation(i), structures[i - 1], verdicts)
                    for i in range(1, q.n + 1))
     times["cycle_shift_s"] = perf_counter() - start
     times["checkers_s"] = sum(times[f"{stage}_s"] for stage, _ in TABLE_CHECKERS) + (
@@ -192,15 +198,24 @@ def measure(max_order: int = DEFAULT_MAX_ORDER, rounds: int = 7) -> dict:
     return result
 
 
+def package_source(path: str) -> Path:
+    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
+    for src in (Path(path) / "src", Path(path)):
+        if (src / "quandles" / "__init__.py").is_file():
+            return src.resolve()
+    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package source to measure")
+    parser.add_argument("--src", type=package_source, default=str(ROOT),
+                        help="the checkout, or its src directory, to measure")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_catalog.json")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(args.src))
 
     result = measure(args.max_order, args.rounds)
     print(" ".join(f"{k}={v}" for k, v in result.items() if not k.endswith("sha256")), flush=True)

@@ -46,13 +46,22 @@ def measure(n: int) -> dict:
     }
 
 
+def package_source(path: str) -> Path:
+    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
+    for src in (Path(path) / "src", Path(path)):
+        if (src / "quandles" / "__init__.py").is_file():
+            return src.resolve()
+    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package source to measure")
+    parser.add_argument("--src", type=package_source, default=str(ROOT),
+                        help="the checkout, or its src directory, to measure")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_labeled.json")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(args.src))
 
     run = {"python": platform.python_version(), "cpus": os.cpu_count(), "orders": {}}
     ok = True

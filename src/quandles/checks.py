@@ -26,12 +26,17 @@ The statements covered:
 
 Work that depends only on a permutation is cached on it, and work that
 depends only on a table on the table (orbits, latinity), so the checkers
-share it. The columns of one orbit are conjugate, so a translation's cycle
-structure, order, cycle labels and division screen are walked on one
-column per orbit and conjugated onto the others
-(``Quandle._shared_translations``). Only the cycle-shift relabeling walks
-each column's own cycles, as it lists them in canonical order, and only
-a read of a report's details builds it.
+share it. The columns of one orbit are conjugate: for a link y = x*s,
+R_y = R_s R_x R_s^-1 and L_y = R_s L_x R_s^-1, and R_s is an automorphism
+(Joyce, J. Pure Appl. Algebra 23, 1982). This orbit lemma is the one step
+the checkers derive rather than compute. Each per-column verdict is
+decided on the first column of each orbit, and the linked columns take
+it (``Quandle._find_orbits``): the cycle structures and orders, the
+cycle-length division screen and, in ``all_checks``, left refinement.
+Where a derived verdict would fail, the columns are checked one by one,
+so every witness is computed. Only the cycle-shift relabeling walks each
+column's own cycles, as it lists them in canonical order, and only a
+read of a report's details builds it.
 
 Cycle shift on the relabeled f depends only on the cycle structure:
 ``all_checks`` keeps one capped verdict per structure in the table, while
@@ -244,26 +249,23 @@ class _RelabelingDetails(Mapping):
         return dict, (dict(self),)
 
 
-def check_cycle_shift(
-    p: Permutation,
-    *,
-    _verdicts: Optional[dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]] = None,
-) -> CheckReport:
+def check_cycle_shift(p: Permutation) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
-    f depends only on the cycle structure of p. ``all_checks`` passes a
-    ``_verdicts`` dict of its own, which keeps the capped verdict of each
-    cycle structure in the table; a call without it computes the verdict.
-    The details read p's relabeling only when they are read, so the
-    report walks no cycle of p that p has not cached.
+    f depends only on the cycle structure of p. The details read p's
+    relabeling only when they are read, so the report walks no cycle of
+    p that p has not cached.
     """
-    structure = p.cycle_structure()
-    verdict = None if _verdicts is None else _verdicts.get(structure)
+    return _cycle_shift_report(p, p.cycle_structure(), {})
+
+
+def _cycle_shift_report(p: Permutation, structure: CycleStructure,
+                        verdicts: dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]) -> CheckReport:
+    """``check_cycle_shift(p)`` for p of this ``structure``, keeping each structure's capped verdict in ``verdicts``."""
+    verdict = verdicts.get(structure)
     if verdict is None:
         counted, failures = _cycle_shift_failures(_consecutive_form(structure))
-        verdict = (counted, *_capped(failures))
-        if _verdicts is not None:
-            _verdicts[structure] = verdict
+        verdict = verdicts[structure] = (counted, *_capped(failures))
     counted, witnesses, count = verdict
     return CheckReport("cycle-shift", True, count == 0, counted, witnesses, count, _RelabelingDetails(p))
 
@@ -314,11 +316,22 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
 
 
 def check_cycle_length_division(q: Quandle) -> CheckReport:
-    """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k."""
+    """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k.
+
+    The first column of each orbit is screened. For a link y = x*s the
+    automorphism R_s sends R_x's cycles onto R_y's and each failing pair
+    under R_x onto one under R_y, so some column of an orbit fails iff
+    the orbit's first column does. Only then are all n columns checked,
+    for every failure in (k, x, y) order.
+    """
     n = q.n
     failures = cycle_length_division_failures(
-        q.rows, q._shared_translations(), _row_bytes=q._row_bytes
+        q.rows, [q._right_translation(min(block)) for block in orbits(q)], _row_bytes=q._row_bytes
     )
+    if failures:
+        failures = cycle_length_division_failures(
+            q.rows, list(map(q._right_translation, range(1, n + 1))), _row_bytes=q._row_bytes
+        )
     witnesses, count = _capped(failures)
     return CheckReport(
         name="cycle-length-division",
@@ -361,9 +374,8 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     walked only to name witnesses, which a report shows only when the
     hypothesis holds; a non-bijective row is scanned to its first repeat.
     """
-    q._shared_translations()  # R_i's structure and labels, from its orbit's walked column
     right = q.right_translation(i)  # checks i once for both translations
-    hypothesis = right.cycle_structure().has_distinct_lengths and q.has_unique_fixed_points
+    hypothesis = q.column_structures()[i - 1].has_distinct_lengths and q.has_unique_fixed_points
     is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
     on_bytes = is_permutation and q._row_bytes is not None
     if on_bytes:
@@ -383,6 +395,28 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
         failure_count=count if hypothesis else 0,
         details={"element": i, "left_is_permutation": is_permutation},
     )
+
+
+def _left_refinement_reports(q: Quandle) -> list[CheckReport]:
+    """``check_left_refinement(q, i)`` for i = 1..n, decided on the first column of each orbit.
+
+    For a link y = x*s, R_s sends the cycles of L_x and R_x onto those of
+    L_y and R_y, so row y is a bijection, meets the hypothesis and refines
+    R_y exactly when row x does. A consistent verdict names no witness and
+    is taken with ``element`` y; an inconsistent one is checked at y
+    directly, for its witnesses.
+    """
+    reports: list[Optional[CheckReport]] = [None] * q.n
+    for block in orbits(q):
+        start = min(block)
+        reports[start - 1] = check_left_refinement(q, start)
+    for y, x, _ in q._links:
+        r = reports[x - 1]
+        reports[y - 1] = CheckReport(
+            r.name, r.hypothesis_holds, r.conclusion_holds, 1,
+            details={"element": y, "left_is_permutation": r.details["left_is_permutation"]},
+        ) if r.consistent else check_left_refinement(q, y)
+    return reports
 
 
 def has_repeat_free_profile(q: Quandle) -> bool:
@@ -437,14 +471,11 @@ def check_latin_necessary_conditions(q: Quandle) -> CheckReport:
 def check_regular_cycle(q: Quandle) -> CheckReport:
     """Hayashi's conjecture on one quandle: connected => every column has a regular cycle."""
     connected = is_connected(q)
-    column_orders = []
-    column_longest = []
-    failures = []
-    for j, p in enumerate(q._shared_translations(), 1):
-        column_orders.append(p.order)
-        column_longest.append(p.longest_cycle_length)
-        if not p.has_regular_cycle:
-            failures.append((j,))
+    structures = q.column_structures()
+    column_orders = tuple([cs.order for cs in structures])
+    column_longest = tuple([cs.entries[-1][0] for cs in structures])
+    failures = [(j,) for j, (order, longest) in enumerate(zip(column_orders, column_longest), 1)
+                if order != longest]
     witnesses, count = _capped(failures)
     return CheckReport(
         name="regular-cycle",
@@ -455,8 +486,8 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
         failure_count=count,
         details={
             "connected": connected,
-            "column_orders": tuple(column_orders),
-            "column_longest": tuple(column_longest),
+            "column_orders": column_orders,
+            "column_longest": column_longest,
         },
     )
 
@@ -464,8 +495,8 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
 def all_checks(q: Quandle) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Cycle-shift verdicts go to a dict of this call's own, so each cycle
-    structure in the table is checked once.
+    Left refinement is decided once per orbit (``_left_refinement_reports``),
+    and cycle shift once per cycle structure in the table.
     """
     reports = [
         check_conjugation_identity(q),
@@ -474,10 +505,11 @@ def all_checks(q: Quandle) -> list[CheckReport]:
         check_latin_necessary_conditions(q),
         check_regular_cycle(q),
     ]
+    structures = q.column_structures()
     verdicts: dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]] = {}
-    for i, p in enumerate(q._shared_translations(), 1):
-        reports.append(check_left_refinement(q, i))
-        reports.append(check_cycle_shift(p, _verdicts=verdicts))
+    for i, left in enumerate(_left_refinement_reports(q), 1):
+        reports.append(left)
+        reports.append(_cycle_shift_report(q._right_translation(i), structures[i - 1], verdicts))
     return reports
 
 

@@ -62,6 +62,11 @@ class CycleStructure(Value):
         """True iff no two cycles have the same length; computed once per structure."""
         return all(mult == 1 for _, mult in self.entries)
 
+    @functools.cached_property
+    def order(self) -> int:
+        """The order of a permutation of this structure, the lcm of its cycle lengths; computed once per structure."""
+        return math.lcm(*[length for length, _ in self.entries])
+
     @property
     def fixed_point_count(self) -> int:
         return self.entries[0][1] if self.entries and self.entries[0][0] == 1 else 0
@@ -91,7 +96,7 @@ class Permutation:
     cycle-length division screen) is cached on it too.
     """
 
-    __slots__ = ("images", "_cycles", "_structure", "_order", "_relabeling", "_screen", "_labels")
+    __slots__ = ("images", "_cycles", "_structure", "_relabeling", "_screen", "_labels")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -116,7 +121,6 @@ class Permutation:
         self.images = images
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None
-        self._order: int | None = None
         self._relabeling: tuple[int, ...] | None = None
         self._screen: tuple[tuple[bytes, bytes], ...] | None = None
         self._labels: bytes | None = None
@@ -227,10 +231,9 @@ class Permutation:
         """A 256-byte translate table sending each 0-based point to a label of its cycle; cached.
 
         The labels are constant on each cycle and distinct across cycles;
-        nothing else about them is promised. Walked, a cycle's label is its
-        index among ``cycles()``; a table fills a translation's labels from
-        a conjugate's (``Quandle._share_cycle_data``). For degree at most
-        256 only. Bytes past the degree are zero.
+        nothing else about them is promised: a cycle's label is its index
+        among ``cycles()``. For degree at most 256 only. Bytes past the
+        degree are zero.
         """
         if self._labels is None:
             labels = bytearray(256)
@@ -275,10 +278,8 @@ class Permutation:
 
     @property
     def order(self) -> int:
-        """Least k >= 1 with self**k equal to the identity: lcm of the distinct cycle lengths."""
-        if self._order is None:
-            self._order = math.lcm(*{len(cycle) for cycle in self.cycles()})
-        return self._order
+        """Least k >= 1 with self**k equal to the identity: the order of its cycle structure."""
+        return self.cycle_structure().order
 
     @property
     def longest_cycle_length(self) -> int:

@@ -41,11 +41,11 @@ valid table whose entries are of an int subclass, which keeps no bytes.
 The cycles of the right translations are walked on one column per orbit.
 The orbits are grown from the rows, as row x is {x*s : s}, and every other
 point y is linked to a point x reached before it, with y = x*s. Since
-R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure and order are R_x's, and on
-a table kept as bytes so are its cycle labels and cycle-length division
-screen, moved by R_s (``_shared_translations``). A connected table walks
-one column's cycles for all n, and ``column_structures`` builds the
-translation of that column only.
+R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure is R_x's, and
+``column_structures`` builds the translation of each orbit's first column
+only. This orbit lemma is the one step the checkers derive rather than
+compute: they decide each per-column verdict on an orbit's first column,
+and a linked column takes it.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_translations",
-                 "_shared", "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free",
+                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free",
                  "_orbits", "_links", "_invariants", "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -306,8 +306,6 @@ class Quandle:
         self._row_bytes, self._col_bytes = screened or (None, None)
         # Right translations by column, built when first read.
         self._translations: list[Optional[Permutation]] = [None] * n
-        # True once ``_shared_translations`` has shared the cycle data.
-        self._shared = False
         self._structures: Optional[tuple[CycleStructure, ...]] = None
         self._profile: Optional[Profile] = None
         self._row_mask: Optional[int] = None
@@ -356,7 +354,7 @@ class Quandle:
         return p
 
     def _find_orbits(self) -> None:
-        """Set the orbit partition and the links along which cycle data is shared.
+        """Set the orbit partition and the links y = x*s that join conjugate columns.
 
         Row x is {x*s : s}, every point one right translation away from x,
         so each orbit is grown breadth first from its least point by set
@@ -387,53 +385,6 @@ class Quandle:
             blocks.append(frozenset(block))
         self._orbits = tuple(blocks)
         self._links = tuple(links)
-
-    def _shared_translations(self) -> list[Permutation]:
-        """Every right translation, in column order, with its cycle structure and order.
-
-        On a table kept as bytes each also gets its cycle labels and
-        cycle-length division screen. The data is walked only on the first
-        column of each orbit and shared along the orbit links
-        (``_share_cycle_data``), once per table.
-        """
-        if not self._shared:
-            translations = list(map(self._right_translation, range(1, self.n + 1)))
-            self._share_cycle_data(translations, self._col_bytes)
-            self._shared = True
-        return self._translations
-
-    def _share_cycle_data(self, translations: list[Permutation], cols: Optional[tuple[bytes, ...]]) -> None:
-        """Fill each linked column's empty cache slots from the column it is linked to.
-
-        For a link y = x*s, R_y = R_s R_x R_s^-1 (Joyce, J. Pure Appl. Algebra
-        23, 1982): R_s sends each cycle of R_x onto a cycle of R_y. So R_y has
-        the same cycle structure (the same object, read from
-        ``column_structures``) and order, and, given the
-        0-based byte columns ``cols``, its cycle labels are R_x's read through
-        R_s^-1, and each of its Fix(f^m) sets and tested rows is R_x's moved
-        by R_s. No cycle of R_y is walked.
-        """
-        structures = self.column_structures()
-        if cols is not None:
-            n = self.n
-            points, pad = _IDENTITY_BYTES[:n], _IDENTITY_BYTES[n:]
-        for y, x, s in self._links:
-            px, py = translations[x - 1], translations[y - 1]
-            if py._structure is None:
-                py._structure = structures[y - 1]
-            if py._order is None:
-                py._order = px.order
-            if cols is not None:
-                col = cols[s - 1]
-                if py._labels is None:
-                    py._labels = bytes.maketrans(col, points).translate(px._cycle_labels())
-                if py._screen is None:
-                    move = col + pad
-                    screen = []
-                    for fixed, tested in px._division_screen():
-                        moved = fixed.translate(move)
-                        screen.append((moved, moved if tested is fixed else tested.translate(move)))
-                    py._screen = tuple(screen)
 
     def left_translation(self, i: int) -> Optional[Permutation]:
         """The permutation x -> i*x (row i), or None when the row is not a bijection."""

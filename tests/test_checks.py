@@ -268,6 +268,11 @@ def transposition_quandle(k):
                        Permutation.from_cycles(k, [(1, 2)]))
 
 
+def own_orbits(n):
+    """An orbit of its own for each column, so a stand-in table's checker tests every column."""
+    return tuple(frozenset({k}) for k in range(1, n + 1))
+
+
 # Arbitrary n x n tables with up to n arbitrary permutations standing in for the R_k.
 TABLES_AND_PERMUTATIONS = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=n, max_size=n),
@@ -323,7 +328,7 @@ class TestCycleLengthDivisionKernel:
         assert cycle_length_division_failures(rows, perms) == expected
         if len(perms) == len(rows):
             stand_in = SimpleNamespace(n=len(rows), rows=rows, _row_bytes=None,
-                                       _shared_translations=lambda: perms)
+                                       _orbits=own_orbits(len(rows)), _right_translation=lambda k: perms[k - 1])
             report = check_cycle_length_division(stand_in)
             assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
             assert report.failure_count == len(expected)
@@ -340,7 +345,21 @@ class TestCycleLengthDivisionKernel:
         perms = [Permutation(p) for p in images]
         assert cycle_length_division_failures(rows, perms) == expected
         stand_in = SimpleNamespace(n=n, rows=rows, _row_bytes=None,
-                                   _shared_translations=lambda: perms)
+                                   _orbits=own_orbits(n), _right_translation=lambda k: perms[k - 1])
+        report = check_cycle_length_division(stand_in)
+        assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
+        assert report.failure_count == len(expected)
+
+    def test_a_failure_at_the_first_column_of_an_orbit_checks_every_column(self):
+        # One orbit: the screen reads column 1 only, and its failure sends all n columns to be checked.
+        n = 9
+        rows = [[(2 * x + 5 * y) % n + 1 for y in range(n)] for x in range(n)]
+        images = [Permutation.from_cycles(n, [(1, 2), (3, 4, 5), (6, 7, 8, 9)]).images] * n
+        expected = oracle_division_failures(rows, images)
+        assert {k for k, _, _ in expected} == set(range(1, n + 1))
+        perms = [Permutation(p) for p in images]
+        stand_in = SimpleNamespace(n=n, rows=rows, _row_bytes=None,
+                                   _orbits=(frozenset(range(1, n + 1)),), _right_translation=lambda k: perms[k - 1])
         report = check_cycle_length_division(stand_in)
         assert report.witnesses == tuple(expected[:DEFAULT_WITNESS_CAP])
         assert report.failure_count == len(expected)
@@ -468,7 +487,7 @@ class TestRelabelingWaitsToBeRead:
         unwalked = 0
         for q in fresh_tables:
             shifts = [r for r in all_checks(q) if r.name == "cycle-shift"]
-            translations = q._shared_translations()
+            translations = [q._right_translation(i) for i in range(1, q.n + 1)]
             assert not any(p._relabeling for p in translations)
             # each column has a translation of its own, so no linked one is walked
             linked = [translations[y - 1] for y, _, _ in q._links]

@@ -74,3 +74,30 @@ def test_main_merges_each_label_into_the_file(name, argv, tmp_path, monkeypatch)
     for label in ("parent", "change"):
         assert main(argv + ["--label", label, "--out", str(out)]) == 0
     assert sorted(json.loads(out.read_text())) == ["change", "parent"]
+
+
+SCRIPT_NAMES = ["catalog_orders", "iso_orders", "labeled_orders", "startup_orders", "verify_orders"]
+
+
+@pytest.mark.parametrize("name", SCRIPT_NAMES)
+def test_src_takes_a_checkout_or_its_src_directory(name):
+    package_source = load(name).package_source
+    root = SCRIPTS.parent
+    assert package_source(str(root)) == package_source(str(root / "src")) == root / "src"
+
+
+@pytest.mark.parametrize("name", SCRIPT_NAMES)
+def test_src_holding_no_package_fails_before_any_run(name, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stop:
+        load(name).main(["--src", str(tmp_path), "--out", str(out)])
+    assert stop.value.code == 2 and not out.exists()
+    assert "holds neither src/quandles nor quandles" in capsys.readouterr().err
+
+
+def test_main_measures_a_checkout_root(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    out = tmp_path / "bench.json"
+    assert load("verify_orders").main(["--orders", "4", "--src", str(SCRIPTS.parent), "--out", str(out)]) == 0
+    assert sys.path[0] == str(SCRIPTS.parent / "src")
+    assert json.loads(out.read_text())["current"]["orders"]["4"]["stdout_unchanged"]

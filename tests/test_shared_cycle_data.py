@@ -1,13 +1,14 @@
-"""Cycle data shared along orbit links, against each column's own cycle walk.
+"""Orbit links, and the verdicts taken along them, against each column's own check.
 
 A table walks the cycles of the first column of each orbit only; every
-other column y = x*s gets R_x's structure, order, cycle labels and
-division screen conjugated by R_s. Each is checked here against a walk of
-the column itself, on every labeled table of orders 1-6, on Aff(Z_n, t) for
-odd n up to 47, on the transposition quandles of S_4 .. S_8 and on two
-disjoint unions, so that latin tables (every link from the first column),
-connected non-latin ones (links two rows deep) and tables of several
-orbits are all covered.
+other column y = x*s takes R_x's cycle structure, and ``all_checks``
+decides left refinement on the first column of each orbit. Its reports
+are checked here against the direct per-element calls on a fresh table,
+on every labeled table of orders 1-6, on Aff(Z_n, t) for odd n up to 47,
+on the transposition quandles of S_4 .. S_8 and on two disjoint unions,
+so that latin tables (every link from the first column), connected
+non-latin ones (links two rows deep) and tables of several orbits are
+all covered.
 
 The table predicates read from the byte rows (unique fixed points,
 latinity, the bijective rows) and the structures copied along the links
@@ -20,7 +21,10 @@ from enum import IntEnum
 
 import pytest
 
-from quandles.checks import all_checks, report_record
+from quandles import checks
+from quandles.checks import (CheckReport, all_checks, check_conjugation_identity, check_cycle_length_division,
+                             check_cycle_shift, check_latin_necessary_conditions, check_latin_sufficiency,
+                             check_left_refinement, check_regular_cycle, report_record)
 from quandles.constructions import affine, conjugation, dihedral
 from quandles.orbits import orbits
 from quandles.perm import CycleStructure, Permutation
@@ -62,8 +66,15 @@ def all_rows(enumerated):
     return [q.rows for n in range(1, 7) for q in enumerated(n, False)] + constructed_rows()
 
 
-def screen_sets(screen):
-    return sorted((sorted(fixed), sorted(tested)) for fixed, tested in screen)
+def direct_checks(rows):
+    """The reports of ``all_checks``, each from its own checker on a fresh table."""
+    q = Quandle(rows)
+    reports = [check(q) for check in (check_conjugation_identity, check_cycle_length_division,
+                                      check_latin_sufficiency, check_latin_necessary_conditions,
+                                      check_regular_cycle)]
+    for i in range(1, q.n + 1):
+        reports += [check_left_refinement(q, i), check_cycle_shift(q.right_translation(i))]
+    return reports
 
 
 class TestSharedCycleData:
@@ -77,40 +88,43 @@ class TestSharedCycleData:
                 reached.add(y)
             assert reached == set(range(1, q.n + 1))
 
-    def test_cycle_data_equals_a_walk_of_each_column(self, all_rows):
-        for rows in all_rows:
-            n = len(rows)
-            q = Quandle(rows)
-            structures = q.column_structures()
-            for col, cs, p in zip(q.columns(), structures, q._shared_translations()):
-                cycles = cycles_of(col)
-                lengths = sorted(map(len, cycles))
-                assert list(cs.lengths()) == lengths and p.order == math.lcm(*lengths)
-                labels = p._cycle_labels()
-                assert len(labels) == 256 and not any(labels[n:])
-                blocks = {}
-                for x in range(n):
-                    blocks.setdefault(labels[x], set()).add(x + 1)
-                assert sorted(map(sorted, blocks.values())) == sorted(map(sorted, cycles))
-                assert screen_sets(p._division_screen()) == screen_sets(Permutation(col)._division_screen())
-
     def test_a_table_without_bytes_shares_structures_and_orders(self):
         element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
         q = Quandle([[element(v) for v in row] for row in dihedral(8).rows])
         assert q._col_bytes is None
-        for col, cs, p in zip(q.columns(), q.column_structures(), q._shared_translations()):
+        for j, (col, cs) in enumerate(zip(q.columns(), q.column_structures()), 1):
             lengths = sorted(map(len, cycles_of(col)))
-            assert list(cs.lengths()) == lengths and p.order == math.lcm(*lengths)
-            assert p._labels is p._screen is None
+            assert list(cs.lengths()) == lengths and cs.order == q.right_translation(j).order == math.lcm(*lengths)
         assert len({id(cs) for cs in q.column_structures()}) == len(orbits(q)) == 2
 
-    def test_reports_equal_those_with_the_fill_patched_out(self, all_rows, monkeypatch):
-        def records():
-            return [[report_record(r) for r in all_checks(Quandle(rows))] for rows in all_rows]
+    def test_all_checks_equals_the_direct_calls(self, all_rows):
+        for rows in all_rows:
+            ours, direct = all_checks(Quandle(rows)), direct_checks(rows)
+            assert list(map(repr, ours)) == list(map(repr, direct))
+            assert list(map(report_record, ours)) == list(map(report_record, direct))
 
-        shared = records()
-        monkeypatch.setattr(Quandle, "_share_cycle_data", lambda self, translations, cols: None)
-        assert records() == shared
+    def test_an_inconsistent_verdict_is_checked_at_every_linked_column(self, monkeypatch):
+        # Left refinement made inconsistent on the orbit of 1 only: each of its
+        # columns is checked directly, and every other orbit's verdict is copied.
+        direct, called = checks.check_left_refinement, []
+
+        def inconsistent_on_the_first_orbit(q, i):
+            called.append(i)
+            r = direct(q, i)
+            if i in orbits(q)[0]:
+                return CheckReport(r.name, True, False, 1, ((i,),), 1, r.details)
+            return r
+
+        monkeypatch.setattr(checks, "check_left_refinement", inconsistent_on_the_first_orbit)
+        for rows in constructed_rows():
+            q = Quandle(rows)
+            del called[:]
+            reports = [r for r in all_checks(q) if r.name == "left-refinement"]
+            first, *others = orbits(q)
+            assert sorted(called) == sorted(first.union(min(block) for block in others))
+            for i, r in enumerate(reports, 1):
+                assert r.details["element"] == i
+                assert (r.consistent, r.witnesses) == ((False, ((i,),)) if i in first else (True, ()))
 
 
 class TestPredicatesAgainstPointWalks:

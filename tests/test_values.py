@@ -210,3 +210,10 @@ class TestCycleStructureExtras:
         twin = CycleStructure(((1, 1), (2, 1)))
         assert cs == twin and hash(cs) == hash(twin)
         assert pickle.loads(pickle.dumps(cs)) == twin
+
+    def test_order_is_the_lcm_of_the_lengths(self):
+        cs = CycleStructure(((1, 2), (4, 1), (6, 2)))
+        assert cs.order == 12 and CycleStructure(((5, 1),)).order == 5
+        assert CycleStructure(()).order == 1
+        # a cached property, not a field
+        assert cs == CycleStructure(((1, 2), (4, 1), (6, 2))) and "order" not in repr(cs)
