@@ -30,19 +30,20 @@ share it. The columns of one orbit are conjugate: for a link y = x*s,
 R_y = R_s R_x R_s^-1 and L_y = R_s L_x R_s^-1, and R_s is an automorphism
 (Joyce, J. Pure Appl. Algebra 23, 1982). This orbit lemma is the one step
 the checkers derive rather than compute. Each per-column verdict is
-decided on the first column of each orbit, and the linked columns take
-it (``Quandle._find_orbits``): the cycle structures and orders, the
-cycle-length division screen and, in ``all_checks``, left refinement.
-Where a derived verdict would fail, the columns are checked one by one,
-so every witness is computed. Only the cycle-shift relabeling walks each
-column's own cycles, as it lists them in canonical order, and only a
-read of a report's details builds it.
+decided on the first column of each orbit, and the other columns of the
+orbit take it (``Quandle._find_orbits``): the cycle structures and
+orders, the cycle-length division screen and the left-refinement
+conclusion (at a bijective row, which lies in its orbit, so that orbit
+is every point). Where a derived verdict would fail, the columns are checked
+one by one, so every witness is computed. Only the cycle-shift
+relabeling walks each column's own cycles, as it lists them in canonical
+order, and only a read of a report's details builds it.
 
 Cycle shift on the relabeled f depends only on the cycle structure:
-``all_checks`` keeps one capped verdict per structure in the table, while
-each column's report reads its own relabeling. A direct call of
-``check_cycle_shift`` still computes the verdict. On a cycle of length m
-it is screened by one slice compare per distance d = j - i, 2m - 1 in
+within ``all_checks`` each structure in the table is checked once
+(``_cycle_shift_memo``), while each column's report reads its own
+relabeling. A call outside it computes the verdict. On a cycle of length
+m it is screened by one slice compare per distance d = j - i, 2m - 1 in
 all; only a cycle that fails the screen is walked pair by pair, to name
 its failing pairs.
 
@@ -63,20 +64,23 @@ The other checkers that can fail point by point screen the same way, on
 the 0-based byte rows and columns the table keeps from validation:
 conjugation identity is one pass of the validation's distributivity
 screen (R_k tested in full only for k = 1, 2 and the k outside their
-orbit under R_1 and R_2, which implies the rest), and left refinement is
-decided by one ``translate`` of row i by the R_i-cycle labels cached on
-the permutation. Their point-by-point loops run only to name witnesses:
-when a screen fails, and for left refinement only when the hypothesis
-holds too, or above order 256 (a non-bijective row is scanned to its
-first repeat).
+orbit under R_1 and R_2, which implies the rest), and left refinement at
+a bijective row i, which makes the table connected, is decided by one
+``translate`` of row 1 by the R_1-cycle labels cached on the
+permutation. Their point-by-point loops run only to name witnesses: when
+a screen fails, and for left refinement only when the hypothesis holds
+too, or above order 256 (a non-bijective row is scanned to its first
+repeat).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._value import Value
 from .orbits import is_connected, orbits
@@ -249,23 +253,38 @@ class _RelabelingDetails(Mapping):
         return dict, (dict(self),)
 
 
+# The capped cycle-shift verdicts of the ``_cycle_shift_memo`` block in
+# progress, by cycle structure; None outside one.
+_CYCLE_SHIFT_MEMO: ContextVar[Optional[dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]]] = (
+    ContextVar("cycle_shift_memo", default=None))
+
+
+@contextmanager
+def _cycle_shift_memo() -> Iterator[None]:
+    """Within the block, ``check_cycle_shift`` checks each cycle structure once, as ``all_checks`` does per table."""
+    token = _CYCLE_SHIFT_MEMO.set({})
+    try:
+        yield
+    finally:
+        _CYCLE_SHIFT_MEMO.reset(token)
+
+
 def check_cycle_shift(p: Permutation) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
-    f depends only on the cycle structure of p. The details read p's
-    relabeling only when they are read, so the report walks no cycle of
-    p that p has not cached.
+    f depends only on the cycle structure of p, so within a
+    ``_cycle_shift_memo`` block each structure is checked once. The
+    details read p's relabeling only when they are read, so the report
+    walks no cycle of p that p has not cached.
     """
-    return _cycle_shift_report(p, p.cycle_structure(), {})
-
-
-def _cycle_shift_report(p: Permutation, structure: CycleStructure,
-                        verdicts: dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]) -> CheckReport:
-    """``check_cycle_shift(p)`` for p of this ``structure``, keeping each structure's capped verdict in ``verdicts``."""
-    verdict = verdicts.get(structure)
+    structure = p.cycle_structure()
+    memo = _CYCLE_SHIFT_MEMO.get()
+    verdict = None if memo is None else memo.get(structure)
     if verdict is None:
         counted, failures = _cycle_shift_failures(_consecutive_form(structure))
-        verdict = verdicts[structure] = (counted, *_capped(failures))
+        verdict = (counted, *_capped(failures))
+        if memo is not None:
+            memo[structure] = verdict
     counted, witnesses, count = verdict
     return CheckReport("cycle-shift", True, count == 0, counted, witnesses, count, _RelabelingDetails(p))
 
@@ -368,22 +387,26 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
 
     The conclusion is evaluated unconditionally so the report can show
     whether it holds even when the hypothesis fails. For a bijective row
-    of a table kept as bytes it is decided there: each L_i-cycle lies in
-    one R_i-cycle iff L_i keeps every point's R_i-cycle label, one
-    ``translate`` of row i by the labels and one compare. Cycles are
-    walked only to name witnesses, which a report shows only when the
-    hypothesis holds; a non-bijective row is scanned to its first repeat.
+    of a table kept as bytes it is decided there, at column 1: row i lies
+    in the orbit of i, so the table is connected and i = 1*s for some s,
+    and R_s carries L_1 and R_1 onto L_i and R_i. So L_i refines R_i iff
+    L_1 refines R_1, iff L_1 keeps every point's R_1-cycle label, one
+    ``translate`` of row 1 by the labels and one compare. Where that
+    verdict would be inconsistent, and on any other row, L_i and R_i are
+    checked directly: their cycles are walked to name witnesses, which a
+    report shows only when the hypothesis holds; a non-bijective row is
+    scanned to its first repeat.
     """
-    right = q.right_translation(i)  # checks i once for both translations
+    q._check_element(i)
     hypothesis = q.column_structures()[i - 1].has_distinct_lengths and q.has_unique_fixed_points
     is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
     on_bytes = is_permutation and q._row_bytes is not None
     if on_bytes:
-        labels = right._cycle_labels()
-        conclusion = q._row_bytes[i - 1].translate(labels) == labels[:q.n]
+        labels = q.right_translation(1)._cycle_labels()
+        conclusion = q._row_bytes[0].translate(labels) == labels[:q.n]
     failures = []
     if not on_bytes or (hypothesis and not conclusion):
-        failures = _left_refinement_failures(q.rows[i - 1], right, i, is_permutation)
+        failures = _left_refinement_failures(q.rows[i - 1], q.right_translation(i), i, is_permutation)
         conclusion = is_permutation and not failures
     witnesses, count = _capped(failures)
     return CheckReport(
@@ -395,28 +418,6 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
         failure_count=count if hypothesis else 0,
         details={"element": i, "left_is_permutation": is_permutation},
     )
-
-
-def _left_refinement_reports(q: Quandle) -> list[CheckReport]:
-    """``check_left_refinement(q, i)`` for i = 1..n, decided on the first column of each orbit.
-
-    For a link y = x*s, R_s sends the cycles of L_x and R_x onto those of
-    L_y and R_y, so row y is a bijection, meets the hypothesis and refines
-    R_y exactly when row x does. A consistent verdict names no witness and
-    is taken with ``element`` y; an inconsistent one is checked at y
-    directly, for its witnesses.
-    """
-    reports: list[Optional[CheckReport]] = [None] * q.n
-    for block in orbits(q):
-        start = min(block)
-        reports[start - 1] = check_left_refinement(q, start)
-    for y, x, _ in q._links:
-        r = reports[x - 1]
-        reports[y - 1] = CheckReport(
-            r.name, r.hypothesis_holds, r.conclusion_holds, 1,
-            details={"element": y, "left_is_permutation": r.details["left_is_permutation"]},
-        ) if r.consistent else check_left_refinement(q, y)
-    return reports
 
 
 def has_repeat_free_profile(q: Quandle) -> bool:
@@ -472,10 +473,7 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
     """Hayashi's conjecture on one quandle: connected => every column has a regular cycle."""
     connected = is_connected(q)
     structures = q.column_structures()
-    column_orders = tuple([cs.order for cs in structures])
-    column_longest = tuple([cs.entries[-1][0] for cs in structures])
-    failures = [(j,) for j, (order, longest) in enumerate(zip(column_orders, column_longest), 1)
-                if order != longest]
+    failures = [(j,) for j, cs in enumerate(structures, 1) if not cs.has_regular_cycle]
     witnesses, count = _capped(failures)
     return CheckReport(
         name="regular-cycle",
@@ -486,8 +484,8 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
         failure_count=count,
         details={
             "connected": connected,
-            "column_orders": column_orders,
-            "column_longest": column_longest,
+            "column_orders": tuple([cs.order for cs in structures]),
+            "column_longest": tuple([cs.longest_cycle_length for cs in structures]),
         },
     )
 
@@ -495,8 +493,7 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
 def all_checks(q: Quandle) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Left refinement is decided once per orbit (``_left_refinement_reports``),
-    and cycle shift once per cycle structure in the table.
+    Cycle shift is checked once per cycle structure in the table.
     """
     reports = [
         check_conjugation_identity(q),
@@ -505,11 +502,10 @@ def all_checks(q: Quandle) -> list[CheckReport]:
         check_latin_necessary_conditions(q),
         check_regular_cycle(q),
     ]
-    structures = q.column_structures()
-    verdicts: dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]] = {}
-    for i, left in enumerate(_left_refinement_reports(q), 1):
-        reports.append(left)
-        reports.append(_cycle_shift_report(q._right_translation(i), structures[i - 1], verdicts))
+    with _cycle_shift_memo():
+        for i in range(1, q.n + 1):
+            reports.append(check_left_refinement(q, i))
+            reports.append(check_cycle_shift(q._right_translation(i)))
     return reports
 
 

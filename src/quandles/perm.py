@@ -68,6 +68,15 @@ class CycleStructure(Value):
         return math.lcm(*[length for length, _ in self.entries])
 
     @property
+    def longest_cycle_length(self) -> int:
+        return self.entries[-1][0]
+
+    @property
+    def has_regular_cycle(self) -> bool:
+        """True iff some cycle is as long as the order."""
+        return self.order == self.entries[-1][0]
+
+    @property
     def fixed_point_count(self) -> int:
         return self.entries[0][1] if self.entries and self.entries[0][0] == 1 else 0
 
@@ -283,12 +292,12 @@ class Permutation:
 
     @property
     def longest_cycle_length(self) -> int:
-        return self.cycle_structure().entries[-1][0]
+        return self.cycle_structure().longest_cycle_length
 
     @property
     def has_regular_cycle(self) -> bool:
         """True iff some cycle is as long as the permutation's order."""
-        return self.order == self.longest_cycle_length
+        return self.cycle_structure().has_regular_cycle
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.images)

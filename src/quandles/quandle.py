@@ -43,7 +43,8 @@ The orbits are grown from the rows, as row x is {x*s : s}, and every other
 point y is linked to a point x reached before it, with y = x*s. Since
 R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure is R_x's, and
 ``column_structures`` builds the translation of each orbit's first column
-only. This orbit lemma is the one step the checkers derive rather than
+only; a translation built later takes its structure from there. This
+orbit lemma is the one step the checkers derive rather than
 compute: they decide each per-column verdict on an orbit's first column,
 and a linked column takes it.
 """
@@ -346,11 +347,15 @@ class Quandle:
         """``right_translation`` without the range check, for loops over 1..n.
 
         Validation has shown every column to be a bijection of 1..n, so the
-        permutation is built without walking its images again.
+        permutation is built without walking its images again. Once the
+        column structures are known, it takes its own from them and walks
+        no cycle for it.
         """
         p = self._translations[j - 1]
         if p is None:
             p = self._translations[j - 1] = Permutation._of_bijection(self._cols[j - 1])
+            if self._structures is not None:
+                p._structure = self._structures[j - 1]
         return p
 
     def _find_orbits(self) -> None:

@@ -1,8 +1,8 @@
 """Orbit links, and the verdicts taken along them, against each column's own check.
 
 A table walks the cycles of the first column of each orbit only; every
-other column y = x*s takes R_x's cycle structure, and ``all_checks``
-decides left refinement on the first column of each orbit. Its reports
+other column y = x*s takes R_x's cycle structure, and ``check_left_refinement``
+decides left refinement at a bijective row on column 1. Its reports
 are checked here against the direct per-element calls on a fresh table,
 on every labeled table of orders 1-6, on Aff(Z_n, t) for odd n up to 47,
 on the transposition quandles of S_4 .. S_8 and on two disjoint unions,
@@ -104,27 +104,36 @@ class TestSharedCycleData:
             assert list(map(report_record, ours)) == list(map(report_record, direct))
 
     def test_an_inconsistent_verdict_is_checked_at_every_linked_column(self, monkeypatch):
-        # Left refinement made inconsistent on the orbit of 1 only: each of its
-        # columns is checked directly, and every other orbit's verdict is copied.
-        direct, called = checks.check_left_refinement, []
-
-        def inconsistent_on_the_first_orbit(q, i):
-            called.append(i)
-            r = direct(q, i)
-            if i in orbits(q)[0]:
-                return CheckReport(r.name, True, False, 1, ((i,),), 1, r.details)
-            return r
-
-        monkeypatch.setattr(checks, "check_left_refinement", inconsistent_on_the_first_orbit)
+        # R_1's cycle labels made wrong, one label per point: the conclusion a
+        # bijective row takes from column 1 (its table is connected) fails, so
+        # each such column where the hypothesis holds is checked directly and
+        # gets its true report. A row that is no bijection is always checked
+        # directly, and is the only row checked in a table of several orbits.
+        target, walked = [None], []
+        labels, failures = Permutation._cycle_labels, checks._left_refinement_failures
+        monkeypatch.setattr(Permutation, "_cycle_labels",
+                            lambda p: bytes(range(256)) if p is target[0] else labels(p))
+        monkeypatch.setattr(checks, "_left_refinement_failures",
+                            lambda row, right, i, bijective: walked.append(i) or failures(row, right, i, bijective))
+        rechecked = 0
         for rows in constructed_rows():
             q = Quandle(rows)
-            del called[:]
+            true = [r for r in direct_checks(rows) if r.name == "left-refinement"]
+            target[:] = [q.right_translation(1)]
+            del walked[:]
             reports = [r for r in all_checks(q) if r.name == "left-refinement"]
-            first, *others = orbits(q)
-            assert sorted(called) == sorted(first.union(min(block) for block in others))
-            for i, r in enumerate(reports, 1):
-                assert r.details["element"] == i
-                assert (r.consistent, r.witnesses) == ((False, ((i,),)) if i in first else (True, ()))
+            first = orbits(q)[0]
+            wrong = q._row_bytes[0] != bytes(range(q.n))
+            bijective = [bool(q._bijective_rows() >> (i - 1) & 1) for i in range(1, q.n + 1)]
+            expected = [i for i in range(1, q.n + 1) if not bijective[i - 1]
+                        or (i in first and wrong and true[i - 1].hypothesis_holds)]
+            assert walked == expected
+            rechecked += len(expected)
+            for i in expected:
+                assert report_record(reports[i - 1]) == report_record(true[i - 1])
+            for i in set(range(1, q.n + 1)) - first:
+                assert report_record(reports[i - 1]) == report_record(true[i - 1])
+        assert rechecked > 200
 
 
 class TestPredicatesAgainstPointWalks:
@@ -162,3 +171,19 @@ class TestPredicatesAgainstPointWalks:
                 assert all(fresh._translations[y - 1] is None for y, _, _ in fresh._links)
                 assert len(fresh._links) == q.n - 1
         assert connected > 100
+
+    def test_translations_built_later_take_their_own_structures(self, tables):
+        # Once the structures are known, a translation takes its column's, and walks nothing.
+        seeded = 0
+        for q in tables[:-1]:
+            fresh = Quandle(q.rows)
+            walked = fresh.column_structures()
+            for j in range(1, q.n + 1):
+                built = fresh._translations[j - 1] is None
+                p = fresh._right_translation(j)
+                assert p.cycle_structure() == CycleStructure.from_lengths(map(len, cycles_of(q.columns()[j - 1])))
+                assert p.cycle_structure() is walked[j - 1]
+                if built:
+                    assert p._cycles is None
+                    seeded += 1
+        assert seeded > 1000
