@@ -29,7 +29,7 @@ whose ``enumerate --tables`` and ``construct`` loaded ``catalog`` to print
 tables, against ``stabiliser-screen``, where they load no ``catalog``;
 then ``parent-799d5a3``, whose tables copied cycle data along their orbit
 links, against ``orbit-verdicts``, where the checkers decide one column
-per orbit and ``quandle`` compiles about 50 fewer lines.
+per orbit and ``quandle`` compiles about 45 fewer lines.
 """
 
 from __future__ import annotations
