@@ -59,7 +59,12 @@ power of a permutation with few cycles for its degree; then
 ``orbit-verdicts``, whose checkers decide each per-column verdict on the
 first column of each orbit, against its parent ``parent-799d5a3``, which
 copied cycle data along the orbit links so that each checker could test
-every column.
+every column; then ``column-verdicts``, which decides left refinement's
+byte verdict once per table and walks a row only to name a witness its
+report shows, reads the regular-cycle details from fields cached on the
+shared cycle structures and writes each report field by field, against
+its parent ``parent-8dfac22``, which decided the byte verdict again at
+every bijective column.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ class Value:
     """An immutable record whose fields are its class's annotated names, in order.
 
     A subclass's ``__init__`` validates its arguments and stores them with
-    ``_init``. Two values are equal when they have the same class and
-    equal fields, and then hash alike; the repr names every field.
+    ``_init``, or, where construction is hot, straight into ``__dict__``
+    in field order, as ``CheckReport`` does. Two values are equal when
+    they have the same class and equal fields, and then hash alike; the
+    repr names every field.
     Assigning or deleting an attribute raises ``AttributeError``. Pickle
     and copy restore the ``__dict__`` without calling ``__init__``.
     """

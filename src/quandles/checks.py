@@ -31,11 +31,13 @@ R_y = R_s R_x R_s^-1 and L_y = R_s L_x R_s^-1, and R_s is an automorphism
 (Joyce, J. Pure Appl. Algebra 23, 1982). This orbit lemma is the one step
 the checkers derive rather than compute. Each per-column verdict is
 decided on the first column of each orbit, and the other columns of the
-orbit take it (``Quandle._find_orbits``): the cycle structures and
-orders, the cycle-length division screen and the left-refinement
-conclusion (at a bijective row, which lies in its orbit, so that orbit
-is every point). Where a derived verdict would fail, the columns are checked
-one by one, so every witness is computed. Only the cycle-shift
+orbit take it (``Quandle._find_orbits``): the cycle structures, with
+their orders and longest cycles, the cycle-length division screen and
+the left-refinement conclusion (at a bijective row, which lies in its
+orbit, so that orbit is every point). That conclusion is decided once
+per table and kept on it, so a per-column call costs its report and a
+few cached reads. Where a derived verdict would fail, the columns are
+checked one by one, so every witness is computed. Only the cycle-shift
 relabeling walks each column's own cycles, as it lists them in canonical
 order, and only a read of a report's details builds it.
 
@@ -65,12 +67,13 @@ the 0-based byte rows and columns the table keeps from validation:
 conjugation identity is one pass of the validation's distributivity
 screen (R_k tested in full only for k = 1, 2 and the k outside their
 orbit under R_1 and R_2, which implies the rest), and left refinement at
-a bijective row i, which makes the table connected, is decided by one
-``translate`` of row 1 by the R_1-cycle labels cached on the
-permutation. Their point-by-point loops run only to name witnesses: when
-a screen fails, and for left refinement only when the hypothesis holds
-too, or above order 256 (a non-bijective row is scanned to its first
-repeat).
+a bijective row, which makes the table connected, is decided once per
+table by one ``translate`` of row 1 by the R_1-cycle labels cached on
+the permutation, and kept on the table. Their point-by-point loops run
+only to name witnesses: when a screen fails, and for left refinement
+only when the hypothesis holds too (a bijective row whose verdict would
+be inconsistent has its cycles walked, a non-bijective row is scanned to
+its first repeat), or, for a bijective row, above order 256.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._value import Value
@@ -88,6 +92,11 @@ from .perm import CycleStructure, Permutation
 from .quandle import _IDENTITY_BYTES, Quandle, _distributive, distributivity_failures
 
 DEFAULT_WITNESS_CAP = 16
+
+# Cached fields of a cycle structure, read in C over a table's column structures.
+_ORDER = attrgetter("order")
+_LONGEST_CYCLE_LENGTH = attrgetter("longest_cycle_length")
+_HAS_REGULAR_CYCLE = attrgetter("has_regular_cycle")
 
 
 class CheckReport(Value):
@@ -113,8 +122,15 @@ class CheckReport(Value):
     def __init__(self, name: str, hypothesis_holds: bool, conclusion_holds: bool,
                  counted_instances: int, witnesses: tuple[tuple[int, ...], ...] = (),
                  failure_count: int = 0, details: Optional[Mapping[str, object]] = None):
-        self._init(name, hypothesis_holds, conclusion_holds, counted_instances, witnesses,
-                   failure_count, {} if details is None else details)
+        # Field by field, in order, past ``__setattr__``: a catalog pass builds thousands.
+        fields = self.__dict__
+        fields["name"] = name
+        fields["hypothesis_holds"] = hypothesis_holds
+        fields["conclusion_holds"] = conclusion_holds
+        fields["counted_instances"] = counted_instances
+        fields["witnesses"] = witnesses
+        fields["failure_count"] = failure_count
+        fields["details"] = {} if details is None else details
 
     @property
     def consistent(self) -> bool:
@@ -387,37 +403,42 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
 
     The conclusion is evaluated unconditionally so the report can show
     whether it holds even when the hypothesis fails. For a bijective row
-    of a table kept as bytes it is decided there, at column 1: row i lies
-    in the orbit of i, so the table is connected and i = 1*s for some s,
-    and R_s carries L_1 and R_1 onto L_i and R_i. So L_i refines R_i iff
-    L_1 refines R_1, iff L_1 keeps every point's R_1-cycle label, one
-    ``translate`` of row 1 by the labels and one compare. Where that
-    verdict would be inconsistent, and on any other row, L_i and R_i are
-    checked directly: their cycles are walked to name witnesses, which a
-    report shows only when the hypothesis holds; a non-bijective row is
-    scanned to its first repeat.
+    of a table kept as bytes it is decided at column 1: row i lies in the
+    orbit of i, so the table is connected and i = 1*s for some s, and R_s
+    carries L_1 and R_1 onto L_i and R_i. So L_i refines R_i iff L_1
+    refines R_1, iff L_1 keeps every point's R_1-cycle label, one
+    ``translate`` of row 1 by the labels and one compare. That verdict
+    belongs to the table: the first bijective row checked decides it and
+    keeps it on the table, and every other bijective row reads it. A
+    non-bijective row fails the conclusion. Rows are walked only to name
+    the witnesses a report shows, which it does only when the hypothesis
+    holds: a bijective row whose verdict would be inconsistent has L_i
+    and R_i checked directly, and a non-bijective row is scanned to its
+    first repeat. Without bytes, a bijective row is always checked
+    directly.
     """
     q._check_element(i)
     hypothesis = q.column_structures()[i - 1].has_distinct_lengths and q.has_unique_fixed_points
     is_permutation = bool(q._bijective_rows() >> (i - 1) & 1)
-    on_bytes = is_permutation and q._row_bytes is not None
-    if on_bytes:
-        labels = q.right_translation(1)._cycle_labels()
-        conclusion = q._row_bytes[0].translate(labels) == labels[:q.n]
-    failures = []
-    if not on_bytes or (hypothesis and not conclusion):
+    if not is_permutation:
+        conclusion = False
+        walk = hypothesis
+    elif q._row_bytes is None:
+        walk = True
+    else:
+        conclusion = q._left_refines
+        if conclusion is None:
+            labels = q.right_translation(1)._cycle_labels()
+            conclusion = q._left_refines = q._row_bytes[0].translate(labels) == labels[:q.n]
+        walk = hypothesis and not conclusion
+    witnesses, count = (), 0
+    if walk:
         failures = _left_refinement_failures(q.rows[i - 1], q.right_translation(i), i, is_permutation)
         conclusion = is_permutation and not failures
-    witnesses, count = _capped(failures)
-    return CheckReport(
-        name="left-refinement",
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
-        counted_instances=1,
-        witnesses=witnesses if hypothesis else witnesses[:0],
-        failure_count=count if hypothesis else 0,
-        details={"element": i, "left_is_permutation": is_permutation},
-    )
+        if hypothesis and failures:
+            witnesses, count = _capped(failures)
+    return CheckReport("left-refinement", hypothesis, conclusion, 1, witnesses, count,
+                       {"element": i, "left_is_permutation": is_permutation})
 
 
 def has_repeat_free_profile(q: Quandle) -> bool:
@@ -470,10 +491,16 @@ def check_latin_necessary_conditions(q: Quandle) -> CheckReport:
 
 
 def check_regular_cycle(q: Quandle) -> CheckReport:
-    """Hayashi's conjecture on one quandle: connected => every column has a regular cycle."""
+    """Hayashi's conjecture on one quandle: connected => every column has a regular cycle.
+
+    Each column's order, longest cycle and regular-cycle flag are cached
+    on its cycle structure, which the columns of one orbit share, and are
+    read in C with ``attrgetter``; no translation is built.
+    """
     connected = is_connected(q)
     structures = q.column_structures()
-    failures = [(j,) for j, cs in enumerate(structures, 1) if not cs.has_regular_cycle]
+    regular = list(map(_HAS_REGULAR_CYCLE, structures))
+    failures = [] if all(regular) else [(j,) for j, r in enumerate(regular, 1) if not r]
     witnesses, count = _capped(failures)
     return CheckReport(
         name="regular-cycle",
@@ -484,8 +511,8 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
         failure_count=count,
         details={
             "connected": connected,
-            "column_orders": tuple([cs.order for cs in structures]),
-            "column_longest": tuple([cs.longest_cycle_length for cs in structures]),
+            "column_orders": tuple(map(_ORDER, structures)),
+            "column_longest": tuple(map(_LONGEST_CYCLE_LENGTH, structures)),
         },
     )
 

@@ -67,13 +67,14 @@ class CycleStructure(Value):
         """The order of a permutation of this structure, the lcm of its cycle lengths; computed once per structure."""
         return math.lcm(*[length for length, _ in self.entries])
 
-    @property
+    @functools.cached_property
     def longest_cycle_length(self) -> int:
+        """The length of the longest cycle; computed once per structure."""
         return self.entries[-1][0]
 
-    @property
+    @functools.cached_property
     def has_regular_cycle(self) -> bool:
-        """True iff some cycle is as long as the order."""
+        """True iff some cycle is as long as the order; computed once per structure."""
         return self.order == self.entries[-1][0]
 
     @property

@@ -267,7 +267,7 @@ class Quandle:
     """An immutable, fully validated quandle table."""
 
     __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_translations",
-                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free",
+                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free", "_left_refines",
                  "_orbits", "_links", "_invariants", "_iso_sig", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -312,6 +312,9 @@ class Quandle:
         self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
         self._repeat_free: Optional[bool] = None
+        # Whether L_1 keeps every point's R_1-cycle, on the byte rows; set by
+        # ``checks.check_left_refinement`` at the first bijective row it checks.
+        self._left_refines: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
         self._links: Optional[tuple[tuple[int, int, int], ...]] = None
         self._invariants: Optional[tuple[tuple, ...]] = None

@@ -35,6 +35,29 @@ def test_verify_orders_measures_verify():
     assert (result["tables"], result["reports"], result["inconsistent"]) == (36, 468, 0)
 
 
+def test_mutants_are_fresh_and_one_survives_a_weak_test_list():
+    mutants = load("mutants")
+    src = SCRIPTS.parent / "src"
+    assert mutants.stale(mutants.MUTANTS, src) == []
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    strong = next(m for m in mutants.MUTANTS if m.name == "walk-skip-inverted")
+    weak = strong._replace(name="weak", tests=("tests/test_values.py::TestDefaults::test_check_report",))
+    summary = mutants.run([strong, weak], src)
+    assert [(r["name"], r["killed"]) for r in summary["results"]] == [("walk-skip-inverted", True), ("weak", False)]
+    assert (summary["killed"], summary["survived"]) == (1, 1)
+
+
+def test_mutants_exit_2_on_a_stale_text_or_misnamed_tests(monkeypatch, tmp_path):
+    mutants = load("mutants")
+    mutant = mutants.MUTANTS[0]
+    out = tmp_path / "mutants.json"
+    monkeypatch.setattr(mutants, "MUTANTS", (mutant._replace(old="no such text\n"),))
+    assert mutants.main(["--out", str(out)]) == 2
+    monkeypatch.setattr(mutants, "MUTANTS", (mutant._replace(tests=("tests/test_values.py::no_such_test",)),))
+    assert mutants.main(["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_catalog_orders_times_every_stage():
     result = load("catalog_orders").measure(11, rounds=1)
     assert result["answers_unchanged"] and result["exit_code"] == 0

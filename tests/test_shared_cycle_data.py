@@ -13,11 +13,18 @@ all covered.
 The table predicates read from the byte rows (unique fixed points,
 latinity, the bijective rows) and the structures copied along the links
 are checked the same way against point walks, on tables with bytes and
-on one without.
+on one without. Left refinement's byte verdict, kept on the table, is
+read once per table and does not depend on the row checked first; the
+fields cached on a cycle structure and the regular-cycle details read
+from them are checked against recomputations from the lengths and the
+cycles.
 """
 
+import importlib.util
 import math
+import pickle
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,7 @@ from quandles import checks
 from quandles.checks import (CheckReport, all_checks, check_conjugation_identity, check_cycle_length_division,
                              check_cycle_shift, check_latin_necessary_conditions, check_latin_sufficiency,
                              check_left_refinement, check_regular_cycle, report_record)
+from quandles.catalog import parse_table
 from quandles.constructions import affine, conjugation, dihedral
 from quandles.orbits import orbits
 from quandles.perm import CycleStructure, Permutation
@@ -107,8 +115,8 @@ class TestSharedCycleData:
         # R_1's cycle labels made wrong, one label per point: the conclusion a
         # bijective row takes from column 1 (its table is connected) fails, so
         # each such column where the hypothesis holds is checked directly and
-        # gets its true report. A row that is no bijection is always checked
-        # directly, and is the only row checked in a table of several orbits.
+        # gets its true report. A row that is no bijection is walked only when
+        # the hypothesis holds, to name its witness; elsewhere no row is walked.
         target, walked = [None], []
         labels, failures = Permutation._cycle_labels, checks._left_refinement_failures
         monkeypatch.setattr(Permutation, "_cycle_labels",
@@ -125,14 +133,16 @@ class TestSharedCycleData:
             first = orbits(q)[0]
             wrong = q._row_bytes[0] != bytes(range(q.n))
             bijective = [bool(q._bijective_rows() >> (i - 1) & 1) for i in range(1, q.n + 1)]
-            expected = [i for i in range(1, q.n + 1) if not bijective[i - 1]
-                        or (i in first and wrong and true[i - 1].hypothesis_holds)]
+            expected = [i for i in range(1, q.n + 1) if true[i - 1].hypothesis_holds
+                        and (not bijective[i - 1] or (i in first and wrong))]
             assert walked == expected
             rechecked += len(expected)
-            for i in expected:
-                assert report_record(reports[i - 1]) == report_record(true[i - 1])
-            for i in set(range(1, q.n + 1)) - first:
-                assert report_record(reports[i - 1]) == report_record(true[i - 1])
+            for i, (ours, direct) in enumerate(zip(reports, true), 1):
+                record = report_record(direct)
+                if bijective[i - 1] and wrong and not direct.hypothesis_holds:
+                    # Not walked, as no witness is shown: the wrong verdict stands.
+                    record["conclusion"] = False
+                assert report_record(ours) == record
         assert rechecked > 200
 
 
@@ -187,3 +197,118 @@ class TestPredicatesAgainstPointWalks:
                     assert p._cycles is None
                     seeded += 1
         assert seeded > 1000
+
+
+def catalog_tables():
+    """The tables ``scripts/catalog_orders.py`` times, parsed from their texts."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "catalog_orders.py"
+    spec = importlib.util.spec_from_file_location("catalog_orders", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_table(text, "auto") for _, text in module.catalog_texts(module.DEFAULT_MAX_ORDER)]
+
+
+class TestTableVerdictsOnceEach:
+    def test_left_refinement_reads_column_1_once_per_table(self, monkeypatch):
+        # Only left refinement reads the range-checked translation; its byte
+        # verdict is decided at the first bijective row and kept on the table.
+        read = []
+        real = Quandle.right_translation
+        monkeypatch.setattr(Quandle, "right_translation", lambda self, j: read.append(j) or real(self, j))
+        q = affine(47, 5)
+        assert q.is_latin
+        reports = all_checks(q)
+        assert read == [1]
+        assert q._left_refines is True
+        assert sum(r.name == "left-refinement" and r.conclusion_holds for r in reports) == 47
+        # A new table decides its own verdict.
+        all_checks(affine(47, 5))
+        assert read == [1, 1]
+
+    def test_the_verdict_does_not_depend_on_the_row_checked_first(self):
+        # Whichever bijective row decides the table's verdict, it is column 1's.
+        reversed_first = 0
+        for rows in constructed_rows():
+            forward, backward = Quandle(rows), Quandle(rows)
+            n = forward.n
+            ours = [check_left_refinement(backward, i) for i in range(n, 0, -1)][::-1]
+            direct = [check_left_refinement(forward, i) for i in range(1, n + 1)]
+            assert list(map(report_record, ours)) == list(map(report_record, direct))
+            reversed_first += backward._left_refines is not None and n > 1
+        assert reversed_first > 100
+
+    def test_a_non_bijective_row_is_walked_only_to_show_its_witness(self, nonlatin3, monkeypatch):
+        # Rows 1 and 2 of nonlatin3 repeat a value, and column 2 fixes every
+        # point, so the hypothesis fails and no row is scanned or translated.
+        walked, read = [], []
+        failures, real = checks._left_refinement_failures, Quandle.right_translation
+        monkeypatch.setattr(checks, "_left_refinement_failures",
+                            lambda row, right, i, bijective: walked.append(i) or failures(row, right, i, bijective))
+        monkeypatch.setattr(Quandle, "right_translation", lambda self, j: read.append(j) or real(self, j))
+        q = Quandle(nonlatin3.rows)
+        reports = [check_left_refinement(q, i) for i in (1, 2)]
+        assert (walked, read) == ([], [])
+        assert [(r.conclusion_holds, r.witnesses, r.failure_count) for r in reports] == [(False, (), 0)] * 2
+        # With unique fixed points assumed, R_1 = (1)(2 3) meets the hypothesis
+        # and row 1 = [1, 1, 1] shows its first repeat.
+        monkeypatch.setattr(Quandle, "has_unique_fixed_points", property(lambda self: True))
+        report = check_left_refinement(q, 1)
+        assert (walked, read) == ([1], [1])
+        assert report.hypothesis_holds and not report.conclusion_holds
+        assert (report.witnesses, report.failure_count) == (((1, 1),), 1)
+
+
+def partitions(n, largest=None):
+    """Every partition of n into parts of at most ``largest``, parts descending."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+class TestCachedStructureFields:
+    def test_fields_equal_a_recomputation_from_the_lengths(self):
+        count = 0
+        for degree in range(1, 10):
+            for parts in partitions(degree):
+                cs = CycleStructure.from_lengths(parts)
+                lengths = cs.lengths()
+                assert sorted(parts) == list(lengths)
+                order = math.lcm(*lengths)
+                assert cs.order == order
+                assert cs.longest_cycle_length == max(lengths)
+                assert cs.has_regular_cycle == (order in lengths)
+                count += 1
+        assert count == 30 + 22 + 15 + 11 + 7 + 5 + 3 + 2 + 1
+
+    def test_read_fields_leave_equality_hash_and_pickle_to_the_entries(self):
+        for parts in partitions(9):
+            cs, twin = CycleStructure.from_lengths(parts), CycleStructure.from_lengths(parts)
+            read = (cs.order, cs.longest_cycle_length, cs.has_regular_cycle, cs.has_distinct_lengths)
+            assert cs == twin and hash(cs) == hash(twin) == hash(cs.entries)
+            assert repr(cs) == repr(twin) == f"CycleStructure(entries={cs.entries!r})"
+            back = pickle.loads(pickle.dumps(cs))
+            assert back == twin and hash(back) == hash(twin) and back.entries == cs.entries
+            assert (back.order, back.longest_cycle_length, back.has_regular_cycle,
+                    back.has_distinct_lengths) == read
+
+    @pytest.fixture(scope="class")
+    def checked_tables(self, enumerated):
+        return [q for n in range(1, 7) for q in enumerated(n, True)] + catalog_tables()
+
+    def test_regular_cycle_details_equal_each_columns_cycles(self, checked_tables):
+        assert len(checked_tables) == 1 + 1 + 3 + 7 + 22 + 73 + 102
+        for table in checked_tables:
+            q = Quandle(table.rows)
+            report = check_regular_cycle(q)
+            walked = [list(map(len, cycles_of(col))) for col in q.columns()]
+            orders = tuple(math.lcm(*lengths) for lengths in walked)
+            longest = tuple(map(max, walked))
+            irregular = tuple((j,) for j, (m, l) in enumerate(zip(orders, longest), 1) if m != l)
+            assert report.details["column_orders"] == orders
+            assert report.details["column_longest"] == longest
+            assert (report.witnesses, report.failure_count) == (irregular[:16], len(irregular))
+            assert report.conclusion_holds == (not irregular)

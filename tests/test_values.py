@@ -168,6 +168,66 @@ class TestDefaults:
         assert spec.build().n == 5
 
 
+REPORT_FIELDS = ("name", "hypothesis_holds", "conclusion_holds", "counted_instances",
+                 "witnesses", "failure_count", "details")
+REPORT_VALUES = ("x", True, False, 3, ((1, 2), (3,)), 2, {"k": [1]})
+
+
+def report_values(report) -> tuple:
+    return tuple(getattr(report, name) for name in REPORT_FIELDS)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CheckReport(*REPORT_VALUES),
+    lambda: CheckReport(**dict(zip(REPORT_FIELDS, REPORT_VALUES))),
+], ids=["positional", "keyword"])
+class TestCheckReportConstructor:
+    def test_every_field_is_stored(self, build):
+        assert report_values(build()) == REPORT_VALUES
+        assert CheckReport._fields == REPORT_FIELDS
+
+    def test_equality_and_hash_by_identity(self, build):
+        a, b = build(), build()
+        assert a == a and a != b and not a == b
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+        assert len({a, b}) == 2
+
+    def test_repr_lists_the_fields_in_order(self, build):
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(REPORT_FIELDS, REPORT_VALUES))
+        assert repr(build()) == f"CheckReport({text})"
+
+    @pytest.mark.parametrize("name", REPORT_FIELDS)
+    def test_assigning_or_deleting_a_field_raises(self, build, name):
+        a = build()
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert report_values(a) == REPORT_VALUES
+
+    @pytest.mark.parametrize("how", [
+        lambda a: pickle.loads(pickle.dumps(a)),
+        lambda a: pickle.loads(pickle.dumps(a, 2)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-2", "copy", "deepcopy"])
+    def test_pickle_and_copy_keep_every_field(self, build, how):
+        a = build()
+        b = how(a)
+        assert type(b) is CheckReport and b is not a
+        assert report_values(b) == REPORT_VALUES and repr(b) == repr(a)
+        assert b.consistent == a.consistent
+        with pytest.raises(AttributeError):
+            b.name = "y"
+
+    def test_an_omitted_details_is_a_fresh_dict(self, build):
+        short = report_values(build())[:-1]
+        reports = [CheckReport(*short), CheckReport(*short[:4]),
+                   CheckReport(**dict(zip(REPORT_FIELDS, short))), CheckReport(*short, None)]
+        assert all(r.details == {} for r in reports)
+        assert len({id(r.details) for r in reports}) == len(reports)
+
+
 class TestValidation:
     @pytest.mark.parametrize("entries", [((2, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 0),)])
     def test_cycle_structure(self, entries):
