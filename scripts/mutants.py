@@ -1,18 +1,20 @@
 """Run named mutants of the package against the tests that must kill them.
 
-    python3 scripts/mutants.py [--only NAME ...] [--out FILE]
+    python3 scripts/mutants.py [--out FILE]
 
 Each mutant is one edit of one file under ``src/``: its exact old text,
 the new text and the pytest node ids that must fail once it is made.
 Before anything runs, every old text must occur exactly once in its file
-of this checkout; otherwise the script names the stale mutants and exits
-2, so a mutant cannot go stale in silence. Then, one mutant at a time,
-``src/`` is copied to a temporary directory, the edit is applied there,
-and pytest runs the named tests, from this checkout's ``tests``, against
-the copy: one pytest process at a time, stopping at the first failure.
-A mutant is killed when pytest reports a failure or an error, and
-survives when every named test passes. Node ids that select no test exit
-2 too. Stdlib only, plus pytest, which the tests need anyway.
+of this checkout, and every node id must name a test that pytest
+collects against the unmutated ``src/``; otherwise the script names the
+stale mutants, or prints pytest's collection errors, and exits 2, so a
+mutant cannot go stale in silence. Then, one mutant at a time, ``src/``
+is copied to a temporary directory, the edit is applied there, and
+pytest runs the named tests, from this checkout's ``tests``, against the
+copy: one pytest process at a time, stopping at the first failure. A
+mutant survives when every named test passes; any other pytest exit,
+a failure, an error or a package that no longer imports, kills it.
+Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
@@ -90,11 +92,11 @@ MUTANTS = (
         "a bijective row whose column-1 verdict would be inconsistent is not checked directly",
     ),
     Mutant(
-        "left-verdict-from-row-i", CHECKS,
-        "q._row_bytes[0].translate(labels)",
-        "q._row_bytes[i - 1].translate(labels)",
-        (f"{SHARED}::TestTableVerdictsOnceEach::test_the_verdict_does_not_depend_on_the_row_checked_first",),
-        "the table's verdict reads the first bijective row checked against R_1's labels, the wrong row",
+        "left-verdict-from-row-n", QUANDLE,
+        "self._row_bytes[0].translate(labels)",
+        "self._row_bytes[-1].translate(labels)",
+        ("tests/test_checks.py::TestLeftRefinementAgainstOracle",),
+        "the table's verdict reads row n against R_1's labels, the wrong row",
     ),
     Mutant(
         "witness-cap-off-by-one", CHECKS,
@@ -135,13 +137,22 @@ MUTANTS = (
 )
 
 
-class MisnamedTestsError(ValueError):
-    """Raised when a mutant's node ids select no test."""
-
-
 def stale(mutants, src: Path) -> list[str]:
     """The names of the mutants whose old text does not occur exactly once in their file under ``src``."""
     return [m.name for m in mutants if (src / m.path).read_text().count(m.old) != 1]
+
+
+def run_pytest(src: Path, *args: str) -> subprocess.CompletedProcess:
+    """pytest with ``args``, from the repository root, importing the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *args]
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def uncollected(mutants, src: Path) -> str:
+    """pytest's output if some node id of the mutants collects no test against ``src``, else ''."""
+    done = run_pytest(src, "--collect-only", *dict.fromkeys(t for m in mutants for t in m.tests))
+    return "" if done.returncode == 0 else done.stdout + done.stderr
 
 
 def run_one(mutant: Mutant, src: Path) -> dict:
@@ -151,15 +162,9 @@ def run_one(mutant: Mutant, src: Path) -> dict:
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         target = copy / mutant.path
         target.write_text(target.read_text().replace(mutant.old, mutant.new, 1))
-        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "-o", f"pythonpath={copy}", *mutant.tests]
         start = perf_counter()
-        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+        done = run_pytest(copy, "-x", *mutant.tests)
         seconds = perf_counter() - start
-    if done.returncode not in (0, 1, 2):
-        raise MisnamedTestsError(f"{mutant.name}: pytest exit {done.returncode}, its tests select nothing"
-                                 f" or are misnamed\n{done.stdout}{done.stderr}")
     lines = done.stdout.strip().splitlines()
     return {"name": mutant.name, "file": mutant.path, "why": mutant.why, "tests": list(mutant.tests),
             "killed": done.returncode != 0, "seconds": round(seconds, 2),
@@ -183,21 +188,18 @@ def run(mutants, src: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", choices=[m.name for m in MUTANTS], metavar="NAME",
-                        help="run only this mutant; may be repeated")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_mutants.json")
     args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
     src = ROOT / "src"
-    gone = stale(mutants, src)
+    gone = stale(MUTANTS, src)
     if gone:
         print("stale mutants, whose old text does not occur exactly once: " + ", ".join(gone), file=sys.stderr)
         return 2
-    try:
-        summary = run(mutants, src)
-    except MisnamedTestsError as error:
-        print(error, file=sys.stderr)
+    errors = uncollected(MUTANTS, src)
+    if errors:
+        print("node ids that collect no test:\n" + errors, file=sys.stderr)
         return 2
+    summary = run(MUTANTS, src)
     print(f"killed={summary['killed']} survived={summary['survived']} seconds={summary['seconds']}")
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     return 0 if summary["survived"] == 0 else 1

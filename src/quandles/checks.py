@@ -69,10 +69,11 @@ screen (R_k tested in full only for k = 1, 2 and the k outside their
 orbit under R_1 and R_2, which implies the rest), and left refinement at
 a bijective row, which makes the table connected, is decided once per
 table by one ``translate`` of row 1 by the R_1-cycle labels cached on
-the permutation, and kept on the table. Their point-by-point loops run
-only to name witnesses: when a screen fails, and for left refinement
-only when the hypothesis holds too (a bijective row whose verdict would
-be inconsistent has its cycles walked, a non-bijective row is scanned to
+the permutation, and kept on the table
+(``Quandle._left_keeps_r1_labels``). Their point-by-point loops run only
+to name witnesses: when a screen fails, and for left refinement only
+when the hypothesis holds too (a bijective row whose verdict would be
+inconsistent has its cycles walked, a non-bijective row is scanned to
 its first repeat), or, for a bijective row, above order 256.
 """
 
@@ -408,8 +409,8 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     carries L_1 and R_1 onto L_i and R_i. So L_i refines R_i iff L_1
     refines R_1, iff L_1 keeps every point's R_1-cycle label, one
     ``translate`` of row 1 by the labels and one compare. That verdict
-    belongs to the table: the first bijective row checked decides it and
-    keeps it on the table, and every other bijective row reads it. A
+    belongs to the table, which decides it once and keeps it
+    (``Quandle._left_keeps_r1_labels``); every bijective row reads it. A
     non-bijective row fails the conclusion. Rows are walked only to name
     the witnesses a report shows, which it does only when the hypothesis
     holds: a bijective row whose verdict would be inconsistent has L_i
@@ -426,10 +427,7 @@ def check_left_refinement(q: Quandle, i: int) -> CheckReport:
     elif q._row_bytes is None:
         walk = True
     else:
-        conclusion = q._left_refines
-        if conclusion is None:
-            labels = q.right_translation(1)._cycle_labels()
-            conclusion = q._left_refines = q._row_bytes[0].translate(labels) == labels[:q.n]
+        conclusion = q._left_keeps_r1_labels()
         walk = hypothesis and not conclusion
     witnesses, count = (), 0
     if walk:

@@ -312,8 +312,6 @@ class Quandle:
         self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
         self._repeat_free: Optional[bool] = None
-        # Whether L_1 keeps every point's R_1-cycle, on the byte rows; set by
-        # ``checks.check_left_refinement`` at the first bijective row it checks.
         self._left_refines: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
         self._links: Optional[tuple[tuple[int, int, int], ...]] = None
@@ -428,6 +426,19 @@ class Quandle:
                 bijective = [row.translate(maketrans(row, points)) == points for row in self._row_bytes]
             self._row_mask = sum(1 << i for i, b in enumerate(bijective) if b)
         return self._row_mask
+
+    def _left_keeps_r1_labels(self) -> bool:
+        """True iff L_1 keeps every point's R_1-cycle label; computed once per table.
+
+        One ``translate`` of the byte row 1 by R_1's cycle labels, read
+        through ``right_translation(1)``, and one compare. For a table kept
+        as bytes only. ``checks.check_left_refinement`` takes it as the
+        verdict of every bijective row.
+        """
+        if self._left_refines is None:
+            labels = self.right_translation(1)._cycle_labels()
+            self._left_refines = self._row_bytes[0].translate(labels) == labels[:self.n]
+        return self._left_refines
 
     @property
     def has_unique_fixed_points(self) -> bool:

@@ -633,6 +633,22 @@ class TestLeftRefinementAgainstOracle:
         assert report.details == {"element": 2, "left_is_permutation": False}
         assert left_refinement_fields(nonlatin3)[1] == \
             oracle_left_refinement_fields(nonlatin3.rows, {2: fake.images})[1]
+        # With R_2's structure faked too and unique fixed points assumed, the
+        # hypothesis holds, so the row is walked through the fake R_2 and
+        # shows its first repeat.
+        structures = Quandle.column_structures
+        monkeypatch.setattr(Quandle, "column_structures",
+                            lambda self: (structures(self)[0], fake.cycle_structure(), *structures(self)[2:]))
+        monkeypatch.setattr(Quandle, "has_unique_fixed_points", property(lambda self: True))
+        walked = []
+        failures = checks._left_refinement_failures
+        monkeypatch.setattr(checks, "_left_refinement_failures",
+                            lambda row, right, i, bijective: walked.append(right) or failures(row, right, i, bijective))
+        report = check_left_refinement(Quandle(nonlatin3.rows), 2)
+        assert walked == [fake]
+        assert report.hypothesis_holds and not report.conclusion_holds and not report.consistent
+        assert (report.witnesses, report.failure_count) == (((2, 2),), 1)
+        assert report.details == {"element": 2, "left_is_permutation": False}
 
 
 class TestLatinSufficiency:

@@ -42,9 +42,12 @@ def test_mutants_are_fresh_and_one_survives_a_weak_test_list():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     strong = next(m for m in mutants.MUTANTS if m.name == "walk-skip-inverted")
     weak = strong._replace(name="weak", tests=("tests/test_values.py::TestDefaults::test_check_report",))
-    summary = mutants.run([strong, weak], src)
-    assert [(r["name"], r["killed"]) for r in summary["results"]] == [("walk-skip-inverted", True), ("weak", False)]
-    assert (summary["killed"], summary["survived"]) == (1, 1)
+    # A package that no longer imports fails at conftest: killed, whatever the tests.
+    unimportable = weak._replace(name="unimportable", new="        walk = (\n")
+    summary = mutants.run([strong, weak, unimportable], src)
+    assert [(r["name"], r["killed"]) for r in summary["results"]] == [
+        ("walk-skip-inverted", True), ("weak", False), ("unimportable", True)]
+    assert (summary["killed"], summary["survived"]) == (2, 1)
 
 
 def test_mutants_exit_2_on_a_stale_text_or_misnamed_tests(monkeypatch, tmp_path):

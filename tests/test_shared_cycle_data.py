@@ -211,7 +211,7 @@ def catalog_tables():
 class TestTableVerdictsOnceEach:
     def test_left_refinement_reads_column_1_once_per_table(self, monkeypatch):
         # Only left refinement reads the range-checked translation; its byte
-        # verdict is decided at the first bijective row and kept on the table.
+        # verdict is decided once, when a bijective row first asks, and kept.
         read = []
         real = Quandle.right_translation
         monkeypatch.setattr(Quandle, "right_translation", lambda self, j: read.append(j) or real(self, j))
@@ -226,7 +226,7 @@ class TestTableVerdictsOnceEach:
         assert read == [1, 1]
 
     def test_the_verdict_does_not_depend_on_the_row_checked_first(self):
-        # Whichever bijective row decides the table's verdict, it is column 1's.
+        # Whichever bijective row asks first, the table's verdict is column 1's.
         reversed_first = 0
         for rows in constructed_rows():
             forward, backward = Quandle(rows), Quandle(rows)
