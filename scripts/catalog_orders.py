@@ -83,7 +83,9 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
+# The helper beside this script; package_source stays importable from here.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_file import add_run_options, merge_run, package_source  # noqa: E402,F401
 
 DEFAULT_MAX_ORDER = 47
 # sha256 of the rendered reports and of `report`'s stdout at the default
@@ -202,31 +204,18 @@ def measure(max_order: int = DEFAULT_MAX_ORDER, rounds: int = 7) -> dict:
     return result
 
 
-def package_source(path: str) -> Path:
-    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
-    for src in (Path(path) / "src", Path(path)):
-        if (src / "quandles" / "__init__.py").is_file():
-            return src.resolve()
-    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=package_source, default=str(ROOT),
-                        help="the checkout, or its src directory, to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_catalog.json")
+    add_run_options(parser, "BENCH_catalog.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src))
 
     result = measure(args.max_order, args.rounds)
     print(" ".join(f"{k}={v}" for k, v in result.items() if not k.endswith("sha256")), flush=True)
     run = {"python": platform.python_version(), "cpus": os.cpu_count(), "max_order": args.max_order, **result}
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = run
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    merge_run(args.out, args.label, run)
     if not result["answers_unchanged"]:
         print("a report is inconsistent, report failed, or the digests differ", file=sys.stderr)
     return 0 if result["answers_unchanged"] else 1

@@ -31,21 +31,25 @@ column-major least labeling, both at orders 6, 7 and 8; then
 test share one centraliser per first column, at the same orders; then
 ``parent-0aaa07a`` against ``stabiliser-screen``, whose search tries for
 each branching column only the candidates that commute with the
-stabiliser of its index, at the same orders.
+stabiliser of its index, at the same orders; then ``parent-3b1d4b4``
+against ``block-scans``, whose class test and canonical-form scan visit
+only the relabelings that keep the leading identity columns, or the
+constant rows, first, at the same orders.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import platform
 import sys
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
+# The helper beside this script; package_source stays importable from here.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_file import add_run_options, merge_run, package_source  # noqa: E402,F401
 
 # sha256 of repr([q.rows ...]) of the --iso stream. Orders 6 and 7 were
 # recorded with the first-column restriction alone, before the orderly
@@ -108,21 +112,10 @@ def measure(n: int) -> dict:
     }
 
 
-def package_source(path: str) -> Path:
-    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
-    for src in (Path(path) / "src", Path(path)):
-        if (src / "quandles" / "__init__.py").is_file():
-            return src.resolve()
-    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--orders", type=int, nargs="+", default=[6, 7], choices=sorted(STREAM_SHA256))
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=package_source, default=str(ROOT),
-                        help="the checkout, or its src directory, to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_iso.json")
+    add_run_options(parser, "BENCH_iso.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src))
 
@@ -139,9 +132,7 @@ def main(argv=None) -> int:
         print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items() if k != "stream_sha256"),
               flush=True)
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = run
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    merge_run(args.out, args.label, run)
     if not ok:
         print("the --iso stream differs from the recorded one", file=sys.stderr)
     return 0 if ok else 1

@@ -19,7 +19,6 @@ another checkout's package, e.g. the parent commit's.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import resource
@@ -27,7 +26,9 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
+# The helper beside this script; package_source stays importable from here.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_file import add_run_options, merge_run, package_source  # noqa: E402,F401
 
 LABELED_COUNTS = {6: 6658, 7: 152900}
 
@@ -46,20 +47,9 @@ def measure(n: int) -> dict:
     }
 
 
-def package_source(path: str) -> Path:
-    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
-    for src in (Path(path) / "src", Path(path)):
-        if (src / "quandles" / "__init__.py").is_file():
-            return src.resolve()
-    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=package_source, default=str(ROOT),
-                        help="the checkout, or its src directory, to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_labeled.json")
+    add_run_options(parser, "BENCH_labeled.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src))
 
@@ -71,9 +61,7 @@ def main(argv=None) -> int:
         ok = ok and result["tables"] == expected
         print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items()), flush=True)
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = run
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    merge_run(args.out, args.label, run)
     if not ok:
         print("a labeled count differs from the recorded one", file=sys.stderr)
     return 0 if ok else 1

@@ -18,14 +18,14 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The seeded ten take 14-20 s on 2 vCPUs with
+mutant survives. The thirteen take about 19 s on 2 vCPUs with
 Python 3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
 checked against when it was added: a verdict decided once per table or
 per orbit and taken by the other columns, a screen that decides without
-walking points, a witness list that is capped. Each new fast path adds
-its own.
+walking points, a witness list that is capped, a scan that keeps a block
+of the table first. Each new fast path adds its own.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class Mutant(NamedTuple):
 CHECKS = "quandles/checks.py"
 QUANDLE = "quandles/quandle.py"
 PERM = "quandles/perm.py"
+ENUMERATION = "quandles/enumeration.py"
 SHARED = "tests/test_shared_cycle_data.py"
 
 MUTANTS = (
@@ -133,6 +134,27 @@ MUTANTS = (
         "                p._structure = self._structures[0]\n",
         (f"{SHARED}::TestPredicatesAgainstPointWalks::test_translations_built_later_take_their_own_structures",),
         "a translation built after the structures are known takes column 1's",
+    ),
+    Mutant(
+        "class-test-block-fixes-identity-columns", ENUMERATION,
+        "        return _scan_ties(_block_relabelings(n, k), maps, cols, k) or 0\n",
+        "        return _scan_ties(_block_relabelings(n, k)[:math.factorial(n - k)], maps, cols, k) or 0\n",
+        ("tests/test_enumeration.py::TestColumnMajorTies",),
+        "the class test's block scan fixes the identity columns pointwise, so |Aut(Q)| is undercounted",
+    ),
+    Mutant(
+        "canonical-block-scan-halved", ENUMERATION,
+        "        relabelings = _block_relabelings(n, start)\n",
+        "        relabelings = _block_relabelings(n, start)[::2]\n",
+        ("tests/test_enumeration.py::TestCanonicalForm::test_table_and_witness_match_the_plain_scan",),
+        "the canonical-form scan visits every other relabeling that keeps the constant rows first",
+    ),
+    Mutant(
+        "latin-sufficiency-hypothesis-to-order-5", CHECKS,
+        "    hypothesis = has_repeat_free_profile(q)\n",
+        "    hypothesis = has_repeat_free_profile(q) and q.n <= 5\n",
+        ("tests/test_checks.py::TestHypothesisTallies::test_each_order_pins_its_tallies",),
+        "the latin-sufficiency hypothesis holds only up to order 5, so orders 6 and up test nothing",
     ),
 )
 

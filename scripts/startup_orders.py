@@ -47,6 +47,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The helper beside this script; package_source stays importable from here.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_file import add_run_options, merge_run, package_source  # noqa: E402,F401
+
 # Name -> arguments; {table} is a plain table file, {catalog} a directory of them.
 COMMANDS = {
     "check": ["check", "{table}"],
@@ -124,21 +128,10 @@ def measure(src: Path = ROOT / "src", repeats: int = 11) -> dict:
     return result
 
 
-def package_source(path: str) -> Path:
-    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
-    for src in (Path(path) / "src", Path(path)):
-        if (src / "quandles" / "__init__.py").is_file():
-            return src.resolve()
-    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=11)
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=package_source, default=str(ROOT),
-                        help="the checkout, or its src directory, to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_startup.json")
+    add_run_options(parser, "BENCH_startup.json")
     args = parser.parse_args(argv)
 
     result = measure(args.src, args.repeats)
@@ -148,9 +141,7 @@ def main(argv=None) -> int:
               f" loaded={loaded}", flush=True)
     run = {"python": platform.python_version(), "cpus": os.cpu_count(), "repeats": args.repeats,
            "cached_bytecode": (args.src / "quandles" / "__pycache__").exists(), "commands": result}
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = run
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    merge_run(args.out, args.label, run)
     return 0
 
 

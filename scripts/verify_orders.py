@@ -11,6 +11,14 @@ counts (1, 1, 5, 36, 404, 6658, 152,900 and 5,225,916 tables; 5 + 2n
 reports per table; nothing inconsistent); a mismatch exits 1. Order 8
 takes about 25 s.
 
+After the timed run, each order N also records, per checker, on how many
+classes of order N, and on how many labeled tables they stand for, some
+report of the checker holds its hypothesis (``hypotheses``): a checker
+whose hypothesis never holds cannot fail, and ``verify`` prints the same
+lines whether it holds or not. At orders 3-7 the latin-sufficiency
+hypothesis holds on 1, 1, 2, 0 and 2 classes (1, 2, 12, 0 and 240
+tables).
+
 Results are merged into FILE (default ``BENCH_verify.json`` at the
 repository root) under NAME (default ``current``), so runs of two
 checkouts, chosen with ``--src``, sit side by side. The committed file
@@ -30,7 +38,10 @@ each branching column only the candidates that commute with the
 stabiliser of its index; then, at orders 6 and 7, the last of three
 alternating runs a side, ``parent-453f92b``, whose enumeration shared
 one pool of right translations among its tables, against
-``own-translations``, in which each table builds its own.
+``own-translations``, in which each table builds its own; then, at
+orders 3-7 and with the hypothesis tallies, ``parent-3b1d4b4`` against
+``block-scans``, whose class test visits only the relabelings that keep
+the leading identity columns first.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import os
 import platform
 import resource
@@ -47,7 +57,9 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
+# The helper beside this script; package_source stays importable from here.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_file import add_run_options, merge_run, package_source  # noqa: E402,F401
 
 LABELED_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404, 6: 6658, 7: 152900, 8: 5225916}
 
@@ -58,6 +70,24 @@ def expected_lines(n: int) -> list[str]:
         for k in range(1, n + 1)
     ]
     return lines + ["nonconnected refinement candidates: 0", "all checks consistent"]
+
+
+def hypothesis_tallies(n: int) -> dict:
+    """Per checker, the classes of order n, and the labeled tables they stand for, on which it holds its hypothesis.
+
+    A class counts when some report of the checker on its table holds it.
+    """
+    from quandles import checks, enumeration
+
+    tallies: dict[str, dict[str, int]] = {}
+    for q, labelings in enumeration._class_tables(enumeration.EnumerationTask(n, up_to_iso=True)):
+        reports = checks.all_checks(q)
+        for name in dict.fromkeys(r.name for r in reports):
+            tally = tallies.setdefault(name, {"classes": 0, "tables": 0})
+            if any(r.hypothesis_holds for r in reports if r.name == name):
+                tally["classes"] += 1
+                tally["tables"] += labelings
+    return tallies
 
 
 def measure(n: int) -> dict:
@@ -71,7 +101,7 @@ def measure(n: int) -> dict:
 
     stdout = out.getvalue()
     last = stdout.splitlines()[n - 1].split()
-    return {
+    result = {
         "exit_code": code,
         "wall_s": round(elapsed, 3),
         # ru_maxrss is in KiB on Linux.
@@ -82,23 +112,14 @@ def measure(n: int) -> dict:
         "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
         "stdout_unchanged": code == 0 and stdout.splitlines() == expected_lines(n),
     }
-
-
-def package_source(path: str) -> Path:
-    """The directory holding the ``quandles`` package: ``path``, a checkout root or its ``src``."""
-    for src in (Path(path) / "src", Path(path)):
-        if (src / "quandles" / "__init__.py").is_file():
-            return src.resolve()
-    raise argparse.ArgumentTypeError(f"{path} holds neither src/quandles nor quandles")
+    result["hypotheses"] = hypothesis_tallies(n)
+    return result
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--orders", type=int, nargs="+", default=[6, 7], choices=sorted(LABELED_COUNTS))
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--src", type=package_source, default=str(ROOT),
-                        help="the checkout, or its src directory, to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_verify.json")
+    add_run_options(parser, "BENCH_verify.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src))
 
@@ -112,12 +133,12 @@ def main(argv=None) -> int:
         result = measure(n)
         run["orders"][str(n)] = result
         ok = ok and result["stdout_unchanged"]
-        print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items() if k != "stdout_sha256"),
-              flush=True)
+        print(f"order {n}: " + " ".join(f"{k}={v}" for k, v in result.items()
+                                         if k not in ("stdout_sha256", "hypotheses")), flush=True)
+        print("  hypothesis holds on classes/tables: " + " ".join(
+            f"{name}={t['classes']}/{t['tables']}" for name, t in result["hypotheses"].items()), flush=True)
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = run
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    merge_run(args.out, args.label, run)
     if not ok:
         print("verify printed other counts than the labeled ones", file=sys.stderr)
     return 0 if ok else 1

@@ -19,18 +19,34 @@ that many times.
 
 The scans over all of S_n (``_least_relabeling``, ``_labeled_tables``)
 read the relabelings of order n from one table, built once per order:
-(sigma, translate table, inverse) for every sigma, split by sigma^-1(1),
-each part in ``itertools.permutations`` order (1 ms to build at order 6;
-0.05 s and about 18 MB at order 8; above ``ISO_ORDER_GUARD`` no table is
-kept and the relabelings are built as the scan goes). The canonical-form
-scan visits only the parts x = sigma^-1(1) whose row x has the most
-entries equal to x, as only they give the least first row. The class
-test (``_column_major_ties``) visits only the relabelings that keep
-column 1: for each column x of R_1's cycle type, a fixed relabeling
-moving R_x onto R_1 composed with each member of the centraliser of R_1
-that fixes 1, which the search lists too (``_centralizer_parts``). Each
-sigma builds one column or row first and is dropped if it is above the
-target's: its table is then above the target. That is exact: a sigma
+(translate table, inverse) for every sigma, split by sigma^-1(1), each
+part in ``itertools.permutations`` order (1 ms to build at order 6;
+0.05 s and about 15 MB at order 8; above ``ISO_ORDER_GUARD`` no table is
+kept and the relabelings are built as the scan goes). Unless a block
+below applies, the canonical-form scan visits only the parts
+x = sigma^-1(1) whose row x has the most entries equal to x, as only
+they give the least first row, and the class test
+(``_column_major_ties``) only the relabelings that keep column 1: for
+each column x of R_1's cycle type, a fixed relabeling moving R_x onto
+R_1 composed with each member of the centraliser of R_1 that fixes 1,
+which the search lists too (``_centralizer_parts``).
+
+Both scans skip the relabelings that break a block the table forces
+first. In the class test, when R_1 = R_2 = id, the leading identity
+columns 1..k: a relabeling that puts a non-identity column among them
+gives a column above the identity there. In the canonical-form scan,
+when 2 <= |F| < n, the points F whose row is constant: no other row
+holds one of them, so a relabeling that puts a non-constant row among
+the first |F| gives a row above the constant one there. Either scan
+then visits only Sym(block) x Sym(rest), k!(n-k)! relabelings, from one
+table per (n, k) (``_block_relabelings``), and compares from the first
+column or row after the block; the canonical form relabels F to the
+front once first. The class test visits 5,135 relabelings at order 6,
+not 15,087, and 83,255 at order 7, not 314,343; the canonical forms
+14,880, not 23,880, and 247,440, not 475,920.
+
+Each sigma builds one column or row first and is dropped if it is above
+the target's: its table is then above the target. That is exact: a sigma
 that ties is compared to the end, so every sigma giving the least table
 is counted, and for the canonical form the first of them in
 ``permutations`` order is the witness. Most sigma cost two
@@ -495,11 +511,23 @@ def _column_major_ties(q: Quandle) -> int:
     Column c of the table relabeled by sigma is sigma R_x sigma^-1 for
     x = sigma^-1(c); as 0-based bytes, ``inv.translate(R_x).translate(sigma)``.
 
-    Column 0 has R_x's cycle type and fixes 0, so it is at least the least
-    permutation of that type (``_least_of_type``), and those compare as
-    their types do: if R_0 is not the least of its type, or some column has
-    a smaller type, a relabeling puts a smaller column 0 and the answer is
-    0 at once. Otherwise the sigma that tie at column 0 are, for each x
+    Block lemma, when columns 0 and 1 are the identity: let 0..k-1 be the
+    leading identity columns. The identity is the least permutation, and
+    sigma R_x sigma^-1 is the identity iff R_x is, so a sigma that puts a
+    column x with R_x != id at some c < k gives a column above the
+    table's at the first such c, after columns that tie: it neither ties
+    nor undercuts. So only the k!(n-k)! sigma that keep the block 0..k-1
+    (``_block_relabelings``) are scanned, compared from column k. If an
+    identity column comes after column k, one of them moves it to column
+    k, below R_k, and the answer is 0 at once; if k = n, every sigma
+    ties, and the answer is n!. With k = 1 the scan below already keeps
+    the block: its tau fix 0.
+
+    In every other case, column 0 has R_x's cycle type and fixes 0, so it
+    is at least the least permutation of that type (``_least_of_type``),
+    and those compare as their types do: if R_0 is not the least of its
+    type, or some column has a smaller type, a relabeling puts a smaller
+    column 0 and the answer is 0 at once. Otherwise the sigma that tie at column 0 are, for each x
     with R_x of R_0's type, tau rho_x: rho_x (``_cycle_order``) maps x to 0
     and R_x onto R_0, and tau fixes 0 and commutes with R_0
     (``_centralizer_parts``). Only they are scanned.
@@ -521,6 +549,18 @@ def _column_major_ties(q: Quandle) -> int:
     if n == 1:
         return 1
     cols = q._col_bytes
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    if cols[0] == cols[1] == identity:
+        k = 2
+        while k < n and cols[k] == identity:
+            k += 1
+        if k == n:
+            return math.factorial(n)
+        if identity in cols[k + 1:]:
+            return 0
+        maps = [col + tail for col in cols]
+        return _scan_ties(_block_relabelings(n, k), maps, cols, k) or 0
     first_type = _cycle_type(cols[0])
     if cols[0] != _least_of_type(first_type):
         return 0
@@ -530,8 +570,6 @@ def _column_major_ties(q: Quandle) -> int:
     fixes_0 = cols[1][0] == 0
     first_is_identity = first_type[-1] == 1
     parts = _centralizer_parts(cols[0])
-    identity = bytes(range(n))
-    tail = bytes(range(n, 256))
     maps = [col + tail for col in cols]
     ties = 0
     for x in range(n):
@@ -554,15 +592,33 @@ def _column_major_ties(q: Quandle) -> int:
                         return 0
                     if least > cols[1]:
                         continue
-            for tab, inv in part:
-                for c in range(1, n):
-                    col = inv.translate(moved[inv[c]]).translate(tab)
-                    if col != cols[c]:
-                        if col < cols[c]:
-                            return 0
-                        break
-                else:
-                    ties += 1
+            found = _scan_ties(part, moved, cols, 1)
+            if found is None:
+                return 0
+            ties += found
+    return ties
+
+
+def _scan_ties(members: Iterable[tuple[bytes, bytes]], maps: list[bytes], cols: list[bytes],
+               start: int) -> Optional[int]:
+    """How many sigma in members give the columns cols from column start on, or None if one gives smaller ones.
+
+    members are (translate table, inverse) pairs, maps the translate
+    tables of the columns to relabel, and cols the target's columns, all
+    0-based bytes. Each sigma is compared column by column and dropped at
+    its first column above the target's.
+    """
+    n = len(cols)
+    ties = 0
+    for tab, inv in members:
+        for c in range(start, n):
+            col = inv.translate(maps[inv[c]]).translate(tab)
+            if col != cols[c]:
+                if col < cols[c]:
+                    return None
+                break
+        else:
+            ties += 1
     return ties
 
 
@@ -628,7 +684,7 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[bytes]:
     for q in classes:
         maps = [col + tail for col in q._col_bytes]
         tables = {b"".join(map(inv.translate, map(maps.__getitem__, inv))).translate(tab)
-                  for _, tab, inv in _relabelings_from(n, range(n))}
+                  for tab, inv in _relabelings_from(n, range(n))}
         per_class.append(sorted(tables))
     for table in heapq.merge(*per_class):
         table = table.translate(_ONE_BASED)
@@ -714,9 +770,11 @@ def are_isomorphic(a: Quandle, b: Quandle) -> Optional[Permutation]:
 def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     """The lexicographically minimal relabeling of the table, with a witnessing map.
 
-    Scans the relabelings that can give the least first row, read from a
-    table cached per order up to ``ISO_ORDER_GUARD``; a relabeling whose
-    first row is above the best first row is dropped after that row.
+    Scans only the relabelings that can give the least table: those that
+    put the constant rows first, when two or more rows are constant, and
+    otherwise those that can give the least first row, read from tables
+    cached per order up to ``ISO_ORDER_GUARD``; a relabeling is dropped
+    at its first row above the best table's.
     Meant for the small orders this package targets; the witness is the
     first least relabeling in ``itertools.permutations`` order.
     """
@@ -724,27 +782,34 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     return Quandle(rows), Permutation(sigma)
 
 
-def _relabelings(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """(sigma, its translate table, its inverse) for every sigma in S_n, 0-based bytes, in ``permutations`` order."""
+def _relabelings(n: int, k: int = 0) -> Iterator[tuple[bytes, bytes]]:
+    """(translate table, inverse) of every sigma in S_n that maps 0..k-1 onto themselves.
+
+    0-based bytes, in ``permutations`` order; the table's first n bytes are
+    sigma itself. With k = 0 that is all of S_n, otherwise
+    Sym({0..k-1}) x Sym({k..n-1}).
+    """
     identity = bytes(range(n))
     tail = bytes(range(n, 256))
-    for sigma in map(bytes, permutations(identity)):
-        yield sigma, sigma + tail, bytes.maketrans(sigma, identity)[:n]
+    rests = list(map(bytes, permutations(identity[k:])))
+    for first in map(bytes, permutations(identity[:k])):
+        for sigma in map(first.__add__, rests):
+            yield sigma + tail, bytes.maketrans(sigma, identity)[:n]
 
 
 @functools.lru_cache(maxsize=None)
-def _relabeling_table(n: int) -> tuple[tuple[tuple[bytes, bytes, bytes], ...], ...]:
+def _relabeling_table(n: int) -> tuple[tuple[tuple[bytes, bytes], ...], ...]:
     """``_relabelings(n)`` kept for the life of the process, split by sigma^-1(0); for n up to ``ISO_ORDER_GUARD``.
 
     Part x holds the sigma with sigma(x) = 0, in ``permutations`` order.
     """
-    parts: list[list[tuple[bytes, bytes, bytes]]] = [[] for _ in range(n)]
+    parts: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
     for relabeling in _relabelings(n):
-        parts[relabeling[2][0]].append(relabeling)
+        parts[relabeling[1][0]].append(relabeling)
     return tuple(map(tuple, parts))
 
 
-def _relabelings_from(n: int, starts: Iterable[int]) -> Iterator[tuple[bytes, bytes, bytes]]:
+def _relabelings_from(n: int, starts: Iterable[int]) -> Iterator[tuple[bytes, bytes]]:
     """The relabelings sigma with sigma^-1(0) in starts, read from ``_relabeling_table(n)``.
 
     Above ``ISO_ORDER_GUARD`` they are built as the scan goes: the table
@@ -752,9 +817,26 @@ def _relabelings_from(n: int, starts: Iterable[int]) -> Iterator[tuple[bytes, by
     """
     if n > ISO_ORDER_GUARD:
         starts = set(starts)
-        return (relabeling for relabeling in _relabelings(n) if relabeling[2][0] in starts)
+        return (relabeling for relabeling in _relabelings(n) if relabeling[1][0] in starts)
     table = _relabeling_table(n)
     return chain.from_iterable(table[x] for x in starts)
+
+
+def _block_relabelings(n: int, k: int) -> Iterable[tuple[bytes, bytes]]:
+    """``_relabelings(n, k)``, the k!(n-k)! relabelings that keep the block 0..k-1.
+
+    Kept per (n, k) for the life of the process up to ``ISO_ORDER_GUARD``
+    (at most 7! pairs, at order 8 with k = 7), and built as the scan goes
+    above it.
+    """
+    if n > ISO_ORDER_GUARD:
+        return _relabelings(n, k)
+    return _block_table(n, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_table(n: int, k: int) -> tuple[tuple[bytes, bytes], ...]:
+    return tuple(_relabelings(n, k))
 
 
 def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
@@ -762,42 +844,70 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
 
     Row r of the relabeled table is sigma L_x sigma^-1 with x = sigma^-1(r),
     two ``bytes.translate`` calls on 0-based rows, which compare like the
-    1-based ones. Row 0 has as many 0s as row x has entries x, and puts
-    them first when it is least, so only the sigma whose x = sigma^-1(0)
-    has the most such entries are scanned. Each builds row 0 first and is
-    dropped if that row is above the best row 0: its table is then above
-    the best table. A sigma whose row 0 ties is compared row by row to the
-    end, so every sigma that gives the least table is counted, and the
-    least of them in ``permutations`` order is the witness. They form one
-    coset of Aut(Q), so the count is |Aut(Q)|.
+    1-based ones. Each sigma builds its rows in turn and is dropped at the
+    first row above the best table's: its table is then above the best
+    table. A sigma that ties is compared row by row to the end, so every
+    sigma that gives the least table is counted, and the least of them in
+    ``permutations`` order is the witness. They form one coset of Aut(Q),
+    so the count is |Aut(Q)|. Only sigma that can give the least table
+    are scanned:
+
+    - Block lemma: let F be the points whose row is constant (all x for
+      row x). A point x of F appears in no other row, as y*z = x = x*z
+      forces y = x. So a sigma that does not map F onto 0..|F|-1 puts,
+      at the first r < |F| with sigma^-1(r) outside F, a non-constant row
+      whose entries are all at least r, above the constant row r that
+      the others put there. When 2 <= |F| < n, the table is relabeled
+      once by alpha, which puts F first in ascending order and keeps the
+      order of the rest; each beta of ``_block_relabelings(n, |F|)`` is
+      compared from row |F|, and sigma = beta alpha. All rows are
+      constant when |F| = n: every sigma gives the table itself.
+    - Otherwise row 0 has as many 0s as row x has entries x, and puts
+      them first when it is least, so only the sigma whose
+      x = sigma^-1(0) has the most such entries are scanned.
     """
     n = q.n
+    identity = bytes(range(n))
     tail = bytes(range(n, 256))
     left = [bytes([v - 1 for v in row]) + tail for row in q.rows]
     fixes = [row.count(x) for x, row in enumerate(left)]
-    most = max(fixes)
-    starts = {x for x in range(n) if fixes[x] == most}
+    constant = [x for x in range(n) if fixes[x] == n]
+    if len(constant) == n:
+        rows = [row[:n].translate(_ONE_BASED) for row in left]
+        return rows, identity.translate(_ONE_BASED), math.factorial(n)
+    if len(constant) >= 2:
+        start = len(constant)
+        order = bytes(constant + [x for x in range(n) if fixes[x] < n])
+        alpha = bytes.maketrans(order, identity)[:n]
+        alpha_tab = alpha + tail
+        left = [order.translate(left[x]).translate(alpha_tab) + tail for x in order]
+        relabelings = _block_relabelings(n, start)
+    else:
+        start = 0
+        alpha = identity
+        most = max(fixes)
+        relabelings = _relabelings_from(n, [x for x in range(n) if fixes[x] == most])
     best: list[bytes] = []
     best_sigma = b""
     ties = 0
-    for sigma, tab, inv in _relabelings_from(n, starts):
-        new_row = inv.translate(left[inv[0]]).translate(tab)
+    for tab, inv in relabelings:
+        new_row = inv.translate(left[inv[start]]).translate(tab)
         if best:
-            if new_row > best[0]:
+            if new_row > best[start]:
                 continue
-            if new_row == best[0]:
-                for r in range(1, n):
+            if new_row == best[start]:
+                for r in range(start + 1, n):
                     new_row = inv.translate(left[inv[r]]).translate(tab)
                     if new_row != best[r]:
                         break
                 else:
                     ties += 1  # the same table: the least witness stays
-                    best_sigma = min(best_sigma, sigma)
+                    best_sigma = min(best_sigma, alpha.translate(tab))
                     continue
                 if new_row > best[r]:
                     continue
         best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
-        best_sigma = sigma
+        best_sigma = alpha.translate(tab)
         ties = 1
     return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import automorphism_count, cycles_of, orbit_closure
 from _oracles import cycle_length_division_failures as oracle_division_failures
 from _oracles import left_refinement as oracle_left_refinement
 from _oracles import relabeled
@@ -32,6 +33,7 @@ from quandles.checks import (
     search_nonconnected_refinement,
 )
 from quandles.constructions import affine, conjugation, dihedral
+from quandles.enumeration import EnumerationTask, _class_tables
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
@@ -771,6 +773,67 @@ class TestRelabelingInvariance:
             for sigma in permutations(range(1, n + 1)):
                 q = Quandle(relabeled(rep.rows, sigma))
                 assert (verdicts(q), len(search_nonconnected_refinement((q,)))) == expected
+
+
+def hypothesis_tallies(n):
+    """Per checker, (classes, labeled tables) of order n on which some report of it holds its hypothesis."""
+    tallies = {}
+    for q, labelings in _class_tables(EnumerationTask(n, up_to_iso=True)):
+        reports = all_checks(q)
+        for name in dict.fromkeys(r.name for r in reports):
+            classes, tables = tallies.get(name, (0, 0))
+            if any(r.hypothesis_holds for r in reports if r.name == name):
+                classes, tables = classes + 1, tables + labelings
+            tallies[name] = (classes, tables)
+    return tallies
+
+
+class TestHypothesisTallies:
+    """How many classes, and labeled tables, each statement is actually tested on.
+
+    A checker whose hypothesis never holds cannot fail, and ``verify``
+    prints the same lines whether it holds or not; these counts show it.
+    """
+
+    # order -> (classes, labeled tables); latin sufficiency and left
+    # refinement hold their hypotheses on the same classes, connected
+    # (regular cycle) is A181771, and no latin quandle has order 6.
+    LATIN_SUFFICIENCY = {3: (1, 1), 4: (1, 2), 5: (2, 12), 6: (0, 0), 7: (2, 240)}
+    LATIN = {3: (1, 1), 4: (1, 2), 5: (3, 18), 6: (0, 0), 7: (5, 600)}
+    CONNECTED = {3: (1, 1), 4: (1, 2), 5: (3, 18), 6: (2, 60), 7: (5, 600)}
+    CLASSES = {3: (3, 5), 4: (7, 36), 5: (22, 404), 6: (73, 6658), 7: (298, 152900)}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_each_order_pins_its_tallies(self, n):
+        assert hypothesis_tallies(n) == {
+            "conjugation-identity": self.CLASSES[n],
+            "cycle-length-division": self.CLASSES[n],
+            "latin-sufficiency": self.LATIN_SUFFICIENCY[n],
+            "latin-necessary-conditions": self.LATIN[n],
+            "regular-cycle": self.CONNECTED[n],
+            "left-refinement": self.LATIN_SUFFICIENCY[n],
+            "cycle-shift": self.CLASSES[n],
+        }
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_the_tallies_agree_with_the_oracles(self, n):
+        found = {"latin-sufficiency": [0, 0], "latin-necessary-conditions": [0, 0], "regular-cycle": [0, 0]}
+        for q, labelings in _class_tables(EnumerationTask(n, up_to_iso=True)):
+            rows = q.rows
+            columns = [[row[j] for row in rows] for j in range(n)]
+            holds = {
+                "latin-sufficiency": all(
+                    len({len(c) for c in cycles_of(col)}) == len(cycles_of(col)) for col in columns),
+                "latin-necessary-conditions": all(sorted(row) == list(range(1, n + 1)) for row in rows),
+                "regular-cycle": len(orbit_closure(rows)) == 1,
+            }
+            for name, held in holds.items():
+                if held:
+                    assert labelings == math.factorial(n) // automorphism_count(rows)
+                    found[name][0] += 1
+                    found[name][1] += labelings
+        tallies = hypothesis_tallies(n)
+        assert {name: tuple(v) for name, v in found.items()} == {name: tallies[name] for name in found}
 
 
 class TestReportRendering:
