@@ -18,14 +18,16 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The thirteen take about 19 s on 2 vCPUs with
+mutant survives. The twenty-six take about 20-24 s on 2 vCPUs with
 Python 3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
 checked against when it was added: a verdict decided once per table or
 per orbit and taken by the other columns, a screen that decides without
 walking points, a witness list that is capped, a scan that keeps a block
-of the table first. Each new fast path adds its own.
+of the table first, a table built without its screen, and the orderly
+search's levels and screens, the class test's prechecks and the pruning
+of ``are_isomorphic``. Each new fast path adds its own.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ QUANDLE = "quandles/quandle.py"
 PERM = "quandles/perm.py"
 ENUMERATION = "quandles/enumeration.py"
 SHARED = "tests/test_shared_cycle_data.py"
+SEARCH = "tests/test_enumeration.py::TestSymmetryBreaking"
 
 MUTANTS = (
     Mutant(
@@ -148,6 +151,101 @@ MUTANTS = (
         "        relabelings = _block_relabelings(n, start)[::2]\n",
         ("tests/test_enumeration.py::TestCanonicalForm::test_table_and_witness_match_the_plain_scan",),
         "the canonical-form scan visits every other relabeling that keeps the constant rows first",
+    ),
+    Mutant(
+        "canonical-form-columns-from-rows", QUANDLE,
+        "tuple([table[c::n] for c in range(n)])",
+        "tuple([table[c * n:c * n + n] for c in range(n)])",
+        ("tests/test_enumeration.py::TestCanonicalForm::test_each_canonical_form_is_built_as_its_validated_table",),
+        "a canonical form, built with no screen, keeps its rows as its byte columns",
+    ),
+    # Taking the block level when only column j is the identity is an
+    # equivalent mutant, so it is not listed: an identity column after a
+    # non-identity column k is always cut at level k, by the transposition
+    # that moves it onto column k, before a level after it is built.
+    Mutant(
+        "search-block-one-point-short", ENUMERATION,
+        "            for tab, inv in _block_relabelings(n, j + 1):\n",
+        "            for tab, inv in _block_relabelings(n, j):\n",
+        (f"{SEARCH}::test_keeps_exactly_the_tables_meeting_the_rule",),
+        "the search's block level leaves column j out of the block, so its members can move column j",
+    ),
+    Mutant(
+        "search-block-on-column-0-alone", ENUMERATION,
+        "        if cols[:j + 1].count(identity) == j + 1:\n",
+        "        if cols[0] == identity:\n",
+        (f"{SEARCH}::test_first_table_of_each_class_is_its_least_labeling",),
+        "the search's block level is taken whenever column 0 is the identity, and cuts least labelings",
+    ),
+    Mutant(
+        "undercut-on-ties", ENUMERATION,
+        "            if inv.translate(ptab).translate(tab) < target:\n",
+        "            if inv.translate(ptab).translate(tab) <= target:\n",
+        (f"{SEARCH}::test_keeps_exactly_the_tables_meeting_the_rule",),
+        "the orderly rule cuts a branch when a relabeling ties it, not only when it undercuts",
+    ),
+    Mutant(
+        "trail-skips-level-j", ENUMERATION,
+        "        for i in range(1, j + 1):\n",
+        "        for i in range(1, j):\n",
+        (f"{SEARCH}::test_keeps_exactly_the_tables_meeting_the_rule",),
+        "the columns a branch sets are not tested against the level of the branching column",
+    ),
+    Mutant(
+        "trail-skips-every-level", ENUMERATION,
+        "        for i in range(1, j + 1):\n",
+        "        for i in range(1, 1):\n",
+        (f"{SEARCH}::test_keeps_exactly_the_tables_meeting_the_rule",),
+        "the columns a branch sets are tested by cycle type alone",
+    ),
+    Mutant(
+        "stabiliser-precut-off", ENUMERATION,
+        "            if group and undercut(group, p + tail, p):\n",
+        "            if False and undercut(group, p + tail, p):\n",
+        (f"{SEARCH}::test_keeps_exactly_the_tables_meeting_the_rule",),
+        "a branching column is never screened by the stabiliser of its index, G_j",
+    ),
+    Mutant(
+        "one-schreier-generator", ENUMERATION,
+        "                if s != identity:\n",
+        "                if s != identity and not found:\n",
+        ("tests/test_enumeration.py::TestStabiliserScreen::test_generators_and_candidates_on_every_subquandle",),
+        "the stabiliser screen keeps only the first Schreier generator",
+    ),
+    Mutant(
+        "stabiliser-screen-off", ENUMERATION,
+        "    generators = _stabiliser_generators(columns, j)\n",
+        "    generators = set()\n",
+        ("tests/test_enumeration.py::TestStabiliserScreen::test_the_unscreened_search_emits_the_same_stream",),
+        "every candidate for a branching column is tried, none screened by the quandle's own symmetry",
+    ),
+    Mutant(
+        "class-test-without-type-precheck", ENUMERATION,
+        "    if min(types) < first_type:\n",
+        "    if False:\n",
+        ("tests/test_enumeration.py::TestColumnMajorTies::test_every_labeled_table",),
+        "the class test keeps a table although a column of a smaller cycle type could come first",
+    ),
+    Mutant(
+        "class-test-identity-shortcut-for-any-first-column", ENUMERATION,
+        "                    if least < cols[1] and first_is_identity:\n",
+        "                    if least < cols[1]:\n",
+        ("tests/test_enumeration.py::TestColumnMajorTies::test_every_orderly_table_of_order_6",),
+        "the class test's shortcut for R_1 = id rejects tables whose R_1 is not the identity",
+    ),
+    Mutant(
+        "isomorphism-skips-trivial-points", ENUMERATION,
+        "                if trivial_tried:\n",
+        "                if True:\n",
+        ("tests/test_enumeration.py::TestAreIsomorphic::test_shuffled_trivial_points_are_matched",),
+        "are_isomorphic tries no unassigned trivial point, not one of them",
+    ),
+    Mutant(
+        "isomorphism-first-point-one-orbit", ENUMERATION,
+        "sorted(map(min, orbits(b)))",
+        "sorted(map(min, orbits(b)))[:1]",
+        ("tests/test_enumeration.py::TestAreIsomorphic::test_agrees_with_naive_search",),
+        "are_isomorphic sends its first point into the first orbit of b only",
     ),
     Mutant(
         "latin-sufficiency-hypothesis-to-order-5", CHECKS,

@@ -41,7 +41,9 @@ one pool of right translations among its tables, against
 ``own-translations``, in which each table builds its own; then, at
 orders 3-7 and with the hypothesis tallies, ``parent-3b1d4b4`` against
 ``block-scans``, whose class test visits only the relabelings that keep
-the leading identity columns first.
+the leading identity columns first; then, the same way,
+``parent-26a6794`` against ``identity-block``, whose search prunes by
+every relabeling that permutes the leading identity columns.
 """
 
 from __future__ import annotations

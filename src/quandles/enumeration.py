@@ -61,19 +61,26 @@ Ho-Nelson's and Vendramin's column-by-column enumerations). Unpruned, it
 would emit every table in lex order of its columns (R_1, .., R_n), so the
 first table of a class is its column-major lex-least labeling; the
 orderly rule keeps a subsequence that still holds that labeling of every
-class. Let H_j be the permutations that fix 1..j-1 and commute with
-R_1..R_{j-1}. Relabeling by a sigma in H_j keeps those columns and puts
-sigma R_x sigma^-1 at column j, for x = sigma^-1(j); if that is below R_j,
-every completion has a smaller labeling and the branch is cut. Level j of
-the search lists the members of H_j other than the identity by x, each as
-a translate table and an inverse, so each test is two ``bytes.translate``
-calls; the members with x = j form G_j, the stabiliser of j. One test,
-"some listed sigma gives sigma p sigma^-1 below a target", serves twice:
-G_j screens each candidate p for a branching column j > 1 before it is
-assigned, and after the assignment every column x the branch set is
-tested against the members listed under x at each level up to j. Level
-j + 1 is the members of G_j that commute with R_j, listed by
-sigma^-1(j + 1). H_1 is all of S_n and is never listed, nor is G_1:
+class. Let H_j be the permutations that keep columns 1..j-1: those that
+fix 1..j-1 and commute with R_1..R_{j-1}, and, while R_1..R_{j-1} are
+all the identity, every permutation that maps 1..j-1 onto themselves, as
+sigma R sigma^-1 = id when R = id. Relabeling by a sigma in H_j keeps
+those columns and puts sigma R_x sigma^-1 at column j, for
+x = sigma^-1(j); if that is below R_j, every completion has a smaller
+labeling and the branch is cut. Level j of the search lists the members
+of H_j other than the identity by x, each as a translate table and an
+inverse, so each test is two ``bytes.translate`` calls; the members with
+x = j form G_j, the stabiliser of j. One test, "some listed sigma gives
+sigma p sigma^-1 below a target", serves twice: G_j screens each
+candidate p for a branching column j > 1 before it is assigned, and
+after the assignment every column x the branch set is tested against the
+members listed under x at each level up to j. Level j + 1 is the members
+of G_j that commute with R_j, listed by sigma^-1(j + 1), except while
+R_1..R_j are all the identity: then it is every sigma other than the
+identity that maps the block 1..j onto itself (``_block_relabelings``),
+not only those that fix it pointwise. Past the block 1..k, the members
+of level j map it onto itself and fix k+1..j-1. H_1 is all of S_n and
+is never listed, nor is G_1:
 column 1 tries one permutation per cycle type, the lex-least one, e.g.
 (1)(2)(3 4)(5 6 7) for the type 1+2+3 at n = 7, which no member of G_1
 conjugates below itself, and level 2 is read from R_1's centraliser.
@@ -82,10 +89,17 @@ increasing length on consecutive points, so two of them compare as their
 ascending cycle lengths do: at the first length that differs, the
 shorter cycle closes first and writes the smaller image. So a set column
 x cuts the branch iff its ascending cycle lengths are below R_1's.
-Columns set by propagation lie in the subquandle generated by the
-branching columns, which every member of the later H_j fixes pointwise,
-so they need no test of their own. The order-6 search visits 277 tables,
-not the 6658 labeled ones, and order 7 1,996, not 152,900.
+Columns set by propagation need no test at a later level. They lie in
+the subquandle generated by the branching columns, and a member sigma of
+a later H_j commutes with each of them, so sigma(u*v) = sigma(u)*v there:
+sigma fixes every point reached from a branching column outside the
+block. Within the subquandle the members move only block points, as the
+identity columns generate only the block itself: u*v = u when R_v = id,
+and a point reached from the block has R_{u*v} = R_v R_u R_v^-1 = id,
+while an identity column outside the block is cut at the level after the
+block, by a sigma that swaps it onto that column. The order-6 search
+visits 113 tables, not the 6658 labeled ones, and order 7 729, not
+152,900.
 
 Before those tests, the quandle's own symmetry screens each branching
 column. Conjugation by a right translation permutes the translations,
@@ -144,8 +158,8 @@ from .perm import Permutation
 from .quandle import Quandle
 
 # The largest orders searched without an explicit guard, from measured
-# times on 2 vCPUs. ``enumerate 8 --iso`` finishes in 30-40 s, a third
-# of it the search (scripts/iso_orders.py writes BENCH_iso.json). The
+# times on 2 vCPUs. ``enumerate 8 --iso`` takes about 6 s in process,
+# 2.5 s of it the search (scripts/iso_orders.py writes BENCH_iso.json). The
 # labeled order-7 stream of 152,900 tables takes about 9 s and peaks
 # at about 34 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
 # order 8 would hold its 5,225,916 tables, about 0.5 GB as bytes alone,
@@ -345,7 +359,7 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
     # levels[j][x] lists the members sigma of H_j other than the identity
     # with sigma^-1(j) = x, as (translate table, inverse) pairs; levels[j][j]
     # is G_j. The cycle-type rule stands in for H_0 = S_n, so levels[0]
-    # stays empty, and so does levels[n], as G_{n-1} is trivial.
+    # stays empty, and so does levels[n], which is never read.
     levels: list[dict[int, list[tuple[bytes, bytes]]]] = [{} for _ in range(n + 1)]
     # A column's cycle type, found once per call.
     cycle_types = {p: _cycle_type(p) for p in firsts}
@@ -377,18 +391,23 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
                 if pm is None or m == k:
                     continue
                 tabm = tabs[m]
-                # R_k R_m R_k^-1 = R_{m*k} and R_m R_k R_m^-1 = R_{k*m}.
+                # R_k R_m R_k^-1 = R_{m*k}, then R_m R_k R_m^-1 = R_{k*m}.
                 # A forced column that is already set is compared at once,
                 # so a conflict ends the propagation before the queue grows.
-                for t, pt in (
-                    (pk[m], invk.translate(tabm).translate(tabk)),
-                    (pm[k], invs[m].translate(tabk).translate(tabm)),
-                ):
-                    known = cols[t]
-                    if known is None:
-                        queue.append((t, pt))
-                    elif known != pt:
-                        return False
+                t = pk[m]
+                pt = invk.translate(tabm).translate(tabk)
+                known = cols[t]
+                if known is None:
+                    queue.append((t, pt))
+                elif known != pt:
+                    return False
+                t = pm[k]
+                pt = invs[m].translate(tabk).translate(tabm)
+                known = cols[t]
+                if known is None:
+                    queue.append((t, pt))
+                elif known != pt:
+                    return False
         return True
 
     def undercut(members: list[tuple[bytes, bytes]], ptab: bytes, target: bytes) -> bool:
@@ -418,8 +437,18 @@ def _raw_tables(n: int, first: Optional[bytes] = None) -> Iterator[tuple[tuple[i
         return False
 
     def refine(j: int) -> None:
-        # levels[j + 1]: the members of G_j that commute with R_j.
+        # levels[j + 1]: while columns 0..j are the identity, every sigma
+        # other than the identity that maps 0..j onto themselves; then the
+        # members of G_j that commute with R_j. Level n is never read.
+        if j + 1 == n:
+            return
         level: dict[int, list[tuple[bytes, bytes]]] = {}
+        if cols[:j + 1].count(identity) == j + 1:
+            for tab, inv in _block_relabelings(n, j + 1):
+                if inv != identity:
+                    level.setdefault(inv[j + 1], []).append((tab, inv))
+            levels[j + 1] = level
+            return
         pj, tabj = cols[j], tabs[j]
         for tab, inv in levels[j].get(j, ()):
             if inv.translate(tabj).translate(tab) == pj:
@@ -502,7 +531,7 @@ def _least_labelings(stream: Iterable[Quandle]) -> Iterator[tuple[Quandle, int]]
 def _iso_reduce(stream: Iterable[Quandle]) -> Iterator[Quandle]:
     """The canonical form of each class whose least labeling is in the stream."""
     for q, _ in _least_labelings(stream):
-        yield Quandle(_least_relabeling(q)[0])
+        yield Quandle._of_valid_entries(_least_relabeling(q)[0], q.n)
 
 
 def _column_major_ties(q: Quandle) -> int:
@@ -778,8 +807,8 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     Meant for the small orders this package targets; the witness is the
     first least relabeling in ``itertools.permutations`` order.
     """
-    rows, sigma, _ = _least_relabeling(q)
-    return Quandle(rows), Permutation(sigma)
+    entries, sigma, _ = _least_relabeling(q)
+    return Quandle._of_valid_entries(entries, q.n), Permutation(sigma)
 
 
 def _relabelings(n: int, k: int = 0) -> Iterator[tuple[bytes, bytes]]:
@@ -839,8 +868,8 @@ def _block_table(n: int, k: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(_relabelings(n, k))
 
 
-def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
-    """(least relabeled rows, the first sigma giving them, |Aut(Q)|); rows and sigma are 1-based bytes.
+def _least_relabeling(q: Quandle) -> tuple[bytes, bytes, int]:
+    """(least relabeled table, the first sigma giving it, |Aut(Q)|); the table's row-major entries and sigma are 1-based bytes.
 
     Row r of the relabeled table is sigma L_x sigma^-1 with x = sigma^-1(r),
     two ``bytes.translate`` calls on 0-based rows, which compare like the
@@ -873,8 +902,8 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
     fixes = [row.count(x) for x, row in enumerate(left)]
     constant = [x for x in range(n) if fixes[x] == n]
     if len(constant) == n:
-        rows = [row[:n].translate(_ONE_BASED) for row in left]
-        return rows, identity.translate(_ONE_BASED), math.factorial(n)
+        table = b"".join([row[:n] for row in left]).translate(_ONE_BASED)
+        return table, identity.translate(_ONE_BASED), math.factorial(n)
     if len(constant) >= 2:
         start = len(constant)
         order = bytes(constant + [x for x in range(n) if fixes[x] < n])
@@ -909,7 +938,7 @@ def _least_relabeling(q: Quandle) -> tuple[list[bytes], bytes, int]:
         best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
         best_sigma = alpha.translate(tab)
         ties = 1
-    return [row.translate(_ONE_BASED) for row in best], best_sigma.translate(_ONE_BASED), ties
+    return b"".join(best).translate(_ONE_BASED), best_sigma.translate(_ONE_BASED), ties
 
 
 def _first_column_tables(n: int, first: bytes) -> list[tuple[tuple[int, ...], ...]]:

@@ -294,6 +294,20 @@ class Quandle:
         q._set(rows, n, _screened(entries.translate(_PREDECESSOR), n))
         return q
 
+    @classmethod
+    def _of_valid_entries(cls, entries: bytes, n: int) -> "Quandle":
+        """The table whose 1-based entries, row-major, are the n * n ``entries``, taken as valid; 1 <= n <= 255.
+
+        For a relabeling of a table already validated, which is a quandle
+        too, as the canonical forms are: nothing is screened, and the rows
+        and the byte rows and columns are those ``Quandle(rows)`` keeps.
+        """
+        q = cls.__new__(cls)
+        table = entries.translate(_PREDECESSOR)
+        q._set(tuple([tuple(entries[i:i + n]) for i in range(0, n * n, n)]), n,
+               (tuple([table[i:i + n] for i in range(0, n * n, n)]), tuple([table[c::n] for c in range(n)])))
+        return q
+
     def _set(self, rows: tuple[tuple[int, ...], ...], n: int,
              screened: Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]) -> None:
         """Keep the table once the screen has passed, or raise what the point walk finds."""

@@ -221,27 +221,32 @@ def column_major_least_labeling(rows):
 
 
 def meets_orderly_rule(rows):
-    """True iff no relabeling in some H_j puts a smaller column at j, for every j.
+    """True iff no relabeling in level j's group puts a smaller column at j, for every j.
 
-    H_j (1-based here) is every permutation that fixes 1..j-1 and commutes
-    with R_1..R_{j-1}. Such a sigma keeps those columns and puts
-    sigma R_x sigma^-1 at column j, for x = sigma^-1(j); the rule asks that
-    to be at least R_j. Each sigma is followed column by column while it
-    stays in H_j.
+    Level j's group (1-based here): with k leading identity columns and
+    b = min(j-1, k), every permutation that maps 1..b onto itself, fixes
+    b+1..j-1 and keeps columns 1..j-1. Such a sigma puts sigma R_x sigma^-1
+    at column j, for x = sigma^-1(j); the rule asks that to be at least R_j.
     """
     n = len(rows)
     cols = [tuple(row[j] for row in rows) for j in range(n)]
+    identity = tuple(range(1, n + 1))
+    k = 0
+    while k < n and cols[k] == identity:
+        k += 1
     for sigma in permutations(range(1, n + 1)):
         inv = [0] * n
         for x, v in enumerate(sigma, 1):
             inv[v - 1] = x
+        moved = [cols[inv[c] - 1] for c in range(n)]
+        conjugates = [tuple(sigma[col[inv[y] - 1] - 1] for y in range(n)) for col in moved]
         for j in range(n):
-            moved = cols[inv[j] - 1]
-            conjugate = tuple(sigma[moved[inv[y] - 1] - 1] for y in range(n))
-            if conjugate < cols[j]:
+            b = min(j, k)
+            if (sorted(sigma[:b]) == list(identity[:b])
+                    and sigma[b:j] == identity[b:j]
+                    and conjugates[:j] == cols[:j]
+                    and conjugates[j] < cols[j]):
                 return False
-            if sigma[j] != j + 1 or conjugate != cols[j]:
-                break
     return True
 
 

@@ -20,7 +20,7 @@ def load(name: str):
 def test_iso_orders_measures_the_orderly_search():
     result = load("iso_orders").measure(6)
     assert result["stream_unchanged"]
-    assert result["searched_tables"] == 277
+    assert result["searched_tables"] == 113
 
 
 def test_labeled_orders_measures_the_labeled_search():
