@@ -3,16 +3,18 @@
     python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
 Runs in process, stdlib only, and takes about 0.3 s (``--orders 8``
-about 6 s, 2.5 s of it the search). For each order it runs
+about 5 s, 2.5 s of it the search). For each order it runs
 the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
 after the other: the orderly search (``_raw_tables``), validation of every searched table, and the isomorphism
 reduction, of which it also reports the shares of the class test, which
 keeps a table iff it is its own column-major least labeling
 (``_column_major_ties``, reported as ``class_test_s``), and of the
 canonical-form scan (``_least_relabeling``, reported as
-``canonical_form_s``). The
-reduced stream must hash to the sha256 recorded for it before the orderly
-search; a mismatch exits 1.
+``canonical_form_s``), and the process's peak resident set
+(``peak_rss_mb``, from ``ru_maxrss``, which only grows, so a later
+order's covers the earlier ones; run ``--orders 8`` alone for order 8's
+own). The reduced stream must hash to the sha256 recorded for it before
+the orderly search; a mismatch exits 1.
 
 Results are merged into FILE (default ``BENCH_iso.json`` at the repository
 root) under NAME (default ``current``), so runs of two checkouts, chosen
@@ -37,7 +39,12 @@ only the relabelings that keep the leading identity columns, or the
 constant rows, first, at the same orders; then ``parent-26a6794``
 against ``identity-block``, whose search, while the leading columns are
 all the identity, prunes by every relabeling that permutes them, at the
-same orders.
+same orders; then ``parent-8ed9789`` against ``one-store``, whose
+canonical form, labeled tables and centralisers all read the block
+relabelings, so that no n! relabeling table is built for ``--iso``, at
+the same orders, and each again with ``--orders 8`` alone
+(``parent-8ed9789-order8``, ``one-store-order8``) for order 8's peak
+resident set.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import argparse
 import hashlib
 import os
 import platform
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -110,6 +118,8 @@ def measure(n: int) -> dict:
         "class_test_s": round(spent["_column_major_ties"], 3),
         "canonical_form_s": round(spent["_least_relabeling"], 3),
         "total_s": round(reduced - start, 3),
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "stream_sha256": digest,
         "stream_unchanged": digest == STREAM_SHA256.get(n) and len(reps) == CLASS_COUNTS.get(n),
     }

@@ -18,16 +18,17 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The twenty-six take about 20-24 s on 2 vCPUs with
-Python 3.11.7.
+mutant survives. The thirty take about 25 s on 2 vCPUs with Python
+3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
 checked against when it was added: a verdict decided once per table or
 per orbit and taken by the other columns, a screen that decides without
 walking points, a witness list that is capped, a scan that keeps a block
 of the table first, a table built without its screen, and the orderly
-search's levels and screens, the class test's prechecks and the pruning
-of ``are_isomorphic``. Each new fast path adds its own.
+search's levels and screens, the class test's prechecks, the pruning
+of ``are_isomorphic``, the canonical form's fronts and the plain
+parser's byte lookup. Each new fast path adds its own.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ CHECKS = "quandles/checks.py"
 QUANDLE = "quandles/quandle.py"
 PERM = "quandles/perm.py"
 ENUMERATION = "quandles/enumeration.py"
+CATALOG = "quandles/catalog.py"
 SHARED = "tests/test_shared_cycle_data.py"
 SEARCH = "tests/test_enumeration.py::TestSymmetryBreaking"
+PARSE = "tests/test_catalog.py::TestParseTable"
 
 MUTANTS = (
     Mutant(
@@ -147,10 +150,17 @@ MUTANTS = (
     ),
     Mutant(
         "canonical-block-scan-halved", ENUMERATION,
-        "        relabelings = _block_relabelings(n, start)\n",
-        "        relabelings = _block_relabelings(n, start)[::2]\n",
+        "        for tab, inv in _block_relabelings(n, len(front)):\n",
+        "        for tab, inv in _block_relabelings(n, len(front))[::2]:\n",
         ("tests/test_enumeration.py::TestCanonicalForm::test_table_and_witness_match_the_plain_scan",),
-        "the canonical-form scan visits every other relabeling that keeps the constant rows first",
+        "the canonical-form scan visits every other relabeling that keeps a front first",
+    ),
+    Mutant(
+        "canonical-first-front-only", ENUMERATION,
+        "    for front in fronts:\n",
+        "    for front in fronts[:1]:\n",
+        ("tests/test_enumeration.py::TestCanonicalForm::test_rows_tied_for_the_most_fixes_match_the_oracles[3-None]",),
+        "the canonical-form scan visits the first of several rows tied for the most fixes, not each",
     ),
     Mutant(
         "canonical-form-columns-from-rows", QUANDLE,
@@ -246,6 +256,27 @@ MUTANTS = (
         "sorted(map(min, orbits(b)))[:1]",
         ("tests/test_enumeration.py::TestAreIsomorphic::test_agrees_with_naive_search",),
         "are_isomorphic sends its first point into the first orbit of b only",
+    ),
+    Mutant(
+        "entry-bytes-take-a-leading-zero", CATALOG,
+        "_ENTRY_BYTES = {str(v): v for v in range(256)}\n",
+        '_ENTRY_BYTES = {**{str(v): v for v in range(256)}, **{f"0{v}": v for v in range(10)}}\n',
+        (f"{PARSE}::test_which_texts_take_the_entry_bytes",),
+        "the plain parser's byte lookup holds \"07\", a spelling it must leave to the int() path",
+    ),
+    Mutant(
+        "entry-bytes-take-256", CATALOG,
+        "_ENTRY_BYTES = {str(v): v for v in range(256)}\n",
+        "_ENTRY_BYTES = {str(v): v % 256 for v in range(257)}\n",
+        (f"{PARSE}::test_lookup_and_int_paths_agree",),
+        "the plain parser's byte lookup reads \"256\" as 0 instead of leaving it to the int() path",
+    ),
+    Mutant(
+        "ragged-rows-take-the-byte-path", CATALOG,
+        "        if decoded is not None and set(map(len, decoded)) == {n}:\n",
+        "        if decoded is not None and sum(map(len, decoded)) == n * n:\n",
+        (f"{PARSE}::test_lookup_and_int_paths_agree",),
+        "plain rows of uneven widths that hold n * n entries in all are read as a table",
     ),
     Mutant(
         "latin-sufficiency-hypothesis-to-order-5", CHECKS,

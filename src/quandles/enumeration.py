@@ -17,33 +17,35 @@ of its n! relabelings; without, it gives all its labeled tables.
 ``verify`` checks the kept table of each class and counts its reports
 that many times.
 
-The scans over all of S_n (``_least_relabeling``, ``_labeled_tables``)
-read the relabelings of order n from one table, built once per order:
-(translate table, inverse) for every sigma, split by sigma^-1(1), each
-part in ``itertools.permutations`` order (1 ms to build at order 6;
-0.05 s and about 15 MB at order 8; above ``ISO_ORDER_GUARD`` no table is
-kept and the relabelings are built as the scan goes). Unless a block
-below applies, the canonical-form scan visits only the parts
-x = sigma^-1(1) whose row x has the most entries equal to x, as only
-they give the least first row, and the class test
-(``_column_major_ties``) only the relabelings that keep column 1: for
-each column x of R_1's cycle type, a fixed relabeling moving R_x onto
-R_1 composed with each member of the centraliser of R_1 that fixes 1,
-which the search lists too (``_centralizer_parts``).
+Every scan over relabelings reads one store, ``_block_relabelings(n, k)``:
+(translate table, inverse) for each sigma that maps the block 1..k onto
+itself, Sym({1..k}) x Sym({k+1..n}), in ``itertools.permutations``
+order, kept per (n, k) up to ``ISO_ORDER_GUARD`` and built as the scan
+goes above it. Only the labeled tables (``_labeled_tables``) read all of
+S_n, k = 0: about 15 MB at order 8, which neither ``--iso`` nor a
+consistent ``verify`` builds. Unless a block below applies, the canonical-form scan
+(``_least_relabeling``) visits only the sigma with sigma^-1(1) = x for
+an x whose row has the most entries equal to x, as only they give the
+least first row: each such x is a front, put first once, and the sigma
+fixing 1 (k = 1) are scanned from there. The class test
+(``_column_major_ties``) visits only the relabelings that keep column 1:
+for each column x of R_1's cycle type, a fixed relabeling moving R_x
+onto R_1 composed with each member of the centraliser of R_1 that fixes
+1, read from the same store (k = 1) and shared with the search
+(``_centralizer_parts``).
 
 Both scans skip the relabelings that break a block the table forces
 first. In the class test, when R_1 = R_2 = id, the leading identity
 columns 1..k: a relabeling that puts a non-identity column among them
 gives a column above the identity there. In the canonical-form scan,
-when 2 <= |F| < n, the points F whose row is constant: no other row
+when 1 <= |F| < n, the points F whose row is constant: no other row
 holds one of them, so a relabeling that puts a non-constant row among
 the first |F| gives a row above the constant one there. Either scan
-then visits only Sym(block) x Sym(rest), k!(n-k)! relabelings, from one
-table per (n, k) (``_block_relabelings``), and compares from the first
-column or row after the block; the canonical form relabels F to the
-front once first. The class test visits 5,135 relabelings at order 6,
-not 15,087, and 83,255 at order 7, not 314,343; the canonical forms
-14,880, not 23,880, and 247,440, not 475,920.
+then visits only Sym(block) x Sym(rest), k!(n-k)! relabelings, and
+compares from the first column or row after the block; the canonical
+form puts F first once, as the one front. The class test visits 5,135
+relabelings at order 6, not 15,087, and 83,255 at order 7, not 314,343;
+the canonical forms 14,880, not 23,880, and 247,440, not 475,920.
 
 Each sigma builds one column or row first and is dropped if it is above
 the target's: its table is then above the target. That is exact: a sigma
@@ -158,7 +160,7 @@ from .perm import Permutation
 from .quandle import Quandle
 
 # The largest orders searched without an explicit guard, from measured
-# times on 2 vCPUs. ``enumerate 8 --iso`` takes about 6 s in process,
+# times on 2 vCPUs. ``enumerate 8 --iso`` takes about 5 s in process,
 # 2.5 s of it the search (scripts/iso_orders.py writes BENCH_iso.json). The
 # labeled order-7 stream of 152,900 tables takes about 9 s and peaks
 # at about 34 MB (scripts/labeled_orders.py writes BENCH_labeled.json);
@@ -679,18 +681,16 @@ def _cycle_order(p: bytes, x: int) -> bytes:
 def _centralizer_parts(p: bytes) -> dict[int, list[tuple[bytes, bytes]]]:
     """The relabelings tau that fix 0 and commute with p, split by tau^-1(1), as (translate table, inverse).
 
-    Read from the search's column-0 candidates and kept for the life of
-    the process, one per first column met: at most one per cycle type,
-    and all (n-1)! relabelings fixing 0 for the identity. Needs n > 1.
+    Read from ``_block_relabelings(n, 1)``, in its order, and kept for the
+    life of the process, one per first column met: at most one per cycle
+    type, and all (n-1)! relabelings fixing 0 for the identity. Needs n > 1.
     """
     n = len(p)
-    tail = bytes(range(n, 256))
-    ptab = p + tail
+    ptab = p + bytes(range(n, 256))
     parts: dict[int, list[tuple[bytes, bytes]]] = {}
-    for tau in _candidate_columns(n)[0]:
-        tab = tau + tail
-        if p.translate(tab) == tau.translate(ptab):
-            parts.setdefault(tau.index(1), []).append((tab, bytes(map(tau.index, range(n)))))
+    for tab, inv in _block_relabelings(n, 1):
+        if p.translate(tab) == tab[:n].translate(ptab):
+            parts.setdefault(inv[1], []).append((tab, inv))
     return parts
 
 
@@ -713,7 +713,7 @@ def _labeled_tables(n: int, classes: Iterable[Quandle]) -> Iterator[bytes]:
     for q in classes:
         maps = [col + tail for col in q._col_bytes]
         tables = {b"".join(map(inv.translate, map(maps.__getitem__, inv))).translate(tab)
-                  for tab, inv in _relabelings_from(n, range(n))}
+                  for tab, inv in _block_relabelings(n, 0)}
         per_class.append(sorted(tables))
     for table in heapq.merge(*per_class):
         table = table.translate(_ONE_BASED)
@@ -800,10 +800,10 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     """The lexicographically minimal relabeling of the table, with a witnessing map.
 
     Scans only the relabelings that can give the least table: those that
-    put the constant rows first, when two or more rows are constant, and
-    otherwise those that can give the least first row, read from tables
-    cached per order up to ``ISO_ORDER_GUARD``; a relabeling is dropped
-    at its first row above the best table's.
+    put the constant rows first, when some but not all rows are constant,
+    and otherwise those that put first a row holding its own point most
+    often, one scan of ``_block_relabelings`` per such front; a
+    relabeling is dropped at its first row above the best table's.
     Meant for the small orders this package targets; the witness is the
     first least relabeling in ``itertools.permutations`` order.
     """
@@ -811,61 +811,33 @@ def canonical_form(q: Quandle) -> tuple[Quandle, Permutation]:
     return Quandle._of_valid_entries(entries, q.n), Permutation(sigma)
 
 
-def _relabelings(n: int, k: int = 0) -> Iterator[tuple[bytes, bytes]]:
-    """(translate table, inverse) of every sigma in S_n that maps 0..k-1 onto themselves.
-
-    0-based bytes, in ``permutations`` order; the table's first n bytes are
-    sigma itself. With k = 0 that is all of S_n, otherwise
-    Sym({0..k-1}) x Sym({k..n-1}).
-    """
-    identity = bytes(range(n))
-    tail = bytes(range(n, 256))
-    rests = list(map(bytes, permutations(identity[k:])))
-    for first in map(bytes, permutations(identity[:k])):
-        for sigma in map(first.__add__, rests):
-            yield sigma + tail, bytes.maketrans(sigma, identity)[:n]
-
-
-@functools.lru_cache(maxsize=None)
-def _relabeling_table(n: int) -> tuple[tuple[tuple[bytes, bytes], ...], ...]:
-    """``_relabelings(n)`` kept for the life of the process, split by sigma^-1(0); for n up to ``ISO_ORDER_GUARD``.
-
-    Part x holds the sigma with sigma(x) = 0, in ``permutations`` order.
-    """
-    parts: list[list[tuple[bytes, bytes]]] = [[] for _ in range(n)]
-    for relabeling in _relabelings(n):
-        parts[relabeling[1][0]].append(relabeling)
-    return tuple(map(tuple, parts))
-
-
-def _relabelings_from(n: int, starts: Iterable[int]) -> Iterator[tuple[bytes, bytes]]:
-    """The relabelings sigma with sigma^-1(0) in starts, read from ``_relabeling_table(n)``.
-
-    Above ``ISO_ORDER_GUARD`` they are built as the scan goes: the table
-    would hold about 160 MB at order 9 and ten times that at order 10.
-    """
-    if n > ISO_ORDER_GUARD:
-        starts = set(starts)
-        return (relabeling for relabeling in _relabelings(n) if relabeling[1][0] in starts)
-    table = _relabeling_table(n)
-    return chain.from_iterable(table[x] for x in starts)
+# (n, k) -> ``_block_relabelings(n, k)``, for n up to ``ISO_ORDER_GUARD``.
+_KEPT_RELABELINGS: dict[tuple[int, int], tuple[tuple[bytes, bytes], ...]] = {}
 
 
 def _block_relabelings(n: int, k: int) -> Iterable[tuple[bytes, bytes]]:
-    """``_relabelings(n, k)``, the k!(n-k)! relabelings that keep the block 0..k-1.
+    """(translate table, inverse) of the k!(n-k)! sigma in S_n that map the block 0..k-1 onto itself.
 
-    Kept per (n, k) for the life of the process up to ``ISO_ORDER_GUARD``
-    (at most 7! pairs, at order 8 with k = 7), and built as the scan goes
-    above it.
+    0-based bytes, in ``permutations`` order; the table's first n bytes are
+    sigma itself. With k = 0 or k = n that is all of S_n, otherwise
+    Sym({0..k-1}) x Sym({k..n-1}). Kept per (n, k) for the life of the
+    process up to ``ISO_ORDER_GUARD`` (n! pairs with k = 0, read only by the
+    labeled tables; at most 7! otherwise, at order 8 with k = 1 or 7), and
+    built as the scan goes above it: the 9! pairs would hold about 160 MB.
     """
+    kept = _KEPT_RELABELINGS.get((n, k))
+    if kept is not None:
+        return kept
+    identity = bytes(range(n))
+    tail = bytes(range(n, 256))
+    rests = list(map(bytes, permutations(identity[k:])))
+    relabelings = ((sigma + tail, bytes.maketrans(sigma, identity)[:n])
+                   for first in map(bytes, permutations(identity[:k]))
+                   for sigma in map(first.__add__, rests))
     if n > ISO_ORDER_GUARD:
-        return _relabelings(n, k)
-    return _block_table(n, k)
-
-
-@functools.lru_cache(maxsize=None)
-def _block_table(n: int, k: int) -> tuple[tuple[bytes, bytes], ...]:
-    return tuple(_relabelings(n, k))
+        return relabelings
+    kept = _KEPT_RELABELINGS[n, k] = tuple(relabelings)
+    return kept
 
 
 def _least_relabeling(q: Quandle) -> tuple[bytes, bytes, int]:
@@ -879,65 +851,67 @@ def _least_relabeling(q: Quandle) -> tuple[bytes, bytes, int]:
     sigma that gives the least table is counted, and the least of them in
     ``permutations`` order is the witness. They form one coset of Aut(Q),
     so the count is |Aut(Q)|. Only sigma that can give the least table
-    are scanned:
+    are scanned, those that put one of the fronts below first:
 
     - Block lemma: let F be the points whose row is constant (all x for
       row x). A point x of F appears in no other row, as y*z = x = x*z
       forces y = x. So a sigma that does not map F onto 0..|F|-1 puts,
       at the first r < |F| with sigma^-1(r) outside F, a non-constant row
       whose entries are all at least r, above the constant row r that
-      the others put there. When 2 <= |F| < n, the table is relabeled
-      once by alpha, which puts F first in ascending order and keeps the
-      order of the rest; each beta of ``_block_relabelings(n, |F|)`` is
-      compared from row |F|, and sigma = beta alpha. All rows are
-      constant when |F| = n: every sigma gives the table itself.
+      the others put there. When 1 <= |F| < n, F is the one front, and
+      rows 0..|F|-1 are constant for every sigma scanned, so the rows are
+      compared from row |F|. All rows are constant when |F| = n: every
+      sigma gives the table itself.
     - Otherwise row 0 has as many 0s as row x has entries x, and puts
-      them first when it is least, so only the sigma whose
-      x = sigma^-1(0) has the most such entries are scanned.
+      them first when it is least, so each x with the most such entries
+      is a front [x], and the rows are compared from row 0.
+
+    Each front relabels the table once by alpha, which puts the front
+    first in ascending order and keeps the order of the rest; each beta of
+    ``_block_relabelings(n, len(front))`` is then scanned, and
+    sigma = beta alpha. The fronts' sigma are disjoint.
     """
     n = q.n
     identity = bytes(range(n))
     tail = bytes(range(n, 256))
-    left = [bytes([v - 1 for v in row]) + tail for row in q.rows]
-    fixes = [row.count(x) for x, row in enumerate(left)]
-    constant = [x for x in range(n) if fixes[x] == n]
-    if len(constant) == n:
-        table = b"".join([row[:n] for row in left]).translate(_ONE_BASED)
-        return table, identity.translate(_ONE_BASED), math.factorial(n)
-    if len(constant) >= 2:
-        start = len(constant)
-        order = bytes(constant + [x for x in range(n) if fixes[x] < n])
-        alpha = bytes.maketrans(order, identity)[:n]
-        alpha_tab = alpha + tail
-        left = [order.translate(left[x]).translate(alpha_tab) + tail for x in order]
-        relabelings = _block_relabelings(n, start)
+    rows = [bytes([v - 1 for v in row]) + tail for row in q.rows]
+    fixes = [row.count(x) for x, row in enumerate(rows)]
+    most = max(fixes)
+    leaders = [x for x in range(n) if fixes[x] == most]
+    if most == n:
+        if len(leaders) == n:
+            table = b"".join([row[:n] for row in rows]).translate(_ONE_BASED)
+            return table, identity.translate(_ONE_BASED), math.factorial(n)
+        fronts, start = [leaders], len(leaders)
     else:
-        start = 0
-        alpha = identity
-        most = max(fixes)
-        relabelings = _relabelings_from(n, [x for x in range(n) if fixes[x] == most])
+        fronts, start = [[x] for x in leaders], 0
     best: list[bytes] = []
     best_sigma = b""
     ties = 0
-    for tab, inv in relabelings:
-        new_row = inv.translate(left[inv[start]]).translate(tab)
-        if best:
-            if new_row > best[start]:
-                continue
-            if new_row == best[start]:
-                for r in range(start + 1, n):
-                    new_row = inv.translate(left[inv[r]]).translate(tab)
-                    if new_row != best[r]:
-                        break
-                else:
-                    ties += 1  # the same table: the least witness stays
-                    best_sigma = min(best_sigma, alpha.translate(tab))
+    for front in fronts:
+        order = bytes(front + [x for x in range(n) if x not in front])
+        alpha = bytes.maketrans(order, identity)[:n]
+        alpha_tab = alpha + tail
+        left = [order.translate(rows[x]).translate(alpha_tab) + tail for x in order]
+        for tab, inv in _block_relabelings(n, len(front)):
+            new_row = inv.translate(left[inv[start]]).translate(tab)
+            if best:
+                if new_row > best[start]:
                     continue
-                if new_row > best[r]:
-                    continue
-        best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
-        best_sigma = alpha.translate(tab)
-        ties = 1
+                if new_row == best[start]:
+                    for r in range(start + 1, n):
+                        new_row = inv.translate(left[inv[r]]).translate(tab)
+                        if new_row != best[r]:
+                            break
+                    else:
+                        ties += 1  # the same table: the least witness stays
+                        best_sigma = min(best_sigma, alpha.translate(tab))
+                        continue
+                    if new_row > best[r]:
+                        continue
+            best = [inv.translate(left[inv[r]]).translate(tab) for r in range(n)]
+            best_sigma = alpha.translate(tab)
+            ties = 1
     return b"".join(best).translate(_ONE_BASED), best_sigma.translate(_ONE_BASED), ties
 
 

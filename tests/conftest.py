@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from quandles import enumeration
 from quandles.constructions import builtin_example
 from quandles.enumeration import EnumerationTask, enumerate_quandles
 
@@ -30,3 +31,21 @@ def _cached_enumeration(order: int, up_to_iso: bool):
 def enumerated():
     """Memoized enumeration shared across test modules; order 6 raw is the slow one."""
     return _cached_enumeration
+
+
+@pytest.fixture
+def relabelings_read(monkeypatch):
+    """The (n, k) of each ``_block_relabelings(n, k)`` read from here on, in order.
+
+    The centralisers are built again, so that their reads are seen too.
+    """
+    read = []
+    store = enumeration._block_relabelings
+
+    def watched(n, k):
+        read.append((n, k))
+        return store(n, k)
+
+    enumeration._centralizer_parts.cache_clear()
+    monkeypatch.setattr(enumeration, "_block_relabelings", watched)
+    return read

@@ -109,6 +109,7 @@ class TestParseTable:
         ["1 3 2", "3 2 1", "2 1 3"], ["1 3 2", "3 2 1", "02 1 3"], ["1 3 2", "3 +2 1", "2 1 3"],
         ["1 3 2", "3 2 \u0661", "2 1 3"], ["1 3 2", "3 2 1", "2 1 3 3"], ["1 3 2", "3 2", "2 1 3"],
         ["1 3 2", "3 2 1", "2 1 0"], ["1 2 3", "3 2 1", "2 1 3"], ["1 3 2", "3 2 1", "2 255 3"],
+        ["1 3 2", "3 2 1", "2 256 3"], ["1 3 2", "3 2 1 2", "1 3"],
     ])
     def test_lookup_and_int_paths_agree(self, rows):
         text = "3\n" + "\n".join(rows) + "\n"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quandles
-from quandles import checks, constructions, enumeration
+from quandles import checks, cli, constructions, enumeration
 from quandles.catalog import serialize_table
 from quandles.cli import main
 from quandles.orbits import orbits
@@ -216,16 +216,12 @@ class TestVerify:
         assert main(["verify", "6"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256["text"]
 
-    def test_verify_reads_no_relabeling_table(self, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("called")
-
-        # The class test's centralisers are built again, from the search's columns.
-        enumeration._centralizer_parts.cache_clear()
-        monkeypatch.setattr(enumeration, "_relabelings_from", refuse)
-        monkeypatch.setattr(enumeration, "_relabeling_table", refuse)
+    def test_verify_reads_no_relabeling_table(self, relabelings_read, capsys):
         assert main(["verify", "6"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY6_SHA256["text"]
+        # The centralisers read the (n-1)! relabelings fixing 0; only the
+        # labeled tables of an inconsistent class would read all n!.
+        assert (6, 1) in relabelings_read and (6, 0) not in relabelings_read
 
     def test_order7_counts_every_labeled_table(self, capsys):
         assert main(["verify", "7"]) == 0
@@ -381,6 +377,12 @@ class TestOrderGuards:
             f"order {enumeration.ISO_ORDER_GUARD}: 0 quandles, 0 reports, 0 inconsistent"
         )
         assert out[-1] == "all checks consistent"
+
+    def test_the_parsers_literals_equal_their_sources(self):
+        # The parser is built without importing enumeration, from copies.
+        assert cli._FILTERS == tuple(sorted(enumeration.PREDICATES))
+        assert cli._LABELED_ORDER_GUARD == enumeration.LABELED_ORDER_GUARD
+        assert cli._ISO_ORDER_GUARD == enumeration.ISO_ORDER_GUARD
 
 
 class TestUsage:

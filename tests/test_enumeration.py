@@ -340,10 +340,12 @@ class TestSymmetryBreaking:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_TABLES_SHA256[iso]
 
-    def test_order7_stream_is_unchanged(self):
+    def test_order7_stream_is_unchanged(self, relabelings_read):
         rows = [q.rows for q in enumerate_quandles(EnumerationTask(7, up_to_iso=True))]
         assert len(rows) == 298
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER7_ISO_SHA256
+        # Only the labeled tables read all 7! relabelings.
+        assert (7, 1) in relabelings_read and (7, 0) not in relabelings_read
 
     def test_parallel_order6_iso_matches_serial(self):
         task = EnumerationTask(6, up_to_iso=True)
@@ -576,6 +578,25 @@ class TestCanonicalForm:
             canon, sigma = canonical_form(Quandle(rows))
             assert (canon.rows, sigma.images) == canonical_labeling(rows)
 
+    # Every such class up to order 6 (53 of the 73 at order 6), and 16 of
+    # the 179 at order 7, about 50 ms each for the oracles.
+    @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None), (6, None), (7, 16)])
+    def test_rows_tied_for_the_most_fixes_match_the_oracles(self, n, sample):
+        # Several rows hold their own point most often: each is a front of
+        # the scan unless they are the constant rows.
+        def tied(rows):
+            fixes = [row.count(x) for x, row in enumerate(rows, 1)]
+            return fixes.count(max(fixes)) >= 2
+
+        tables = [rows for rows in relabeled_off_the_prefix(n) if tied(rows)]
+        if sample is not None:
+            tables = random.Random(n).sample(tables, sample)
+        for rows in tables:
+            q = Quandle(rows)
+            canon, sigma = canonical_form(q)
+            assert (canon.rows, sigma.images) == canonical_labeling(rows)
+            assert _least_relabeling(q)[2] == automorphism_count(rows)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_each_canonical_form_is_built_as_its_validated_table(self, n):
         # The canonical forms are relabelings of validated tables, built
@@ -587,12 +608,13 @@ class TestCanonicalForm:
             assert (canon.rows, canon._row_bytes, canon._col_bytes) == (
                 validated.rows, validated._row_bytes, validated._col_bytes)
 
-    def test_above_the_iso_guard_no_relabeling_table_is_kept(self):
-        # The order-9 table would hold 9! relabelings, about 160 MB.
+    def test_above_the_iso_guard_no_relabeling_table_is_kept(self, relabelings_read):
+        # The 9! relabelings would hold about 160 MB. Each row of the
+        # dihedral quandle fixes only its own point, so each is a front.
         q = dihedral(ISO_ORDER_GUARD + 1)
-        before = enumeration._relabeling_table.cache_info()
         canon, sigma = canonical_form(q)
-        assert enumeration._relabeling_table.cache_info() == before
+        assert relabelings_read == [(ISO_ORDER_GUARD + 1, 1)] * (ISO_ORDER_GUARD + 1)
+        assert all(n <= ISO_ORDER_GUARD for n, _ in enumeration._KEPT_RELABELINGS)
         assert q.relabel(sigma) == canon
         assert _least_relabeling(q)[2] == 54  # Aut of the dihedral quandle of order 9 is Aff(Z_9)
 
@@ -698,16 +720,11 @@ class TestPartitioning:
         assert outputs[0] == outputs[1] and outputs[0]
         assert serial_pool == []
 
-    def test_the_units_read_no_relabeling_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("called")
-
+    def test_the_units_read_no_relabeling_table(self, relabelings_read):
         expected = list(_raw_tables(6))
-        enumeration._centralizer_parts.cache_clear()
-        monkeypatch.setattr(enumeration, "_relabelings_from", refuse)
-        monkeypatch.setattr(enumeration, "_relabeling_table", refuse)
         units = _column1_representatives(6)
         assert [t for p in units for t in enumeration._first_column_tables(6, p)] == expected
+        assert (6, 1) in relabelings_read and (6, 0) not in relabelings_read
 
     def test_the_parallel_stream_yields_while_the_pool_is_open(self, serial_pool):
         stream = enumeration._parallel_quandles(EnumerationTask(5), 2)

@@ -21,6 +21,7 @@ def test_iso_orders_measures_the_orderly_search():
     result = load("iso_orders").measure(6)
     assert result["stream_unchanged"]
     assert result["searched_tables"] == 113
+    assert result["peak_rss_mb"] > 0
 
 
 def test_labeled_orders_measures_the_labeled_search():
