@@ -18,7 +18,7 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The thirty take about 25 s on 2 vCPUs with Python
+mutant survives. The thirty-two take about 26-30 s on 2 vCPUs with Python
 3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
@@ -27,8 +27,9 @@ per orbit and taken by the other columns, a screen that decides without
 walking points, a witness list that is capped, a scan that keeps a block
 of the table first, a table built without its screen, and the orderly
 search's levels and screens, the class test's prechecks, the pruning
-of ``are_isomorphic``, the canonical form's fronts and the plain
-parser's byte lookup. Each new fast path adds its own.
+of ``are_isomorphic``, the canonical form's fronts, the plain parser's
+byte lookup, and a verdict or structure kept by the wrong key. Each new
+fast path adds its own.
 """
 
 from __future__ import annotations
@@ -284,6 +285,37 @@ MUTANTS = (
         "    hypothesis = has_repeat_free_profile(q) and q.n <= 5\n",
         ("tests/test_checks.py::TestHypothesisTallies::test_each_order_pins_its_tallies",),
         "the latin-sufficiency hypothesis holds only up to order 5, so orders 6 and up test nothing",
+    ),
+    Mutant(
+        "cycle-shift-memo-by-degree", CHECKS,
+        "    verdict = None if memo is None else memo.get(structure)\n"
+        "    if verdict is None:\n"
+        "        counted, failures = _cycle_shift_failures(_consecutive_form(structure))\n"
+        "        verdict = (counted, *_capped(failures))\n"
+        "        if memo is not None:\n"
+        "            memo[structure] = verdict\n",
+        "    verdict = None if memo is None else memo.get(structure.degree)\n"
+        "    if verdict is None:\n"
+        "        counted, failures = _cycle_shift_failures(_consecutive_form(structure))\n"
+        "        verdict = (counted, *_capped(failures))\n"
+        "        if memo is not None:\n"
+        "            memo[structure.degree] = verdict\n",
+        ("tests/test_checks.py::TestVerdictsAcrossTables::test_a_block_inside_an_open_one_shares_its_memo",
+         "tests/test_cli.py::TestVerify::test_one_cycle_shift_verdict_per_structure_per_run"),
+        "the cycle-shift memo is keyed by degree, so structures of one degree share a verdict",
+    ),
+    Mutant(
+        "structures-kept-by-length-set", PERM,
+        "        kept = _KEPT_STRUCTURES.get(entries)\n"
+        "        if kept is None:\n"
+        "            kept = _KEPT_STRUCTURES[entries] = cls(entries)\n",
+        "        key = tuple(length for length, _ in entries)\n"
+        "        kept = _KEPT_STRUCTURES.get(key)\n"
+        "        if kept is None:\n"
+        "            kept = _KEPT_STRUCTURES[key] = cls(entries)\n",
+        ("tests/test_perm.py::TestCycleStructure::test_from_lengths_keeps_one_instance_per_structure",
+         "tests/test_cli.py::TestVerify::test_order6_output_is_unchanged"),
+        "from_lengths keeps one instance per set of lengths, so (1^2,2) is returned for (1,2)",
     ),
 )
 

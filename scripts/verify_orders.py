@@ -43,7 +43,9 @@ orders 3-7 and with the hypothesis tallies, ``parent-3b1d4b4`` against
 ``block-scans``, whose class test visits only the relabelings that keep
 the leading identity columns first; then, the same way,
 ``parent-26a6794`` against ``identity-block``, whose search prunes by
-every relabeling that permutes the leading identity columns.
+every relabeling that permutes the leading identity columns; then
+``parent-249e1a7`` against ``run-memo``, whose ``verify`` decides one
+cycle-shift verdict per cycle structure for the whole run.
 """
 
 from __future__ import annotations

@@ -41,10 +41,12 @@ checked one by one, so every witness is computed. Only the cycle-shift
 relabeling walks each column's own cycles, as it lists them in canonical
 order, and only a read of a report's details builds it.
 
-Cycle shift on the relabeled f depends only on the cycle structure:
-within ``all_checks`` each structure in the table is checked once
-(``_cycle_shift_memo``), while each column's report reads its own
-relabeling. A call outside it computes the verdict. On a cycle of length
+Cycle shift on the relabeled f depends only on the cycle structure, so
+within a ``_cycle_shift_memo`` block each structure is checked once, while
+each column's report reads its own relabeling. ``all_checks`` opens one
+per table unless one is open already; ``verify`` holds one open over its
+whole run, so each structure is checked once per run. A call outside any
+block computes the verdict. On a cycle of length
 m it is screened by one slice compare per distance d = j - i, 2m - 1 in
 all; only a cycle that fails the screen is walked pair by pair, to name
 its failing pairs.
@@ -278,7 +280,14 @@ _CYCLE_SHIFT_MEMO: ContextVar[Optional[dict[CycleStructure, tuple[int, tuple[tup
 
 @contextmanager
 def _cycle_shift_memo() -> Iterator[None]:
-    """Within the block, ``check_cycle_shift`` checks each cycle structure once, as ``all_checks`` does per table."""
+    """Within the block, ``check_cycle_shift`` checks each cycle structure once.
+
+    A block opened inside another shares the enclosing memo, so
+    ``all_checks`` inside ``verify``'s run-long block adds to it.
+    """
+    if _CYCLE_SHIFT_MEMO.get() is not None:
+        yield
+        return
     token = _CYCLE_SHIFT_MEMO.set({})
     try:
         yield
@@ -290,9 +299,10 @@ def check_cycle_shift(p: Permutation) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
     f depends only on the cycle structure of p, so within a
-    ``_cycle_shift_memo`` block each structure is checked once. The
-    details read p's relabeling only when they are read, so the report
-    walks no cycle of p that p has not cached.
+    ``_cycle_shift_memo`` block (each ``all_checks`` call, or a whole
+    ``verify`` run) each structure is checked once; outside one the
+    verdict is computed. The details read p's relabeling only when they
+    are read, so the report walks no cycle of p that p has not cached.
     """
     structure = p.cycle_structure()
     memo = _CYCLE_SHIFT_MEMO.get()
@@ -518,7 +528,9 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
 def all_checks(q: Quandle) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Cycle shift is checked once per cycle structure in the table.
+    Cycle shift is checked once per cycle structure in the table, or,
+    inside an open ``_cycle_shift_memo`` block, once per structure in
+    the block.
     """
     reports = [
         check_conjugation_identity(q),

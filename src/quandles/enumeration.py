@@ -221,10 +221,13 @@ class EnumerationTask(Value):
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_columns(n: int) -> tuple[tuple[bytes, ...], ...]:
-    """For each column index j (0-based), the permutations fixing j as 0-based bytes, in lex order."""
-    all_perms = [bytes(p) for p in permutations(range(n))]
-    return tuple(tuple(p for p in all_perms if p[j] == j) for j in range(n))
+def _candidate_columns(n: int, j: int) -> tuple[bytes, ...]:
+    """The permutations of 0..n-1 fixing j (0-based) as bytes, in lex order; built on first use.
+
+    Each is a permutation of the other points with j put back at index j,
+    which keeps their lex order, so no list of all n! is filtered.
+    """
+    return tuple(bytes((*p[:j], j, *p[j:])) for p in permutations([*range(j), *range(j + 1, n)]))
 
 
 def _cycle_type(p: bytes) -> tuple[int, ...]:
@@ -312,10 +315,10 @@ def _screened_options(
     columns are 0-based bytes, at least one. Each generator s of the
     stabiliser (``_stabiliser_generators``) keeps the candidates that commute
     with it, read from commuting, keyed by (j, s), or found and stored there.
-    With no generator the candidates are ``_candidate_columns(n)[j]``.
+    With no generator the candidates are ``_candidate_columns(n, j)``.
     """
     n = len(columns[0])
-    options = _candidate_columns(n)[j]
+    options = _candidate_columns(n, j)
     generators = _stabiliser_generators(columns, j)
     if not generators:
         return options

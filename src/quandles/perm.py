@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +27,11 @@ class CycleStructure(Value):
 
     Renders in the usual compact notation: multiplicity-1 exponents are
     dropped, e.g. ``(1^2,4)`` for two fixed points and one 4-cycle.
+
+    ``from_lengths`` keeps one instance per structure while anything holds
+    it, so the permutations of one structure share its cached fields;
+    equality, hash, repr and pickle are defined by ``entries`` alone, and
+    the constructor always builds a new instance.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -42,11 +48,15 @@ class CycleStructure(Value):
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "CycleStructure":
-        """Aggregate raw cycle lengths into a structure."""
+        """Aggregate raw cycle lengths into a structure, the kept instance for its entries if there is one."""
         counts: dict[int, int] = {}
         for length in lengths:
             counts[length] = counts.get(length, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        entries = tuple(sorted(counts.items()))
+        kept = _KEPT_STRUCTURES.get(entries)
+        if kept is None:
+            kept = _KEPT_STRUCTURES[entries] = cls(entries)
+        return kept
 
     @property
     def degree(self) -> int:
@@ -97,6 +107,13 @@ class CycleStructure(Value):
     def __str__(self) -> str:
         terms = (f"{length}^{mult}" if mult > 1 else str(length) for length, mult in self.entries)
         return "(" + ",".join(terms) + ")"
+
+
+# The instances ``CycleStructure.from_lengths`` returns, by entries; each
+# is dropped once nothing else refers to it. Two threads may each build
+# one for the same entries; the two are equal, so nothing depends on which.
+_KEPT_STRUCTURES: weakref.WeakValueDictionary[tuple[tuple[int, int], ...], CycleStructure] = (
+    weakref.WeakValueDictionary())
 
 
 class Permutation:

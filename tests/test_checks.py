@@ -454,6 +454,36 @@ class TestVerdictsAcrossTables:
         for q, fields in zip(tables, checked):
             assert fields == [report_fields(r) for r in all_checks(Quandle(q.rows))]
 
+    def test_each_all_checks_call_decides_its_own_verdicts(self, monkeypatch):
+        # Outside verify no verdict outlives its call: under a wrong power the
+        # next call fails, and under the right one again it passes.
+        def shifts(q):
+            return [r.consistent for r in all_checks(q) if r.name == "cycle-shift"]
+
+        q = dihedral(5)
+        power = Permutation.__pow__
+        assert all(shifts(q))
+        monkeypatch.setattr(Permutation, "__pow__", lambda self, k: power(self, 2 * k))
+        assert not any(shifts(q))
+        monkeypatch.setattr(Permutation, "__pow__", power)
+        assert all(shifts(q))
+        assert checks._CYCLE_SHIFT_MEMO.get() is None
+
+    def test_a_block_inside_an_open_one_shares_its_memo(self, monkeypatch):
+        calls = []
+        compute = checks._cycle_shift_failures
+        monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
+        with checks._cycle_shift_memo():
+            # every column of dihedral(5) and affine(5, 4) is (1,2^2), of affine(5, 2) (1,4)
+            for q in (dihedral(5), dihedral(5), affine(5, 4)):
+                all_checks(q)
+            assert len(calls) == 1
+            with checks._cycle_shift_memo():
+                all_checks(affine(5, 2))
+            assert len(calls) == 2
+        all_checks(dihedral(5))
+        assert len(calls) == 3
+
     def test_relabeling_is_cached_and_equals_a_recomputation(self, enumerated):
         for q in enumerated(5, False):
             for p in translations_of(q):

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import quandles
-from quandles import checks, cli, constructions, enumeration
+from quandles import checks, cli, constructions, enumeration, perm
 from quandles.catalog import serialize_table
 from quandles.cli import main
 from quandles.orbits import orbits
+from quandles.perm import CycleStructure
 from quandles.quandle import MAX_TABLE_ORDER, Quandle
 
 # The child process imports the same package as this one, installed or not.
@@ -178,8 +179,20 @@ class TestVerify:
         monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
         assert main(["verify", "5"]) == 0
         assert "all checks consistent" in capsys.readouterr().out
-        # one verdict per cycle structure of each of the 34 class tables
-        assert len(calls) == sum(len(set(q.column_structures())) for n in range(1, 6) for q in enumerated(n, True))
+        # one verdict per distinct cycle structure over the whole run, every order
+        structures = {cs for n in range(1, 6) for q in enumerated(n, True) for cs in q.column_structures()}
+        assert len(calls) == len(structures)
+        assert {f.cycle_structure() for f in calls} == structures
+
+    def test_order6_builds_one_cycle_structure_per_structure(self, monkeypatch, capsys):
+        # Counted from an empty kept dict: the run's memo keeps each structure it met alive.
+        built = []
+        init = CycleStructure.__init__
+        monkeypatch.setattr(perm, "_KEPT_STRUCTURES", weakref.WeakValueDictionary())
+        monkeypatch.setattr(CycleStructure, "__init__", lambda cs, entries: built.append(entries) or init(cs, entries))
+        assert main(["verify", "6"]) == 0
+        assert "all checks consistent" in capsys.readouterr().out
+        assert len(built) == len(set(built)) == 19
 
     def test_one_table_alive_at_a_time(self, monkeypatch, capsys):
         refs = []

@@ -240,7 +240,6 @@ class TestStabiliserScreen:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_generators_and_candidates_on_every_subquandle(self, n, enumerated):
         # Classes suffice: a relabeling carries each case onto one of a class representative.
-        options = enumeration._candidate_columns(n)
         identity = tuple(range(1, n + 1))
         for q in enumerated(n, True):
             columns = [bytes(row[k] - 1 for row in q.rows) for k in range(n)]
@@ -252,9 +251,24 @@ class TestStabiliserScreen:
                     found = enumeration._stabiliser_generators(gens, j)
                     assert identity not in {tuple(v + 1 for v in s) for s in found}
                     assert generated_group([identity, *(tuple(v + 1 for v in s) for s in found)]) == stabiliser
-                    expected = [p for p in options[j]
+                    expected = [p for p in enumeration._candidate_columns(n, j)
                                 if all(p[g[x] - 1] == g[p[x]] - 1 for g in stabiliser for x in range(n))]
                     assert list(enumeration._screened_options(gens, j, {})) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_candidates_are_the_permutations_fixing_j_in_lex_order(self, n):
+        every = [bytes(p) for p in permutations(range(n))]
+        for j in range(n):
+            assert list(enumeration._candidate_columns(n, j)) == [p for p in every if p[j] == j]
+
+    def test_the_search_never_builds_column_0(self, monkeypatch):
+        asked = []
+        candidate_columns = enumeration._candidate_columns
+        monkeypatch.setattr(enumeration, "_candidate_columns", lambda n, j: asked.append(j) or candidate_columns(n, j))
+        for p in _column1_representatives(6):
+            for _ in _raw_tables(6, p):
+                pass
+        assert asked and 0 not in asked
 
     def test_the_cache_is_keyed_by_column_and_generator(self):
         # R_0 = (1 2) on 0-based points fixes 2 and 3: the stabiliser of 2 is <R_0>.

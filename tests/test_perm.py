@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 from itertools import permutations
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quandles import perm
 from quandles.perm import CycleStructure, DegreeMismatchError, Permutation
 
 from _oracles import brute_force_order, compose_images, inverse_images, power_images
@@ -193,6 +195,25 @@ class TestCycleStructure:
         fresh = CycleStructure(cs.entries)
         assert cs == fresh and hash(cs) == hash(fresh)
         assert pickle.loads(pickle.dumps(cs)) == fresh
+
+    def test_from_lengths_keeps_one_instance_per_structure(self):
+        cs = CycleStructure.from_lengths([4, 1, 3, 1, 4])
+        for lengths in ([1, 1, 3, 4, 4], [4, 4, 3, 1, 1], (x for x in [3, 4, 1, 4, 1])):
+            assert CycleStructure.from_lengths(lengths) is cs
+        assert Permutation.from_cycles(13, [(2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]).cycle_structure() is cs
+        # the constructor always builds a new one, equal and hashing alike
+        fresh = CycleStructure(cs.entries)
+        assert fresh is not cs and fresh == cs and hash(fresh) == hash(cs) and repr(fresh) == repr(cs)
+        assert CycleStructure.from_lengths([1, 3, 4]) is not cs
+        assert pickle.loads(pickle.dumps(cs)) == cs
+
+    def test_a_structure_nobody_holds_is_dropped(self):
+        entries = ((5, 1), (7, 2), (11, 1))
+        cs = CycleStructure.from_lengths([7, 5, 11, 7])
+        assert perm._KEPT_STRUCTURES[entries] is cs
+        del cs
+        gc.collect()
+        assert entries not in perm._KEPT_STRUCTURES
 
     def test_sort_order_uses_expanded_lengths(self):
         # (1^3) < (1,2) because the length sequences (1,1,1) < (1,2)

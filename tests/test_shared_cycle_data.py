@@ -96,14 +96,24 @@ class TestSharedCycleData:
                 reached.add(y)
             assert reached == set(range(1, q.n + 1))
 
-    def test_a_table_without_bytes_shares_structures_and_orders(self):
+    def test_a_table_without_bytes_shares_structures_and_orders(self, monkeypatch):
         element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
         q = Quandle([[element(v) for v in row] for row in dihedral(8).rows])
         assert q._col_bytes is None
-        for j, (col, cs) in enumerate(zip(q.columns(), q.column_structures()), 1):
+        # Only each orbit's first column has its cycles walked; the linked columns take its structure.
+        walked = []
+        cycles = Permutation.cycles
+        monkeypatch.setattr(Permutation, "cycles", lambda p: walked.append(p.images) or cycles(p))
+        structures = q.column_structures()
+        monkeypatch.setattr(Permutation, "cycles", cycles)
+        starts = sorted(min(block) for block in orbits(q))
+        assert len(starts) == 2
+        assert sorted(set(walked)) == sorted(q.right_translation(j).images for j in starts)
+        for y, x, _ in q._links:
+            assert structures[y - 1] is structures[x - 1]
+        for j, (col, cs) in enumerate(zip(q.columns(), structures), 1):
             lengths = sorted(map(len, cycles_of(col)))
             assert list(cs.lengths()) == lengths and cs.order == q.right_translation(j).order == math.lcm(*lengths)
-        assert len({id(cs) for cs in q.column_structures()}) == len(orbits(q)) == 2
 
     def test_all_checks_equals_the_direct_calls(self, all_rows):
         for rows in all_rows:
