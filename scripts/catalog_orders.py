@@ -13,8 +13,8 @@ plain format and half as gap matrices, alternating.
 Each round parses every text again, so no table keeps what an earlier
 round computed, and then runs the checkers one at a time over all tables,
 in the order ``all_checks`` runs them, so each one pays for the per-table
-caches it fills first. The cycle-shift stage checks each table in the
-block ``all_checks`` checks it in, so each cycle structure is checked
+caches it fills first. The cycle-shift stage passes each table one
+verdict dict, as ``all_checks`` does, so each cycle structure is checked
 once per table. Then every report is rendered as its
 ``report_record`` JSON (``records_s``): reading a cycle-shift report's
 details builds its relabeling, so that cost shows here, not in
@@ -156,8 +156,9 @@ def one_round(texts: list[tuple[str, str]],
     times["left_refinement_s"] = perf_counter() - start
     start = perf_counter()
     for q, out in zip(tables, reports):
-        with checks._cycle_shift_memo():
-            out.extend(checks.check_cycle_shift(q._right_translation(i)) for i in range(1, q.n + 1))
+        verdicts = {}
+        out.extend(checks.check_cycle_shift(q._right_translation(i), _verdicts=verdicts)
+                   for i in range(1, q.n + 1))
     times["cycle_shift_s"] = perf_counter() - start
     times["checkers_s"] = sum(times[f"{stage}_s"] for stage, _ in TABLE_CHECKERS) + (
         times["left_refinement_s"] + times["cycle_shift_s"])

@@ -18,7 +18,7 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The thirty-two take about 26-30 s on 2 vCPUs with Python
+mutant survives. The thirty-three take about 26-55 s on 2 vCPUs with Python
 3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
@@ -288,21 +288,29 @@ MUTANTS = (
     ),
     Mutant(
         "cycle-shift-memo-by-degree", CHECKS,
-        "    verdict = None if memo is None else memo.get(structure)\n"
+        "    verdict = None if _verdicts is None else _verdicts.get(structure)\n"
         "    if verdict is None:\n"
         "        counted, failures = _cycle_shift_failures(_consecutive_form(structure))\n"
         "        verdict = (counted, *_capped(failures))\n"
-        "        if memo is not None:\n"
-        "            memo[structure] = verdict\n",
-        "    verdict = None if memo is None else memo.get(structure.degree)\n"
+        "        if _verdicts is not None:\n"
+        "            _verdicts[structure] = verdict\n",
+        "    verdict = None if _verdicts is None else _verdicts.get(structure.degree)\n"
         "    if verdict is None:\n"
         "        counted, failures = _cycle_shift_failures(_consecutive_form(structure))\n"
         "        verdict = (counted, *_capped(failures))\n"
-        "        if memo is not None:\n"
-        "            memo[structure.degree] = verdict\n",
-        ("tests/test_checks.py::TestVerdictsAcrossTables::test_a_block_inside_an_open_one_shares_its_memo",
+        "        if _verdicts is not None:\n"
+        "            _verdicts[structure.degree] = verdict\n",
+        ("tests/test_checks.py::TestVerdictsAcrossTables::test_a_passed_store_keeps_its_verdicts_across_calls",
          "tests/test_cli.py::TestVerify::test_one_cycle_shift_verdict_per_structure_per_run"),
-        "the cycle-shift memo is keyed by degree, so structures of one degree share a verdict",
+        "the cycle-shift verdicts are keyed by degree, so structures of one degree share a verdict",
+    ),
+    Mutant(
+        "all-checks-ignores-the-passed-store", CHECKS,
+        "    if _verdicts is None:\n"
+        "        _verdicts = {}\n",
+        "    _verdicts = {}\n",
+        ("tests/test_cli.py::TestVerify::test_one_cycle_shift_verdict_per_structure_per_run",),
+        "all_checks keeps a fresh verdict dict per call, so verify decides each structure once per table",
     ),
     Mutant(
         "structures-kept-by-length-set", PERM,

@@ -42,11 +42,11 @@ relabeling walks each column's own cycles, as it lists them in canonical
 order, and only a read of a report's details builds it.
 
 Cycle shift on the relabeled f depends only on the cycle structure, so
-within a ``_cycle_shift_memo`` block each structure is checked once, while
-each column's report reads its own relabeling. ``all_checks`` opens one
-per table unless one is open already; ``verify`` holds one open over its
-whole run, so each structure is checked once per run. A call outside any
-block computes the verdict. On a cycle of length
+its verdict can be kept in a dict by structure, while each column's
+report reads its own relabeling. ``all_checks`` keeps one such dict per
+table unless it is passed one; ``verify`` passes one dict to every call of
+its run, so each structure is checked once per run. A call given no dict
+computes the verdict. On a cycle of length
 m it is screened by one slice compare per distance d = j - i, 2m - 1 in
 all; only a cycle that fails the screen is walked pair by pair, to name
 its failing pairs.
@@ -83,11 +83,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from contextlib import contextmanager
-from contextvars import ContextVar
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._value import Value
 from .orbits import is_connected, orbits
@@ -272,46 +270,22 @@ class _RelabelingDetails(Mapping):
         return dict, (dict(self),)
 
 
-# The capped cycle-shift verdicts of the ``_cycle_shift_memo`` block in
-# progress, by cycle structure; None outside one.
-_CYCLE_SHIFT_MEMO: ContextVar[Optional[dict[CycleStructure, tuple[int, tuple[tuple[int, int], ...], int]]]] = (
-    ContextVar("cycle_shift_memo", default=None))
-
-
-@contextmanager
-def _cycle_shift_memo() -> Iterator[None]:
-    """Within the block, ``check_cycle_shift`` checks each cycle structure once.
-
-    A block opened inside another shares the enclosing memo, so
-    ``all_checks`` inside ``verify``'s run-long block adds to it.
-    """
-    if _CYCLE_SHIFT_MEMO.get() is not None:
-        yield
-        return
-    token = _CYCLE_SHIFT_MEMO.set({})
-    try:
-        yield
-    finally:
-        _CYCLE_SHIFT_MEMO.reset(token)
-
-
-def check_cycle_shift(p: Permutation) -> CheckReport:
+def check_cycle_shift(p: Permutation, *,
+                      _verdicts: Optional[dict[CycleStructure, tuple]] = None) -> CheckReport:
     """f^(j-i) maps i to j whenever i, j share a cycle of the consecutive-relabeled f.
 
-    f depends only on the cycle structure of p, so within a
-    ``_cycle_shift_memo`` block (each ``all_checks`` call, or a whole
-    ``verify`` run) each structure is checked once; outside one the
-    verdict is computed. The details read p's relabeling only when they
+    f depends only on the cycle structure of p, so the capped verdict is
+    read from ``_verdicts`` by structure, or computed and kept there; with
+    no dict it is computed. The details read p's relabeling only when they
     are read, so the report walks no cycle of p that p has not cached.
     """
     structure = p.cycle_structure()
-    memo = _CYCLE_SHIFT_MEMO.get()
-    verdict = None if memo is None else memo.get(structure)
+    verdict = None if _verdicts is None else _verdicts.get(structure)
     if verdict is None:
         counted, failures = _cycle_shift_failures(_consecutive_form(structure))
         verdict = (counted, *_capped(failures))
-        if memo is not None:
-            memo[structure] = verdict
+        if _verdicts is not None:
+            _verdicts[structure] = verdict
     counted, witnesses, count = verdict
     return CheckReport("cycle-shift", True, count == 0, counted, witnesses, count, _RelabelingDetails(p))
 
@@ -525,12 +499,12 @@ def check_regular_cycle(q: Quandle) -> CheckReport:
     )
 
 
-def all_checks(q: Quandle) -> list[CheckReport]:
+def all_checks(q: Quandle, *,
+               _verdicts: Optional[dict[CycleStructure, tuple]] = None) -> list[CheckReport]:
     """Every checker on one quandle: table-level ones plus per-element ones.
 
-    Cycle shift is checked once per cycle structure in the table, or,
-    inside an open ``_cycle_shift_memo`` block, once per structure in
-    the block.
+    Cycle shift is checked once per cycle structure in the table, or, given
+    a ``_verdicts`` dict, once per structure over every call passed it.
     """
     reports = [
         check_conjugation_identity(q),
@@ -539,10 +513,11 @@ def all_checks(q: Quandle) -> list[CheckReport]:
         check_latin_necessary_conditions(q),
         check_regular_cycle(q),
     ]
-    with _cycle_shift_memo():
-        for i in range(1, q.n + 1):
-            reports.append(check_left_refinement(q, i))
-            reports.append(check_cycle_shift(q._right_translation(i)))
+    if _verdicts is None:
+        _verdicts = {}
+    for i in range(1, q.n + 1):
+        reports.append(check_left_refinement(q, i))
+        reports.append(check_cycle_shift(q._right_translation(i), _verdicts=_verdicts))
     return reports
 
 

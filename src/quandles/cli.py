@@ -150,8 +150,9 @@ def cmd_verify(args) -> int:
     labeled search order, name the inconsistent tables on stderr;
     relabeling keeps a report's consistency, so these are all of them.
     The cycle-shift verdict depends only on a column's cycle structure,
-    so one is decided per structure for the whole run, every order and
-    the re-check of inconsistent classes sharing one memo.
+    so one is decided per structure for the whole run: every
+    ``all_checks`` call, the re-check of inconsistent classes included,
+    is passed one verdict dict.
     """
     from . import checks, enumeration
 
@@ -161,37 +162,37 @@ def cmd_verify(args) -> int:
     # before any order is searched.
     tasks = [enumeration.EnumerationTask(order=n, up_to_iso=True, order_guard=args.guard)
              for n in range(1, args.max_order + 1)]
-    with checks._cycle_shift_memo():
-        for task in tasks:
-            n = task.order
-            tables = 0
-            reports = 0
-            bad = 0
-            bad_classes = []
-            # One class at a time: its table is checked and screened, then
-            # dropped unless it has an inconsistent report.
-            for q, labelings in enumeration._class_tables(task):
-                class_reports = checks.all_checks(q)
-                class_bad = sum(not report.consistent for report in class_reports)
-                tables += labelings
-                reports += labelings * len(class_reports)
-                bad += labelings * class_bad
-                candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
-                if class_bad:
-                    bad_classes.append(q)
-            for entries in enumeration._labeled_tables(n, bad_classes):
-                q = Quandle._of_entries(entries, n)
-                for report in checks.all_checks(q):
-                    if not report.consistent:
-                        print(f"INCONSISTENT {report.name} on order-{n} table {q.rows}", file=sys.stderr)
-            inconsistencies += bad
-            if args.format == "records":
-                _emit_record({
-                    "command": "verify", "order": n, "tables": tables,
-                    "reports": reports, "inconsistent": bad,
-                })
-            else:
-                _emit(f"order {n}: {tables} quandles, {reports} reports, {bad} inconsistent")
+    verdicts = {}
+    for task in tasks:
+        n = task.order
+        tables = 0
+        reports = 0
+        bad = 0
+        bad_classes = []
+        # One class at a time: its table is checked and screened, then
+        # dropped unless it has an inconsistent report.
+        for q, labelings in enumeration._class_tables(task):
+            class_reports = checks.all_checks(q, _verdicts=verdicts)
+            class_bad = sum(not report.consistent for report in class_reports)
+            tables += labelings
+            reports += labelings * len(class_reports)
+            bad += labelings * class_bad
+            candidates += labelings * len(checks.search_nonconnected_refinement((q,)))
+            if class_bad:
+                bad_classes.append(q)
+        for entries in enumeration._labeled_tables(n, bad_classes):
+            q = Quandle._of_entries(entries, n)
+            for report in checks.all_checks(q, _verdicts=verdicts):
+                if not report.consistent:
+                    print(f"INCONSISTENT {report.name} on order-{n} table {q.rows}", file=sys.stderr)
+        inconsistencies += bad
+        if args.format == "records":
+            _emit_record({
+                "command": "verify", "order": n, "tables": tables,
+                "reports": reports, "inconsistent": bad,
+            })
+        else:
+            _emit(f"order {n}: {tables} quandles, {reports} reports, {bad} inconsistent")
     if args.format == "records":
         _emit_record({
             "command": "verify", "ok": inconsistencies == 0,

@@ -467,20 +467,18 @@ class TestVerdictsAcrossTables:
         assert not any(shifts(q))
         monkeypatch.setattr(Permutation, "__pow__", power)
         assert all(shifts(q))
-        assert checks._CYCLE_SHIFT_MEMO.get() is None
 
-    def test_a_block_inside_an_open_one_shares_its_memo(self, monkeypatch):
+    def test_a_passed_store_keeps_its_verdicts_across_calls(self, monkeypatch):
         calls = []
         compute = checks._cycle_shift_failures
         monkeypatch.setattr(checks, "_cycle_shift_failures", lambda f: calls.append(f) or compute(f))
-        with checks._cycle_shift_memo():
-            # every column of dihedral(5) and affine(5, 4) is (1,2^2), of affine(5, 2) (1,4)
-            for q in (dihedral(5), dihedral(5), affine(5, 4)):
-                all_checks(q)
-            assert len(calls) == 1
-            with checks._cycle_shift_memo():
-                all_checks(affine(5, 2))
-            assert len(calls) == 2
+        verdicts = {}
+        # every column of dihedral(5) and affine(5, 4) is (1,2^2), of affine(5, 2) (1,4)
+        for q in (dihedral(5), dihedral(5), affine(5, 4)):
+            all_checks(q, _verdicts=verdicts)
+        assert len(calls) == 1
+        all_checks(affine(5, 2), _verdicts=verdicts)
+        assert len(calls) == 2
         all_checks(dihedral(5))
         assert len(calls) == 3
 

@@ -184,8 +184,22 @@ class TestVerify:
         assert len(calls) == len(structures)
         assert {f.cycle_structure() for f in calls} == structures
 
+    def test_check_cycle_shift_is_called_once_per_column(self, monkeypatch, capsys):
+        # bench/tracer.py times cycle shift by wrapping the public
+        # checks.check_cycle_shift, so every column must reach it.
+        calls = []
+        check = checks.check_cycle_shift
+        monkeypatch.setattr(checks, "check_cycle_shift", lambda p, **kw: calls.append(p) or check(p, **kw))
+        checks.all_checks(constructions.builtin_example("Q9_4"))
+        assert len(calls) == 9
+        calls.clear()
+        assert main(["verify", "4"]) == 0
+        assert "all checks consistent" in capsys.readouterr().out
+        # one call per column of each class table: 1*1 + 1*2 + 3*3 + 7*4
+        assert len(calls) == 40
+
     def test_order6_builds_one_cycle_structure_per_structure(self, monkeypatch, capsys):
-        # Counted from an empty kept dict: the run's memo keeps each structure it met alive.
+        # Counted from an empty kept dict: the run's verdict store keeps each structure it met alive.
         built = []
         init = CycleStructure.__init__
         monkeypatch.setattr(perm, "_KEPT_STRUCTURES", weakref.WeakValueDictionary())
