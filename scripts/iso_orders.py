@@ -3,13 +3,14 @@
     python3 scripts/iso_orders.py [--orders 6 7] [--label NAME] [--src DIR] [--out FILE]
 
 Runs in process, stdlib only, and takes about 0.3 s (``--orders 8``
-about 5 s, 2.5 s of it the search). For each order it runs
-the stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` one
-after the other: the orderly search (``_raw_tables``), validation of every searched table, and the isomorphism
-reduction, of which it also reports the shares of the class test, which
-keeps a table iff it is its own column-major least labeling
-(``_column_major_ties``, reported as ``class_test_s``), and of the
-canonical-form scan (``_least_relabeling``, reported as
+about 5 s, 2.5 s of it the search). For each order it streams the
+stages of ``enumerate_quandles(EnumerationTask(n, up_to_iso=True))`` as
+the enumeration does, one table at a time, and times each stage's own
+steps: the orderly search (``_raw_tables``), validation of every
+searched table, and the isomorphism reduction, of which it also reports
+the shares of the class test, which keeps a table iff it is its own
+column-major least labeling (``_column_major_ties``, reported as
+``class_test_s``), and of the canonical-form scan (``_least_relabeling``, reported as
 ``canonical_form_s``), and the process's peak resident set
 (``peak_rss_mb``, from ``ru_maxrss``, which only grows, so a later
 order's covers the earlier ones; run ``--orders 8`` alone for order 8's
@@ -44,7 +45,10 @@ canonical form, labeled tables and centralisers all read the block
 relabelings, so that no n! relabeling table is built for ``--iso``, at
 the same orders, and each again with ``--orders 8`` alone
 (``parent-8ed9789-order8``, ``one-store-order8``) for order 8's peak
-resident set.
+resident set; then ``parent-aa7b4f1``, whose harness held every searched
+and every validated table of an order in lists, against ``streamed``,
+this one, at the same orders and again at order 8 alone
+(``parent-aa7b4f1-order8``, ``streamed-order8``).
 """
 
 from __future__ import annotations
@@ -78,16 +82,30 @@ def measure(n: int) -> dict:
     from quandles import enumeration
     from quandles.quandle import Quandle
 
-    start = perf_counter()
-    raw = list(enumeration._raw_tables(n))
-    searched = perf_counter()
-    tables = [Quandle(rows) for rows in raw]
-    validated = perf_counter()
+    # Exclusive seconds per stage. The stages are streamed, as in
+    # ``enumerate``: the reduction pulls each table through validation,
+    # which pulls it from the search, so each stage times only its own
+    # steps, and the reduction's seconds are what the other two leave.
+    spent = dict.fromkeys(("search", *SCANS, "validation"), 0.0)
+    searched = [0]
+
+    def validated():
+        tables = enumeration._raw_tables(n)
+        while True:
+            t = perf_counter()
+            rows = next(tables, None)
+            found = perf_counter()
+            spent["search"] += found - t
+            if rows is None:
+                return
+            searched[0] += 1
+            q = Quandle(rows)
+            spent["validation"] += perf_counter() - found
+            yield q
 
     # The scans inside the reduction, each timed by a wrapper; a checkout
     # without the class test (``_column_major_ties``) reports 0 for it.
     scans = {name: getattr(enumeration, name) for name in SCANS if hasattr(enumeration, name)}
-    spent = dict.fromkeys(SCANS, 0.0)
 
     def timed(name, scan):
         def timed_scan(q):
@@ -98,30 +116,38 @@ def measure(n: int) -> dict:
                 spent[name] += perf_counter() - t
         return timed_scan
 
+    # The stream hashes as repr([q.rows ...]), fed one class at a time.
+    digest = hashlib.sha256(b"[")
+    classes = 0
     for name, scan in scans.items():
         setattr(enumeration, name, timed(name, scan))
+    start = perf_counter()
     try:
-        # Older checkouts yield (canonical form, n!/|Aut(Q)|) pairs.
-        reps = [r if isinstance(r, Quandle) else r[0] for r in enumeration._iso_reduce(iter(tables))]
+        for r in enumeration._iso_reduce(validated()):
+            # Older checkouts yield (canonical form, n!/|Aut(Q)|) pairs.
+            q = r if isinstance(r, Quandle) else r[0]
+            digest.update(((", " if classes else "") + repr(q.rows)).encode())
+            classes += 1
     finally:
         for name, scan in scans.items():
             setattr(enumeration, name, scan)
-    reduced = perf_counter()
+    total = perf_counter() - start
+    digest.update(b"]")
 
-    digest = hashlib.sha256(repr([q.rows for q in reps]).encode()).hexdigest()
+    sha = digest.hexdigest()
     return {
-        "searched_tables": len(raw),
-        "classes": len(reps),
-        "search_s": round(searched - start, 3),
-        "validation_s": round(validated - searched, 3),
-        "iso_s": round(reduced - validated, 3),
+        "searched_tables": searched[0],
+        "classes": classes,
+        "search_s": round(spent["search"], 3),
+        "validation_s": round(spent["validation"], 3),
+        "iso_s": round(total - spent["search"] - spent["validation"], 3),
         "class_test_s": round(spent["_column_major_ties"], 3),
         "canonical_form_s": round(spent["_least_relabeling"], 3),
-        "total_s": round(reduced - start, 3),
+        "total_s": round(total, 3),
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "stream_sha256": digest,
-        "stream_unchanged": digest == STREAM_SHA256.get(n) and len(reps) == CLASS_COUNTS.get(n),
+        "stream_sha256": sha,
+        "stream_unchanged": sha == STREAM_SHA256.get(n) and classes == CLASS_COUNTS.get(n),
     }
 
 

@@ -18,7 +18,7 @@ Stdlib only, plus pytest, which the tests need anyway.
 
 The results, with each mutant's seconds, are written to FILE (default
 ``BENCH_mutants.json`` at the repository root). The script exits 1 if a
-mutant survives. The thirty-three take about 26-55 s on 2 vCPUs with Python
+mutant survives. The thirty-three take about 40-55 s on 2 vCPUs with Python
 3.11.7.
 
 The mutants restate, on today's code, the faults each fast path was
@@ -114,9 +114,9 @@ MUTANTS = (
         "reports keep one witness fewer than the cap",
     ),
     Mutant(
-        "division-screen-drops-m-1", PERM,
-        "                    if m % order:\n",
-        "                    if m % order and m > 1:\n",
+        "division-screen-drops-m-1", CHECKS,
+        "            if m % order:\n",
+        "            if m % order and m > 1:\n",
         ("tests/test_checks.py::TestCycleLengthDivisionKernel::test_screen_pairs_each_needed_set_with_the_rows_it_tests",
          "tests/test_checks.py::TestCycleLengthDivisionKernel::test_arbitrary_tables_and_permutations"),
         "the cycle-length division screen leaves out Fix(f), the set of m = 1",
@@ -129,11 +129,11 @@ MUTANTS = (
         "axiom (iii) is taken on the orbit of {1, 2} under R_1 and R_3, one of them untested",
     ),
     Mutant(
-        "links-to-orbit-start", QUANDLE,
-        "links.extend([(y, x, column[y]) for y in new])",
-        "links.extend([(y, start, column[y]) for y in new])",
-        (f"{SHARED}::TestSharedCycleData::test_links_reach_every_other_point_of_each_orbit",),
-        "every point of an orbit is linked to the orbit's first point, the wrong parent",
+        "column-structures-from-one-orbit", QUANDLE,
+        "                structure = self._right_translation(min(block)).cycle_structure()\n",
+        "                structure = self._right_translation(min(self._orbits[0])).cycle_structure()\n",
+        (f"{SHARED}::TestPredicatesAgainstPointWalks::test_predicates_equal_point_walks",),
+        "every column takes the cycle structure of the first orbit's first column, not its own orbit's",
     ),
     Mutant(
         "later-translations-take-column-1-structure", QUANDLE,

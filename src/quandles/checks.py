@@ -26,7 +26,7 @@ The statements covered:
 
 Work that depends only on a permutation is cached on it, and work that
 depends only on a table on the table (orbits, latinity), so the checkers
-share it. The columns of one orbit are conjugate: for a link y = x*s,
+share it. The columns of one orbit are conjugate: for y = x*s,
 R_y = R_s R_x R_s^-1 and L_y = R_s L_x R_s^-1, and R_s is an automorphism
 (Joyce, J. Pure Appl. Algebra 23, 1982). This orbit lemma is the one step
 the checkers derive rather than compute. Each per-column verdict is
@@ -56,13 +56,14 @@ triples (k, x, y). Under f = R_k, l_{x*y} divides lcm(l_x, l_y) for all
 x, y exactly when each Fix(f^m), m = lcm(a, b) for cycle lengths a, b of
 f, is closed under *: x, y in Fix(f^m) have lcm(l_x, l_y) dividing m, and
 a failing pair x, y fails at m = lcm(l_x, l_y), so row x needs only the
-sets of the m = lcm(l_x, b), b a cycle length. Each permutation caches
-these sets as bytes, each with the rows that need it, except those of
-the m its order divides (every point). Row x fails iff for some set S
-that needs it, ``S.translate(row x)`` keeps a product once S is deleted
-from it. Only failing rows are rescanned point by point, with the cycle
-lengths, so failures keep their (k, x, y) order. Above order 256
-(entries no longer fit in bytes) every row is scanned so.
+sets of the m = lcm(l_x, b), b a cycle length. These sets are built as
+bytes for each orbit's first column, each with the rows that need it,
+except those of the m its order divides (every point). Row x fails iff
+for some set S that needs it, ``S.translate(row x)`` keeps a product
+once S is deleted from it. Only failing rows are rescanned point by
+point, with the cycle lengths, so failures keep their (k, x, y) order.
+Above order 256 (entries no longer fit in bytes) every row is scanned
+so.
 
 The other checkers that can fail point by point screen the same way, on
 the 0-based byte rows and columns the table keeps from validation:
@@ -70,13 +71,13 @@ conjugation identity is one pass of the validation's distributivity
 screen (R_k tested in full only for k = 1, 2 and the k outside their
 orbit under R_1 and R_2, which implies the rest), and left refinement at
 a bijective row, which makes the table connected, is decided once per
-table by one ``translate`` of row 1 by the R_1-cycle labels cached on
-the permutation, and kept on the table
-(``Quandle._left_keeps_r1_labels``). Their point-by-point loops run only
-to name witnesses: when a screen fails, and for left refinement only
-when the hypothesis holds too (a bijective row whose verdict would be
-inconsistent has its cycles walked, a non-bijective row is scanned to
-its first repeat), or, for a bijective row, above order 256.
+table by one ``translate`` of row 1 by the R_1-cycle labels, and kept
+on the table (``Quandle._left_keeps_r1_labels``). Their point-by-point
+loops run only to name witnesses: when a screen fails, and for left
+refinement only when the hypothesis holds too (a bijective row whose
+verdict would be inconsistent has its cycles walked, a non-bijective
+row is scanned to its first repeat), or, for a bijective row, above
+order 256.
 """
 
 from __future__ import annotations
@@ -307,6 +308,35 @@ def _cycle_lengths(f: Permutation) -> list[int]:
     return lengths
 
 
+def _division_screen(f: Permutation) -> tuple[tuple[bytes, bytes], ...]:
+    """The sets Fix(f^m) that the cycle-length division check needs closed.
+
+    m runs over lcm(a, b) for cycle lengths a, b of f, except the m that
+    the order divides (their set is every point). Each entry pairs the
+    set, the 0-based points whose cycle length divides m, with the points
+    x that must be tested against it: those of a length a with
+    m = lcm(a, b) for some length b, since a failing pair x, y fails at
+    m = lcm(l_x, l_y). Both are bytes. For degree at most 256 only.
+    """
+    cycles = f.cycles()
+    order = f.order
+    lengths = {len(cycle) for cycle in cycles}
+    row_lengths: dict[int, set[int]] = {}
+    for a in lengths:
+        for b in lengths:
+            m = math.lcm(a, b)
+            if m % order:
+                row_lengths.setdefault(m, set()).add(a)
+    screen = []
+    for m, needing in row_lengths.items():
+        fixed = bytes([x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
+        # An m that is itself a length is needed by every length dividing it.
+        tested = fixed if m in lengths else bytes(
+            [x - 1 for cycle in cycles if len(cycle) in needing for x in cycle])
+        screen.append((fixed, tested))
+    return tuple(screen)
+
+
 def cycle_length_division_failures(rows: Sequence[Sequence[int]],
                                    translations: Sequence[Permutation], *,
                                    _row_bytes: Optional[Sequence[bytes]] = None) -> list[tuple[int, int, int]]:
@@ -326,7 +356,7 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
     failures = []
     for k, f in enumerate(translations, 1):
         scan = range(n) if maps is None else sorted(
-            {x for fixed, tested in f._division_screen() for x in tested
+            {x for fixed, tested in _division_screen(f) for x in tested
              if fixed.translate(maps[x]).translate(None, fixed)})
         if scan:
             lengths = _cycle_lengths(f)
@@ -338,7 +368,7 @@ def cycle_length_division_failures(rows: Sequence[Sequence[int]],
 def check_cycle_length_division(q: Quandle) -> CheckReport:
     """l_z divides lcm(l_x, l_y) for z = x*y, cycle lengths taken under every R_k.
 
-    The first column of each orbit is screened. For a link y = x*s the
+    The first column of each orbit is screened. For y = x*s the
     automorphism R_s sends R_x's cycles onto R_y's and each failing pair
     under R_x onto one under R_y, so some column of an orbit fails iff
     the orbit's first column does. Only then are all n columns checked,

@@ -25,8 +25,7 @@ def orbits(q: Quandle) -> tuple[frozenset[int], ...]:
     On a finite set each translation has finite order, so its inverse is
     one of its powers, and a set closed under the translations is closed
     under the whole group. The partition is computed once per table and
-    kept on it, with the links that join conjugate translations
-    (``Quandle._find_orbits``).
+    kept on it (``Quandle._find_orbits``).
     """
     if q._orbits is None:
         q._find_orbits()

@@ -119,11 +119,11 @@ _KEPT_STRUCTURES: weakref.WeakValueDictionary[tuple[tuple[int, int], ...], Cycle
 class Permutation:
     """A bijection on {1..n} with a cached cycle decomposition, cycle structure and order.
 
-    The checkers' per-permutation data (the consecutive relabeling and the
-    cycle-length division screen) is cached on it too.
+    The consecutive relabeling that cycle-shift reports show is cached on it
+    too.
     """
 
-    __slots__ = ("images", "_cycles", "_structure", "_relabeling", "_screen", "_labels")
+    __slots__ = ("images", "_cycles", "_structure", "_relabeling")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -149,8 +149,6 @@ class Permutation:
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._structure: CycleStructure | None = None
         self._relabeling: tuple[int, ...] | None = None
-        self._screen: tuple[tuple[bytes, bytes], ...] | None = None
-        self._labels: bytes | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -255,50 +253,18 @@ class Permutation:
         return self._relabeling
 
     def _cycle_labels(self) -> bytes:
-        """A 256-byte translate table sending each 0-based point to a label of its cycle; cached.
+        """A 256-byte translate table sending each 0-based point to a label of its cycle.
 
         The labels are constant on each cycle and distinct across cycles;
         nothing else about them is promised: a cycle's label is its index
         among ``cycles()``. For degree at most 256 only. Bytes past the
         degree are zero.
         """
-        if self._labels is None:
-            labels = bytearray(256)
-            for c, cycle in enumerate(self.cycles()):
-                for x in cycle:
-                    labels[x - 1] = c
-            self._labels = bytes(labels)
-        return self._labels
-
-    def _division_screen(self) -> tuple[tuple[bytes, bytes], ...]:
-        """The sets Fix(f^m) that the cycle-length division check needs closed, cached.
-
-        m runs over lcm(a, b) for cycle lengths a, b of f, except the m that
-        the order divides (their set is every point). Each entry pairs the
-        set, the 0-based points whose cycle length divides m, with the points
-        x that must be tested against it: those of a length a with
-        m = lcm(a, b) for some length b, since a failing pair x, y fails at
-        m = lcm(l_x, l_y). Both are bytes. For degree at most 256 only.
-        """
-        if self._screen is None:
-            cycles = self.cycles()
-            order = self.order
-            lengths = {len(cycle) for cycle in cycles}
-            row_lengths: dict[int, set[int]] = {}
-            for a in lengths:
-                for b in lengths:
-                    m = math.lcm(a, b)
-                    if m % order:
-                        row_lengths.setdefault(m, set()).add(a)
-            screen = []
-            for m, needing in row_lengths.items():
-                fixed = bytes([x - 1 for cycle in cycles if m % len(cycle) == 0 for x in cycle])
-                # An m that is itself a length is needed by every length dividing it.
-                tested = fixed if m in lengths else bytes(
-                    [x - 1 for cycle in cycles if len(cycle) in needing for x in cycle])
-                screen.append((fixed, tested))
-            self._screen = tuple(screen)
-        return self._screen
+        labels = bytearray(256)
+        for c, cycle in enumerate(self.cycles()):
+            for x in cycle:
+                labels[x - 1] = c
+        return bytes(labels)
 
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.images, 1) if v == i)

@@ -39,14 +39,14 @@ every table above order 256, composing 0-based lists n^2 times, and a
 valid table whose entries are of an int subclass, which keeps no bytes.
 
 The cycles of the right translations are walked on one column per orbit.
-The orbits are grown from the rows, as row x is {x*s : s}, and every other
-point y is linked to a point x reached before it, with y = x*s. Since
-R_{x*s} = R_s R_x R_s^-1, R_y's cycle structure is R_x's, and
-``column_structures`` builds the translation of each orbit's first column
-only; a translation built later takes its structure from there. This
-orbit lemma is the one step the checkers derive rather than
-compute: they decide each per-column verdict on an orbit's first column,
-and a linked column takes it.
+The orbits are grown from the rows, as row x is {x*s : s}. For y = x*s,
+R_y = R_s R_x R_s^-1, so the columns of one orbit are conjugate and share
+a cycle structure: ``column_structures`` builds the translation of each
+orbit's first column only, and gives its structure to every column of the
+orbit; a translation built later takes its structure from there. This
+orbit lemma is the one step the checkers derive rather than compute: they
+decide each per-column verdict on an orbit's first column, and the other
+columns of the orbit take it.
 """
 
 from __future__ import annotations
@@ -266,9 +266,8 @@ def _validate_point_by_point(rows: tuple[tuple, ...], n: int) -> None:
 class Quandle:
     """An immutable, fully validated quandle table."""
 
-    __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_translations",
-                 "_structures", "_profile", "_row_mask", "_unique_fp", "_repeat_free", "_left_refines",
-                 "_orbits", "_links", "_invariants", "_iso_sig", "__weakref__")
+    __slots__ = ("n", "rows", "_cols", "_row_bytes", "_col_bytes", "_translations", "_structures",
+                 "_row_mask", "_unique_fp", "_repeat_free", "_left_refines", "_orbits", "__weakref__")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(rows)
@@ -322,15 +321,11 @@ class Quandle:
         # Right translations by column, built when first read.
         self._translations: list[Optional[Permutation]] = [None] * n
         self._structures: Optional[tuple[CycleStructure, ...]] = None
-        self._profile: Optional[Profile] = None
         self._row_mask: Optional[int] = None
         self._unique_fp: Optional[bool] = None
         self._repeat_free: Optional[bool] = None
         self._left_refines: Optional[bool] = None
         self._orbits: Optional[tuple[frozenset[int], ...]] = None
-        self._links: Optional[tuple[tuple[int, int, int], ...]] = None
-        self._invariants: Optional[tuple[tuple, ...]] = None
-        self._iso_sig = None
 
     def _check_element(self, x: int) -> None:
         if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.n:
@@ -374,19 +369,16 @@ class Quandle:
         return p
 
     def _find_orbits(self) -> None:
-        """Set the orbit partition and the links y = x*s that join conjugate columns.
+        """Set the orbit partition, each orbit grown breadth first from its least point.
 
         Row x is {x*s : s}, every point one right translation away from x,
-        so each orbit is grown breadth first from its least point by set
-        operations on rows; once every point is reached no row is read
-        again. Each point y that a row x adds is linked as (y, x, s), 1-based,
-        with y = x*s; x was reached before y, so its link comes first.
+        so an orbit is grown by set operations on rows; once every point is
+        reached no row is read again.
         """
         n = self.n
         rows = self.rows
         seen: set[int] = set()
         blocks = []
-        links = []
         for start in range(1, n + 1):
             if start in seen:
                 continue
@@ -395,16 +387,11 @@ class Quandle:
             for x in block:
                 if len(seen) == n:
                     break
-                row = rows[x - 1]
-                new = set(row).difference(seen)
-                if new:
-                    column = dict(zip(row, range(1, n + 1)))
-                    links.extend([(y, x, column[y]) for y in new])
-                    block.extend(new)
-                    seen.update(new)
+                new = set(rows[x - 1]).difference(seen)
+                block.extend(new)
+                seen.update(new)
             blocks.append(frozenset(block))
         self._orbits = tuple(blocks)
-        self._links = tuple(links)
 
     def left_translation(self, i: int) -> Optional[Permutation]:
         """The permutation x -> i*x (row i), or None when the row is not a bijection."""
@@ -476,25 +463,21 @@ class Quandle:
 
         Only the first column of each orbit has its cycles walked, and only
         its translation is built; the columns of one orbit are conjugate,
-        and each linked column takes the structure of the column it is
-        linked to. This is the one place structures follow the links.
+        and every column of the orbit takes its structure.
         """
         if self._structures is None:
-            if self._links is None:
+            if self._orbits is None:
                 self._find_orbits()
             structures: list[Optional[CycleStructure]] = [None] * self.n
             for block in self._orbits:
-                start = min(block)
-                structures[start - 1] = self._right_translation(start).cycle_structure()
-            for y, x, _ in self._links:
-                structures[y - 1] = structures[x - 1]
+                structure = self._right_translation(min(block)).cycle_structure()
+                for y in block:
+                    structures[y - 1] = structure
             self._structures = tuple(structures)
         return self._structures
 
     def profile(self) -> "Profile":
-        if self._profile is None:
-            self._profile = Profile.of(self.column_structures())
-        return self._profile
+        return Profile.of(self.column_structures())
 
     def relabel(self, sigma: Permutation) -> "Quandle":
         """The isomorphic table with every element x renamed to sigma(x)."""
@@ -510,17 +493,14 @@ class Quandle:
 
     def iso_signature(self):
         """Order-independent per-element invariants; equal for isomorphic quandles."""
-        if self._iso_sig is None:
-            self._iso_sig = tuple(sorted(self.element_invariants()))
-        return self._iso_sig
+        return tuple(sorted(self.element_invariants()))
 
     def element_invariants(self) -> tuple[tuple, ...]:
         """Per-element invariant preserved by isomorphism, indexed by element."""
-        if self._invariants is not None:
-            return self._invariants
+        structures = self.column_structures()
         invs = []
         for x in range(1, self.n + 1):
-            col_cs = self.column_structures()[x - 1].entries
+            col_cs = structures[x - 1].entries
             row = self.rows[x - 1]
             counts: dict[int, int] = {}
             fixes = 0
@@ -529,8 +509,7 @@ class Quandle:
                 if v == x:
                     fixes += 1
             invs.append((col_cs, tuple(sorted(counts.values())), fixes))
-        self._invariants = tuple(invs)
-        return self._invariants
+        return tuple(invs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Quandle) and self.rows == other.rows

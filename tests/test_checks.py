@@ -34,6 +34,7 @@ from quandles.checks import (
 )
 from quandles.constructions import affine, conjugation, dihedral
 from quandles.enumeration import EnumerationTask, _class_tables
+from quandles.orbits import orbits
 from quandles.perm import Permutation
 from quandles.quandle import Quandle
 
@@ -265,9 +266,9 @@ def one_unit_per_order(n):
 
 
 def transposition_quandle(k):
-    return conjugation([Permutation.from_cycles(k, [(1, 2)]),
-                        Permutation.from_cycles(k, [tuple(range(1, k + 1))])],
-                       Permutation.from_cycles(k, [(1, 2)]))
+    swap = Permutation.from_cycles(k, [(1, 2)])
+    rotate = Permutation.from_cycles(k, [tuple(range(1, k + 1))])
+    return conjugation([swap, rotate], swap)
 
 
 def own_orbits(n):
@@ -392,7 +393,7 @@ class TestCycleLengthDivisionKernel:
         expected = oracle_division_failures(rows, [f.images, g.images])
         assert expected
         built = []
-        screen = Permutation._division_screen
+        screen = checks._division_screen
 
         def build(p):
             if n > 256:
@@ -400,7 +401,7 @@ class TestCycleLengthDivisionKernel:
             built.append(p)
             return screen(p)
 
-        monkeypatch.setattr(Permutation, "_division_screen", build)
+        monkeypatch.setattr(checks, "_division_screen", build)
         assert cycle_length_division_failures(rows, [f, g]) == expected
         assert built == ([f, g] if n <= 256 else [])
 
@@ -425,7 +426,7 @@ class TestCycleLengthDivisionKernel:
                         tested.setdefault(m, set()).add(x - 1)
             expected = {(frozenset(x - 1 for x in range(1, n + 1) if (f ** m)(x) == x), frozenset(rows))
                         for m, rows in tested.items()}
-            screen = f._division_screen()
+            screen = checks._division_screen(f)
             assert len(screen) == len(expected)
             assert {(frozenset(fixed), frozenset(rows)) for fixed, rows in screen} == expected
 
@@ -437,10 +438,6 @@ class TestCycleLengthDivisionKernel:
         expected = oracle_division_failures(rows, [f.images])
         assert expected == [(1, 1, 3)]
         assert cycle_length_division_failures(rows, [f]) == expected
-
-    def test_screen_is_cached_on_the_permutation(self, q94):
-        p = q94.right_translation(1)
-        assert p._division_screen() is p._division_screen()
 
 
 class TestVerdictsAcrossTables:
@@ -499,11 +496,6 @@ def recomputed_relabeling(p):
     return tuple(expected)
 
 
-def transposition_quandle(k):
-    swap = Permutation.from_cycles(k, [(1, 2)])
-    return conjugation([swap, Permutation.from_cycles(k, [tuple(range(1, k + 1))])], swap)
-
-
 class TestRelabelingWaitsToBeRead:
     """A cycle-shift report builds its relabeling only when its details are read."""
 
@@ -519,8 +511,9 @@ class TestRelabelingWaitsToBeRead:
             shifts = [r for r in all_checks(q) if r.name == "cycle-shift"]
             translations = [q._right_translation(i) for i in range(1, q.n + 1)]
             assert not any(p._relabeling for p in translations)
-            # each column has a translation of its own, so no linked one is walked
-            linked = [translations[y - 1] for y, _, _ in q._links]
+            # each column has a translation of its own; the linked ones, each orbit's members past its
+            # least point, are not walked
+            linked = [translations[y - 1] for block in orbits(q) for y in block if y != min(block)]
             assert all(p._cycles is None for p in linked)
             unwalked += len(linked)
             for p, report in zip(translations, shifts):
@@ -602,12 +595,6 @@ def oracle_left_refinement_fields(rows, rights=None):
         fields.append((hypothesis, conclusion, tuple(shown[:DEFAULT_WITNESS_CAP]), len(shown),
                        {"element": i, "left_is_permutation": is_permutation}))
     return fields
-
-
-def transposition_quandle(k):
-    swap = Permutation.from_cycles(k, [(1, 2)])
-    rotate = Permutation.from_cycles(k, [tuple(range(1, k + 1))])
-    return conjugation([swap, rotate], swap)
 
 
 class TestLeftRefinementAgainstOracle:

@@ -1,19 +1,18 @@
-"""Orbit links, and the verdicts taken along them, against each column's own check.
+"""Verdicts shared across each orbit, against each column's own check.
 
 A table walks the cycles of the first column of each orbit only; every
-other column y = x*s takes R_x's cycle structure, and ``check_left_refinement``
-decides left refinement at a bijective row on column 1. Its reports
-are checked here against the direct per-element calls on a fresh table,
-on every labeled table of orders 1-6, on Aff(Z_n, t) for odd n up to 47,
-on the transposition quandles of S_4 .. S_8 and on two disjoint unions,
-so that latin tables (every link from the first column), connected
-non-latin ones (links two rows deep) and tables of several orbits are
-all covered.
+other column of the orbit takes that column's cycle structure, and
+``check_left_refinement`` decides left refinement at a bijective row on
+column 1. Its reports are checked here against the direct per-element
+calls on a fresh table, on every labeled table of orders 1-6, on
+Aff(Z_n, t) for odd n up to 47, on the transposition quandles of
+S_4 .. S_8 and on two disjoint unions, so that latin tables, connected
+non-latin ones and tables of several orbits are all covered.
 
 The table predicates read from the byte rows (unique fixed points,
-latinity, the bijective rows) and the structures copied along the links
-are checked the same way against point walks, on tables with bytes and
-on one without. Left refinement's byte verdict, kept on the table, is
+latinity, the bijective rows) and the structures shared across each
+orbit are checked the same way against point walks, on tables with bytes
+and on one without. Left refinement's byte verdict, kept on the table, is
 read once per table and does not depend on the row checked first; the
 fields cached on a cycle structure and the regular-cycle details read
 from them are checked against recomputations from the lengths and the
@@ -86,21 +85,11 @@ def direct_checks(rows):
 
 
 class TestSharedCycleData:
-    def test_links_reach_every_other_point_of_each_orbit(self, all_rows):
-        for rows in all_rows:
-            q = Quandle(rows)
-            q._find_orbits()
-            reached = {min(block) for block in q._orbits}
-            for y, x, s in q._links:
-                assert x in reached and y not in reached and q.rows[x - 1][s - 1] == y
-                reached.add(y)
-            assert reached == set(range(1, q.n + 1))
-
     def test_a_table_without_bytes_shares_structures_and_orders(self, monkeypatch):
         element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
         q = Quandle([[element(v) for v in row] for row in dihedral(8).rows])
         assert q._col_bytes is None
-        # Only each orbit's first column has its cycles walked; the linked columns take its structure.
+        # Only each orbit's first column has its cycles walked; the other columns of the orbit take its structure.
         walked = []
         cycles = Permutation.cycles
         monkeypatch.setattr(Permutation, "cycles", lambda p: walked.append(p.images) or cycles(p))
@@ -109,8 +98,8 @@ class TestSharedCycleData:
         starts = sorted(min(block) for block in orbits(q))
         assert len(starts) == 2
         assert sorted(set(walked)) == sorted(q.right_translation(j).images for j in starts)
-        for y, x, _ in q._links:
-            assert structures[y - 1] is structures[x - 1]
+        for block in orbits(q):
+            assert all(structures[y - 1] is structures[min(block) - 1] for y in block)
         for j, (col, cs) in enumerate(zip(q.columns(), structures), 1):
             lengths = sorted(map(len, cycles_of(col)))
             assert list(cs.lengths()) == lengths and cs.order == q.right_translation(j).order == math.lcm(*lengths)
@@ -188,8 +177,9 @@ class TestPredicatesAgainstPointWalks:
             if len(fresh._orbits) == 1:
                 connected += 1
                 assert fresh._translations[0] is not None
-                assert all(fresh._translations[y - 1] is None for y, _, _ in fresh._links)
-                assert len(fresh._links) == q.n - 1
+                linked = [y for y in fresh._orbits[0] if y != 1]
+                assert all(fresh._translations[y - 1] is None for y in linked)
+                assert len(linked) == q.n - 1
         assert connected > 100
 
     def test_translations_built_later_take_their_own_structures(self, tables):
