@@ -132,7 +132,7 @@ MUTANTS = (
         "column-structures-from-one-orbit", QUANDLE,
         "                structure = self._right_translation(min(block)).cycle_structure()\n",
         "                structure = self._right_translation(min(self._orbits[0])).cycle_structure()\n",
-        (f"{SHARED}::TestPredicatesAgainstPointWalks::test_predicates_equal_point_walks",),
+        (f"{SHARED}::TestSharedCycleData::test_each_column_takes_its_own_orbits_structure",),
         "every column takes the cycle structure of the first orbit's first column, not its own orbit's",
     ),
     Mutant(

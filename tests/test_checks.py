@@ -439,6 +439,19 @@ class TestCycleLengthDivisionKernel:
         assert expected == [(1, 1, 3)]
         assert cycle_length_division_failures(rows, [f]) == expected
 
+    def test_screen_is_built_once_per_orbit(self, enumerated, monkeypatch):
+        # A passing table screens only the least column of each orbit, once.
+        built = []
+        screen = checks._division_screen
+        monkeypatch.setattr(checks, "_division_screen", lambda p: built.append(p) or screen(p))
+        tables = [q for n in range(1, 6) for q in enumerated(n, False)] + [transposition_quandle(5)]
+        for q in tables:
+            del built[:]
+            report = check_cycle_length_division(Quandle(q.rows))
+            assert report.conclusion_holds
+            assert [p.images for p in built] == [q.right_translation(min(block)).images for block in orbits(q)]
+        assert any(len(orbits(q)) > 1 for q in tables)
+
 
 class TestVerdictsAcrossTables:
     def test_one_cycle_shift_verdict_per_structure(self, enumerated, monkeypatch):

@@ -85,6 +85,21 @@ def direct_checks(rows):
 
 
 class TestSharedCycleData:
+    def test_each_column_takes_its_own_orbits_structure(self, all_rows):
+        # Every member of an orbit shares its least column's structure, which is the column's own.
+        several = 0
+        for rows in all_rows:
+            q = Quandle(rows)
+            structures = q.column_structures()
+            blocks = orbits(q)
+            several += len(blocks) > 1
+            assert sorted(y for block in blocks for y in block) == list(range(1, q.n + 1))
+            for block in blocks:
+                assert all(structures[y - 1] is structures[min(block) - 1] for y in block)
+            for col, cs in zip(q.columns(), structures):
+                assert list(cs.lengths()) == sorted(map(len, cycles_of(col)))
+        assert several > 100
+
     def test_a_table_without_bytes_shares_structures_and_orders(self, monkeypatch):
         element = IntEnum("Element", [f"e{x}" for x in range(1, 9)])
         q = Quandle([[element(v) for v in row] for row in dihedral(8).rows])
